@@ -25,15 +25,6 @@
  * round, which rejects container frequency jitter.  Stubbed runs
  * simulate different behavior by construction; their timings go only
  * into the sidecar's "stub_attribution" block, never into BENCH data.
- *
- * Every attribution lever pins the exact engine (SimMode::Exact) so
- * the per-layer table keeps its meaning under TRRIP_SIM_MODE=fast.
- * Under that env the sweep gains one extra row, "memo": the fast
- * engine unstubbed, whose attributed cost is full - fast -- i.e. the
- * per-instruction time the block-level fetch memoization *saves*, on
- * the same footing as the per-layer costs.  (The dedicated
- * exact-vs-fast bench is bench/fast_mode.cc; this row just keeps the
- * savings visible next to the costs it competes with.)
  */
 
 #include <algorithm>
@@ -77,12 +68,8 @@ struct StubPoint
 {
     const char *layer;
     unsigned mask;
-    /** The memo row: fast engine, nothing stubbed. */
-    bool fast = false;
     std::uint64_t instructions = 0;
     double bestWallSeconds = 0.0;
-    std::uint64_t memoLookups = 0;
-    std::uint64_t memoHits = 0;
 
     double
     nsPerInstr() const
@@ -102,10 +89,6 @@ struct StubPoint
     double
     attributedNs(double full_ns) const
     {
-        // The memo row is a savings, not a cost: the fast engine is
-        // the full engine minus the work the memo replays.
-        if (fast)
-            return full_ns - nsPerInstr();
         if (mask == trrip::kStubNone)
             return 0.0;
         return mask == trrip::kStubExec ? nsPerInstr()
@@ -191,10 +174,6 @@ main()
             {"mmu", kStubMmu},
             {"exec", kStubExec},
         };
-        // Under TRRIP_SIM_MODE=fast, one extra lever: the fast
-        // engine itself, measured against the exact-pinned "none".
-        if (defaultSimMode() == SimMode::Fast)
-            stubs.push_back({"memo", kStubNone, true});
         banner("Stub attribution (" + stub_policy +
                "): best of " + std::to_string(rounds) +
                " interleaved rounds");
@@ -223,26 +202,18 @@ main()
         for (int round = 0; round < rounds; ++round) {
             for (StubPoint &stub : stubs) {
                 const unsigned mask = stub.mask;
-                const bool fast = stub.fast;
                 spec.configs.clear();
                 spec.configs.push_back(
-                    {stub.layer, [mask, fast](SimOptions &o) {
+                    {stub.layer, [mask](SimOptions &o) {
                          o.core.stubMask = mask;
-                         o.core.mode = fast ? SimMode::Fast
-                                            : SimMode::Exact;
                      }});
                 const ExperimentResults results = runner.run(spec, {});
-                std::uint64_t instr = 0, lookups = 0, hits = 0;
+                std::uint64_t instr = 0;
                 for (const CellRecord &cell : results.cells()) {
-                    if (!cell.valid)
-                        continue;
-                    instr += cell.result().instructions;
-                    lookups += cell.result().fast.lookups;
-                    hits += cell.result().fast.hits;
+                    if (cell.valid)
+                        instr += cell.result().instructions;
                 }
                 stub.instructions = instr;
-                stub.memoLookups = lookups;
-                stub.memoHits = hits;
                 if (stub.bestWallSeconds == 0.0 ||
                     results.wallSeconds < stub.bestWallSeconds) {
                     stub.bestWallSeconds = results.wallSeconds;
@@ -267,22 +238,12 @@ main()
                     "attributed ns");
         std::printf("%-8s %14.2f %14s\n", "full", full_ns, "-");
         for (const StubPoint &stub : stubs) {
-            if (stub.mask == kStubNone && !stub.fast)
+            if (stub.mask == kStubNone)
                 continue;
             const double attributed = stub.attributedNs(full_ns);
-            // The memo row is a savings, not an engine layer; it
-            // stays out of the full-minus-levers residual.
-            if (!stub.fast)
-                attributed_sum += attributed;
-            std::printf("%-8s %14.2f %14.2f%s\n", stub.layer,
-                        stub.nsPerInstr(), attributed,
-                        stub.fast ? "  (saved by the memo)" : "");
-            if (stub.fast && stub.memoLookups > 0) {
-                std::printf("%-8s %14s hit rate %5.1f%%\n", "", "-",
-                            100.0 *
-                                static_cast<double>(stub.memoHits) /
-                                static_cast<double>(stub.memoLookups));
-            }
+            attributed_sum += attributed;
+            std::printf("%-8s %14.2f %14.2f\n", stub.layer,
+                        stub.nsPerInstr(), attributed);
         }
         std::printf("%-8s %14s %14.2f  (full - sum of levers)\n",
                     "core", "-", full_ns - attributed_sum);
@@ -327,28 +288,12 @@ main()
         out << "  \"stub_attribution\": [\n";
         for (std::size_t i = 0; i < stubs.size(); ++i) {
             const StubPoint &stub = stubs[i];
-            const double attributed = stub.attributedNs(full_ns);
-            const double hit_rate =
-                stub.memoLookups > 0
-                    ? static_cast<double>(stub.memoHits) /
-                          static_cast<double>(stub.memoLookups)
-                    : 0.0;
-            if (stub.fast) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "    {\"layer\": \"%s\", \"ns_per_instr\": %.3f, "
-                    "\"attributed_ns_per_instr\": %.3f, "
-                    "\"memo_hit_rate\": %.4f}%s\n",
-                    stub.layer, stub.nsPerInstr(), attributed,
-                    hit_rate, i + 1 < stubs.size() ? "," : "");
-            } else {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "    {\"layer\": \"%s\", \"ns_per_instr\": %.3f, "
-                    "\"attributed_ns_per_instr\": %.3f}%s\n",
-                    stub.layer, stub.nsPerInstr(), attributed,
-                    i + 1 < stubs.size() ? "," : "");
-            }
+            std::snprintf(buf, sizeof(buf),
+                          "    {\"layer\": \"%s\", \"ns_per_instr\": %.3f, "
+                          "\"attributed_ns_per_instr\": %.3f}%s\n",
+                          stub.layer, stub.nsPerInstr(),
+                          stub.attributedNs(full_ns),
+                          i + 1 < stubs.size() ? "," : "");
             out << buf;
         }
         out << "  ]\n";

@@ -67,7 +67,6 @@ void
 Btb::update(Addr pc, Addr target)
 {
     Entry &e = table_[(pc >> 2) & (table_.size() - 1)];
-    retrains_ += e.valid && e.pc != pc;
     e.valid = true;
     e.pc = pc;
     e.target = target;
@@ -80,7 +79,6 @@ Btb::lookupAndUpdate(Addr pc, Addr target, Addr &predicted)
     const bool hit = e.valid && e.pc == pc;
     if (hit)
         predicted = e.target;
-    retrains_ += e.valid && !hit;
     e.valid = true;
     e.pc = pc;
     e.target = target;
@@ -148,9 +146,6 @@ SetAssocBtb::update(Addr pc, Addr target, Temperature temp)
             }
         }
         victim = lru_cool ? lru_cool : lru_any;
-        // The fallback branch only runs when every way is valid and
-        // none matched pc, so this is always a conflict replacement.
-        ++retrains_;
     }
     victim->valid = true;
     victim->pc = pc;
@@ -224,7 +219,6 @@ LoopPredictor::predictAndTrain(Addr pc, bool taken, bool &taken_out)
     }
     // Update, exactly as update() on the same slot.
     if (!e.valid || e.pc != pc) {
-        retrains_ += e.valid;
         e = Entry();
         e.valid = true;
         e.pc = pc;

@@ -96,9 +96,6 @@ class Btb
      */
     bool lookupAndUpdate(Addr pc, Addr target, Addr &predicted);
 
-    /** Count of conflict replacements (another PC's entry displaced). */
-    std::uint64_t retrains() const { return retrains_; }
-
   private:
     struct Entry
     {
@@ -108,7 +105,6 @@ class Btb
     };
 
     std::vector<Entry> table_;
-    std::uint64_t retrains_ = 0;
 };
 
 /**
@@ -134,9 +130,6 @@ class SetAssocBtb
     /** Fraction of valid entries holding hot-code branches. */
     double hotOccupancy() const;
 
-    /** Count of conflict replacements (another PC's entry displaced). */
-    std::uint64_t retrains() const { return retrains_; }
-
   private:
     struct Entry
     {
@@ -154,7 +147,6 @@ class SetAssocBtb
     std::uint32_t ways_;
     bool temperatureAware_;
     std::uint64_t tick_ = 0;
-    std::uint64_t retrains_ = 0;
 };
 
 /**
@@ -184,9 +176,6 @@ class LoopPredictor
      */
     bool predictAndTrain(Addr pc, bool taken, bool &taken_out);
 
-    /** Count of conflict replacements (another PC's entry displaced). */
-    std::uint64_t retrains() const { return retrains_; }
-
   private:
     struct Entry
     {
@@ -201,7 +190,6 @@ class LoopPredictor
     Entry &slot(Addr pc);
 
     std::vector<Entry> table_;
-    std::uint64_t retrains_ = 0;
 };
 
 /**
@@ -287,25 +275,6 @@ class BranchUnit
 
     /** The temperature-aware BTB, when enabled (test hook). */
     const SetAssocBtb &trripBtb() const { return trripBtb_; }
-
-    /**
-     * Monotone stamp advanced whenever a target structure displaces
-     * another PC's entry (BTB / indirect BTB / TRRIP BTB conflict
-     * replacement, loop-predictor slot reallocation).  The fast-mode
-     * memo snapshots it: a retrain means some block's predictor
-     * entries were displaced, so entries recorded before the stamp
-     * advanced are discarded rather than trusted.  Per-branch
-     * direction state (gshare PHT/history, loop trip counters) is
-     * deliberately NOT folded in -- it mutates on every conditional
-     * branch, so the memo resolves branches live instead of gating on
-     * it.
-     */
-    std::uint64_t
-    generation() const
-    {
-        return btb_.retrains() + trripBtb_.retrains() +
-               indirectBtb_.retrains() + loop_.retrains();
-    }
 
   private:
     bool predictDirection(const BranchInfo &info) const;

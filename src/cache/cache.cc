@@ -21,8 +21,7 @@ Cache::Cache(const CacheGeometry &geom,
     geom_(geom), assoc_(geom.assoc), policy_(std::move(policy)),
     tags_(static_cast<std::size_t>(geom.numSets()) * geom.assoc, 0),
     meta_(tags_.size(), 0),
-    freeWays_(geom.numSets(), geom.assoc),
-    setGen_(geom.numSets(), 0)
+    freeWays_(geom.numSets(), geom.assoc)
 {
     geom_.check();
     panic_if(!policy_, geom_.name, ": null replacement policy");
@@ -140,7 +139,6 @@ Cache::accessInvalidateWith(Policy &pol, const MemRequest &req)
         if (!owners_.empty())
             owners_[idx] = 0;
         ++freeWays_[set];
-        ++setGen_[set];
         ++stats_.invalidations;
     }
     return hit;
@@ -235,7 +233,6 @@ Cache::fillWith(Policy &pol, const MemRequest &req,
         evicted.meta = vmeta;
         if (!owners_.empty())
             evicted.owner = owners_[base + way];
-        ++setGen_[set];
     }
 
     // The policy re-initializes its own per-way state in onFill().
@@ -295,7 +292,6 @@ Cache::invalidate(Addr paddr)
     if (!owners_.empty())
         owners_[idx] = 0;
     ++freeWays_[set];
-    ++setGen_[set];
     ++stats_.invalidations;
     return copy;
 }
@@ -321,7 +317,6 @@ Cache::invalidateRaw(Addr paddr)
         owners_[idx] = 0;
     }
     ++freeWays_[set];
-    ++setGen_[set];
     ++stats_.invalidations;
     return v;
 }
@@ -390,10 +385,6 @@ Cache::reset()
     if (!owners_.empty())
         owners_.assign(owners_.size(), 0);
     freeWays_.assign(freeWays_.size(), assoc_);
-    // Resident lines all left; any snapshotted generation must go
-    // stale, so every set advances rather than rewinding to zero.
-    for (auto &g : setGen_)
-        ++g;
     policy_->resetState();
     stats_ = CacheStats();
 }

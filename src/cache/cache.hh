@@ -266,45 +266,6 @@ class Cache
     /** Reset contents, statistics and the policy's per-line state. */
     void reset();
 
-    /**
-     * @name Fast-mode residency generations
-     * One counter per set, bumped whenever a *valid* line leaves the
-     * set (eviction, invalidation, exclusive-hit promotion, reset) --
-     * installs into a free way never remove a resident line and so do
-     * not bump.  A fast-mode memo entry snapshots the generation of
-     * every set it proved a hit in; the entry is replayable iff none
-     * of those generations advanced, because a line present at
-     * generation g is still present while the generation stays g.
-     * The counters cost one increment on removal paths only -- the
-     * exact-mode hit path is untouched.
-     */
-    /** @{ */
-    std::uint32_t setIndexOf(Addr paddr) const { return setOf(paddr); }
-    std::uint32_t
-    setGeneration(std::uint32_t set) const
-    {
-        return setGen_[set];
-    }
-    /** @} */
-
-    /**
-     * Credit @p n demand hits' worth of access counters without
-     * touching tags or policy state -- the fast-mode replay path,
-     * which skips the probes but must keep the demand-access counters
-     * (and everything derived from them, e.g. hit rates in the golden
-     * fingerprints) identical to exact mode.  Misses are never
-     * replayed, so only the access counters move.
-     */
-    void
-    creditDemandHits(bool inst, std::uint64_t n)
-    {
-        stats_.demandAccesses += n;
-        if (inst)
-            stats_.instDemandAccesses += n;
-        else
-            stats_.dataDemandAccesses += n;
-    }
-
   private:
     /**
      * Way holding (set, tag), or -1.  Branchless scan of the packed
@@ -395,8 +356,6 @@ class Cache
     std::vector<std::uint32_t> freeWays_;
     /** Per-way owner mask; empty unless enableOwnerMasks() ran. */
     std::vector<std::uint32_t> owners_;
-    /** Per-set removal generation (see setGeneration()). */
-    std::vector<std::uint32_t> setGen_;
     CacheStats stats_;
 };
 

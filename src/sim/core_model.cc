@@ -2,27 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
-#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace trrip {
-
-SimMode
-defaultSimMode()
-{
-    static const SimMode cached = [] {
-        const char *v = std::getenv("TRRIP_SIM_MODE");
-        if (!v || !*v || std::strcmp(v, "exact") == 0)
-            return SimMode::Exact;
-        if (std::strcmp(v, "fast") == 0)
-            return SimMode::Fast;
-        panic("TRRIP_SIM_MODE='", v, "' (want 'exact' or 'fast')");
-    }();
-    return cached;
-}
 
 CoreModel::CoreModel(BBEventSource &events, CacheHierarchy &hierarchy,
                      Mmu &mmu, BranchUnit &branch,
@@ -60,24 +43,6 @@ CoreModel::CoreModel(BBEventSource &events, CacheHierarchy &hierarchy,
     const auto mp = static_cast<double>(params_.mispredictPenalty);
     const auto rd = static_cast<double>(params_.btbRedirectPenalty);
     branchPenalty_ = {0.0, mp, rd, mp};
-
-    // Resolve the fidelity mode once; memo storage exists only when
-    // it will be used (the exact path must not pay even the
-    // allocation).  Stub-attribution runs measure the exact engine by
-    // definition, so they stay exact whatever the mode says.
-    mode_ = params_.mode == SimMode::Auto ? defaultSimMode()
-                                          : params_.mode;
-    if (mode_ == SimMode::Fast && params_.stubMask == kStubNone) {
-        memoKeys_.assign(kMemoEntries, 0);
-        // Deliberately uninitialized: a payload slot is only ever
-        // read after its key matched in memoKeys_, which in turn only
-        // happens after a record wrote both.  Zero-filling the ~2 MB
-        // payload per CoreModel construction costs more than the memo
-        // saves at bench budgets (it faults every page up front and
-        // flushes the host caches the simulator arrays live in).
-        memo_ = std::make_unique_for_overwrite<MemoEntry[]>(kMemoEntries);
-        seen_.assign(kSeenBits / 64, 0);
-    }
 }
 
 template <unsigned Stub>
@@ -130,59 +95,8 @@ CoreModel::fdipPrefetch(const BBEvent &tail)
 
 template <unsigned Stub>
 void
-CoreModel::processData(const DataAccessEvent &d)
-{
-    constexpr bool stub_hier = (Stub & kStubHier) != 0;
-    constexpr bool stub_mmu = (Stub & kStubMmu) != 0;
-
-    MemRequest req;
-    req.vaddr = d.vaddr;
-    req.paddr = d.vaddr;
-    req.pc = d.pc;
-    req.type = d.isStore ? AccessType::Store : AccessType::Load;
-    if constexpr (!stub_mmu) {
-        const MmuResult tr = mmu_.translate(d.vaddr);
-        if (tr.tlbMiss) {
-            td_.other += static_cast<double>(params_.tlbWalkPenalty);
-            now_ += static_cast<double>(params_.tlbWalkPenalty);
-        }
-        req.paddr = tr.paddr;
-    }
-    if constexpr (stub_hier)
-        return;
-    const AccessOutcome out =
-        hier_.dataAccess(req, static_cast<Cycles>(now_));
-    if (out.latency == 0)
-        return;
-    const double raw = static_cast<double>(out.latency);
-    if (d.isStore) {
-        const double exposed = raw * params_.storeExposedFraction;
-        td_.mem += exposed;
-        now_ += exposed;
-    } else if (d.dependent) {
-        // Pointer chase: the next access needs this value; the
-        // OOO window hides almost none of the latency.
-        const double exposed = raw * params_.dependentExposedFraction;
-        missShadowEnd_ = now_ + raw;
-        td_.mem += exposed;
-        now_ += exposed;
-    } else {
-        double exposed = raw * params_.loadExposedFraction;
-        if (now_ < missShadowEnd_)
-            exposed /= params_.overlapMlp;
-        missShadowEnd_ = now_ + raw;
-        td_.mem += exposed;
-        now_ += exposed;
-    }
-}
-
-template <unsigned Stub, bool Record>
-void
 CoreModel::processEvent(const BBEvent &ev)
 {
-    static_assert(!Record || Stub == kStubNone,
-                  "memo recording only exists on the unstubbed engine");
-
     if constexpr ((Stub & kStubExec) != 0) {
         // Producer-only attribution: count and discard.
         instructions_ += ev.instrs;
@@ -216,29 +130,11 @@ CoreModel::processEvent(const BBEvent &ev)
             req.paddr = tr.paddr;
             req.temp = tr.temp;
             fetch_temp = tr.temp;
-            if constexpr (Record) {
-                if (tr.tlbMiss) {
-                    recEligible_ = false;
-                } else {
-                    recTouch(kMemoTlb, mmu_.slotOf(line),
-                             mmu_.slotGeneration(mmu_.slotOf(line)));
-                }
-            }
         }
         if constexpr (stub_hier)
             continue;
         const AccessOutcome out =
             hier_.instFetch(req, static_cast<Cycles>(now_));
-        if constexpr (Record) {
-            if (out.l1Miss) {
-                recEligible_ = false;
-            } else {
-                const std::uint32_t set =
-                    hier_.l1i().setIndexOf(req.paddr);
-                recTouch(kMemoL1I, set,
-                         hier_.l1i().setGeneration(set));
-            }
-        }
         const double exposed =
             out.latency > params_.fetchQueueSlack
                 ? static_cast<double>(out.latency -
@@ -263,9 +159,6 @@ CoreModel::processEvent(const BBEvent &ev)
             }
         }
     }
-
-    if constexpr (Record)
-        recFetchTemp_ = fetch_temp;
 
     // --- Branch resolution.
     if (!stub_branch && ev.hasBranch) {
@@ -296,209 +189,59 @@ CoreModel::processEvent(const BBEvent &ev)
     td_.other += instrs * backend_.otherStallPerInstr;
     now_ += retire + instrs * backendStallPerInstr_;
 
-    // --- Data accesses with MLP-aware exposure.  Never memoized:
-    // the proxy executors re-randomize data addresses per execution,
-    // so a key covering them would almost never repeat (measured:
-    // ~12% hit rate, a net slowdown).  Fast mode therefore memoizes
-    // the fetch side only and runs this exact path live on replay.
-    for (std::uint8_t i = 0; i < ev.numData; ++i)
-        processData<Stub>(ev.data[i]);
-
-    instructions_ += ev.instrs;
-}
-
-std::uint64_t
-CoreModel::memoKey(const BBEvent &ev, bool skip_first) const
-{
-    // The key pins exactly what a replay substitutes from the entry:
-    // the fetch side.  (vaddr, bytes, skip_first) fully determine the
-    // fetched lines, and the fetch temperature is a pure function of
-    // the last new line's immutable PTE -- so nothing else needs
-    // hashing.  Branch resolution, retire/backend accounting and
-    // every data access are recomputed live from the event on replay
-    // (proxy executors re-randomize data addresses per execution, so
-    // keying on them would defeat the memo), and fdipMispredict is
-    // consumed by the run loop, not the event body.  bb and instrs
-    // ride along as cheap collision discriminators.
-    std::uint64_t h =
-        splitMix64(ev.vaddr ^ (static_cast<std::uint64_t>(ev.bb) << 32));
-    h = hashCombine(h, (static_cast<std::uint64_t>(ev.instrs) << 32) |
-                           ev.bytes);
-    // Skip-variant in bit 1: bit 0 is forced below (0 marks an empty
-    // slot), so folding the flag there would collapse both variants.
-    return (h ^ (skip_first ? 2u : 0u)) | 1;
-}
-
-void
-CoreModel::replayEvent(const BBEvent &ev, const MemoEntry &e,
-                       bool skip_first)
-{
-    // Every fetch line this event touches was proved an L1I/TLB hit
-    // at record time and is still resident (generations unchanged),
-    // so the exact fetch loop would have added exactly 0.0 to every
-    // latency bucket and left all hierarchy/MMU state untouched
-    // except the demand-access counters (credited below) and the L1I
-    // policy's onHit recency -- the one skipped effect, documented as
-    // fast mode's drift source.  Only the fetch side is memoized:
-    // branches, retire/backend and data accesses recompute live from
-    // the event, below, in the exact body's order and with its exact
-    // expressions.
-    const Addr first = ev.vaddr & lineMask_;
-    const Addr last = (ev.vaddr + ev.bytes - 1) & lineMask_;
-    std::uint64_t lines = 0;
-    if (last >= first) {
-        lines = (last - first) / lineBytes_ + 1 -
-                (skip_first ? 1u : 0u);
-        lastFetchLine_ = last;
-    }
-    if (lines > 0) {
-        hier_.l1i().creditDemandHits(true, lines);
-        mmu_.creditHits(lines);
-    }
-
-    // Branches resolve LIVE: gshare history shifts and the loop
-    // predictor counts on every conditional execution, so gating the
-    // memo on direction state would never hit.  The fetch temperature
-    // the exact body would feed the TRRIP-BTB is a pure function of
-    // the last fetch line's (immutable) PTE -- replayed from the
-    // entry.  With identical inputs the predictor state trajectory is
-    // identical to exact mode, which is what keeps quiescent configs
-    // fingerprint-identical.
-    if (ev.hasBranch) {
-        BranchInfo info = ev.branch;
-        info.temp = e.fetchTemp;
-        const BranchOutcome out = branch_.predictAndUpdate(info);
-        const unsigned idx =
-            (out.mispredicted ? 1u : 0u) |
-            ((out.btbMiss && ev.branch.taken) ? 2u : 0u);
-        now_ += branchPenalty_[idx];
-        mispredEvents_ += idx & 1u;
-        redirectEvents_ += idx == 2u ? 1u : 0u;
-    }
-
-    // Retire + backend, recomputed with the identical expressions in
-    // the identical order as the exact body (same doubles, same
-    // accumulation sequence -- bit-exact).
-    const double instrs = static_cast<double>(ev.instrs);
-    const double retire = retireCycles(ev.instrs);
-    td_.retire += retire;
-    td_.depend += instrs * backend_.dependStallPerInstr;
-    td_.issue += instrs * backend_.issueStallPerInstr;
-    td_.other += instrs * backend_.otherStallPerInstr;
-    now_ += retire + instrs * backendStallPerInstr_;
-
-    // Data accesses run LIVE through the exact path: misses, fills,
-    // evictions and TLB walks all happen for real (and any eviction
-    // they cause bumps a generation, invalidating whatever it
-    // displaced).
-    for (std::uint8_t i = 0; i < ev.numData; ++i)
-        processData<kStubNone>(ev.data[i]);
-
-    instructions_ += ev.instrs;
-}
-
-void
-CoreModel::fastEvent(const BBEvent &ev)
-{
-    const bool skip_first = (ev.vaddr & lineMask_) == lastFetchLine_;
-    if (skip_first &&
-        ((ev.vaddr + ev.bytes - 1) & lineMask_) == lastFetchLine_) {
-        // The whole event sits inside the line the previous event
-        // already fetched: the exact fetch loop is a no-op, so there
-        // is nothing to memoize and nothing to save -- skip the memo
-        // machinery entirely.
-        processEvent<kStubNone, false>(ev);
-        return;
-    }
-    ++fastStats_.lookups;
-    const std::uint64_t key = memoKey(ev, skip_first);
-    const std::uint32_t slot = key & (kMemoEntries - 1);
-
-    // The key array is probed on every event and sized to live in
-    // cache (kMemoEntries * 8 bytes); the payload array is ~10x
-    // larger and only touched on a tag match or a record, so cold
-    // and conflicting blocks never pull payload lines in.
-    if (memoKeys_[slot] == key) {
-        const MemoEntry &e = memo_[slot];
-        // Validate every snapshotted generation; any advance means a
-        // line/translation this entry proved resident may have been
-        // displaced (or a predictor entry retrained) since recording.
-        bool valid = e.branchGen == branch_.generation();
-        if (!valid) {
-            ++fastStats_.branchInvalidations;
-        } else {
-            for (std::uint8_t i = 0; i < e.nTouch; ++i) {
-                const MemoTouch &t = e.touch[i];
-                const std::uint32_t idx = t.comp & 0x0fffffffu;
-                std::uint32_t gen = 0;
-                switch (t.comp >> 28) {
-                  case kMemoL1I:
-                    gen = hier_.l1i().setGeneration(idx);
-                    break;
-                  case kMemoL1D:
-                    gen = hier_.l1d().setGeneration(idx);
-                    break;
-                  default:
-                    gen = mmu_.slotGeneration(idx);
-                    break;
-                }
-                if (gen != t.gen) {
-                    valid = false;
-                    ++fastStats_.genInvalidations;
-                    break;
-                }
+    // --- Data accesses with MLP-aware exposure.
+    for (std::uint8_t i = 0; i < ev.numData; ++i) {
+        const DataAccessEvent &d = ev.data[i];
+        MemRequest req;
+        req.vaddr = d.vaddr;
+        req.paddr = d.vaddr;
+        req.pc = d.pc;
+        req.type = d.isStore ? AccessType::Store : AccessType::Load;
+        if constexpr (!stub_mmu) {
+            const MmuResult tr = mmu_.translate(d.vaddr);
+            if (tr.tlbMiss) {
+                td_.other +=
+                    static_cast<double>(params_.tlbWalkPenalty);
+                now_ += static_cast<double>(params_.tlbWalkPenalty);
             }
+            req.paddr = tr.paddr;
         }
-        if (valid) {
-            ++fastStats_.hits;
-            replayEvent(ev, e, skip_first);
-            return;
+        if constexpr (stub_hier)
+            continue;
+        const AccessOutcome out =
+            hier_.dataAccess(req, static_cast<Cycles>(now_));
+        if (out.latency == 0)
+            continue;
+        const double raw = static_cast<double>(out.latency);
+        if (d.isStore) {
+            const double exposed = raw * params_.storeExposedFraction;
+            td_.mem += exposed;
+            now_ += exposed;
+        } else if (d.dependent) {
+            // Pointer chase: the next access needs this value; the
+            // OOO window hides almost none of the latency.
+            const double exposed =
+                raw * params_.dependentExposedFraction;
+            missShadowEnd_ = now_ + raw;
+            td_.mem += exposed;
+            now_ += exposed;
+        } else {
+            double exposed = raw * params_.loadExposedFraction;
+            if (now_ < missShadowEnd_)
+                exposed /= params_.overlapMlp;
+            missShadowEnd_ = now_ + raw;
+            td_.mem += exposed;
+            now_ += exposed;
         }
-        memoKeys_[slot] = 0;  // Discard; fall through to re-record.
     }
 
-    // First-sighting filter: record only keys seen at least twice, so
-    // cold code -- blocks executed once and never again -- runs the
-    // plain exact body with no capture overhead and costs one bit
-    // flip instead of an entry write.
-    const std::uint32_t bit =
-        static_cast<std::uint32_t>(key >> 17) & (kSeenBits - 1);
-    std::uint64_t &word = seen_[bit >> 6];
-    const std::uint64_t mask = 1ull << (bit & 63);
-    if ((word & mask) == 0) {
-        word |= mask;
-        processEvent<kStubNone, false>(ev);
-        return;
-    }
-
-    // Repeat sighting: run the exact body with touch capture.
-    recEligible_ = true;
-    recNTouch_ = 0;
-    recFetchTemp_ = Temperature::None;
-    processEvent<kStubNone, true>(ev);
-    if (!recEligible_) {
-        ++fastStats_.ineligible;
-        return;
-    }
-
-    if (memoKeys_[slot] != 0 && memoKeys_[slot] != key)
-        ++fastStats_.conflictEvictions;
-    memoKeys_[slot] = key;
-    MemoEntry &e = memo_[slot];
-    e.branchGen = branch_.generation();
-    e.fetchTemp = recFetchTemp_;
-    e.nTouch = static_cast<std::uint8_t>(recNTouch_);
-    for (std::uint32_t i = 0; i < recNTouch_; ++i)
-        e.touch[i] = recTouch_[i];
-    ++fastStats_.records;
+    instructions_ += ev.instrs;
 }
 
-template <unsigned Stub, bool Fast>
+template <unsigned Stub>
 void
 CoreModel::stepLoop(InstCount target_instructions)
 {
-    static_assert(!Fast || Stub == kStubNone,
-                  "fast mode only exists on the unstubbed engine");
     constexpr bool stub_branch =
         (Stub & (kStubBranch | kStubExec)) != 0;
     while (instructions_ < target_instructions) {
@@ -524,10 +267,7 @@ CoreModel::stepLoop(InstCount target_instructions)
         const BBEvent &ev = ring_[head_ & mask_];
         if (!stub_branch && fdipScan_ && ev.fdipMispredict)
             --windowMispredicts_;
-        if constexpr (Fast)
-            fastEvent(ev);
-        else
-            processEvent<Stub>(ev);
+        processEvent<Stub>(ev);
         ++head_;
     }
 }
@@ -562,7 +302,6 @@ CoreModel::finalize()
     res.tlb = mmu_.stats();
     res.l2HotEvictions = res.l2.evictionsByTemp[encodeTemperature(
         Temperature::Hot)];
-    res.fast = fastStats_;
     return res;
 }
 
@@ -571,17 +310,15 @@ CoreModel::step(InstCount target_instructions)
 {
     switch (params_.stubMask) {
       case kStubNone:
-        if (mode_ == SimMode::Fast)
-            return stepLoop<kStubNone, true>(target_instructions);
-        return stepLoop<kStubNone, false>(target_instructions);
+        return stepLoop<kStubNone>(target_instructions);
       case kStubHier:
-        return stepLoop<kStubHier, false>(target_instructions);
+        return stepLoop<kStubHier>(target_instructions);
       case kStubBranch:
-        return stepLoop<kStubBranch, false>(target_instructions);
+        return stepLoop<kStubBranch>(target_instructions);
       case kStubMmu:
-        return stepLoop<kStubMmu, false>(target_instructions);
+        return stepLoop<kStubMmu>(target_instructions);
       case kStubExec:
-        return stepLoop<kStubExec, false>(target_instructions);
+        return stepLoop<kStubExec>(target_instructions);
       default:
         panic("unsupported stub mask ", params_.stubMask,
               " (single kStub* levers only)");

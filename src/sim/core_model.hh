@@ -37,7 +37,6 @@
 #define TRRIP_SIM_CORE_MODEL_HH
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "analysis/costly_miss.hh"
@@ -77,38 +76,6 @@ constexpr unsigned kStubMmu = 4;
 constexpr unsigned kStubExec = 8;
 /** @} */
 
-/**
- * Simulation fidelity axis (ROADMAP lever (f); README "Exact vs fast
- * mode").  Exact is the byte-reproducible reference engine.  Fast is
- * the opt-in accuracy/speed trade: block-level fetch memoization with
- * generation-based invalidation -- an event whose every fetch line
- * the memo proved L1I/TLB-resident (and whose residency generations
- * have not advanced since) skips the instruction-side hierarchy/MMU
- * probes and replays the recorded zero-latency fetch outcome.
- * Everything else stays live on replay: branches resolve through the
- * real predictors, retire/backend accounting recomputes from the
- * event, and data accesses run the full exact path (proxy executors
- * re-randomize data addresses per execution, so memoizing them would
- * never hit).  The one exact-vs-fast divergence is that replayed
- * fetch hits skip the L1I replacement policy's onHit recency
- * updates, so victim choices (and everything downstream of them) may
- * drift once i-side eviction pressure exists; bench/fast_mode
- * quantifies the drift per Top-Down bucket.
- */
-enum class SimMode : std::uint8_t
-{
-    /** Resolve from TRRIP_SIM_MODE at construction (the default). */
-    Auto,
-    Exact,
-    Fast,
-};
-
-/**
- * The mode TRRIP_SIM_MODE resolves to: "fast" -> Fast, unset or
- * "exact" -> Exact, anything else panics.  Read once and cached.
- */
-SimMode defaultSimMode();
-
 /** Core model parameters (defaults = paper Table 1). */
 struct CoreParams
 {
@@ -138,16 +105,6 @@ struct CoreParams
 
     /** Stub-attribution mask (kStub*); 0 for every real simulation. */
     unsigned stubMask = kStubNone;
-
-    /**
-     * Simulation fidelity (see SimMode).  Auto defers to the
-     * TRRIP_SIM_MODE environment variable; tests that assert
-     * hand-computed or golden-pinned numbers set Exact explicitly so
-     * they hold under any environment.  Stub-attribution runs
-     * (stubMask != 0) always use the exact engine regardless of mode:
-     * the attribution table is defined as exact-engine cost.
-     */
-    SimMode mode = SimMode::Auto;
 };
 
 /** Synthetic backend stall components, copied from the workload. */
@@ -156,34 +113,6 @@ struct BackendParams
     double dependStallPerInstr = 0.0;
     double issueStallPerInstr = 0.0;
     double otherStallPerInstr = 0.0;
-};
-
-/**
- * Fast-mode memo instrumentation.  All zero in exact mode.  Not part
- * of the BENCH metric set (exp::defaultMetrics): BENCH files must stay
- * byte-identical between a fast run and an exact run on quiescent
- * configs, and the memo counters are exactly the fields that differ.
- */
-struct FastSimStats
-{
-    std::uint64_t lookups = 0;     //!< Events probed against the memo.
-    std::uint64_t hits = 0;        //!< Events replayed from the memo.
-    std::uint64_t records = 0;     //!< Memo entries written.
-    std::uint64_t ineligible = 0;  //!< Events that touched a miss path.
-    /** Entries discarded because a cache-set/TLB-slot gen advanced. */
-    std::uint64_t genInvalidations = 0;
-    /** Entries discarded because the branch-unit gen advanced. */
-    std::uint64_t branchInvalidations = 0;
-    /** Entries overwritten by a different key hashing to the slot. */
-    std::uint64_t conflictEvictions = 0;
-
-    double
-    hitRate() const
-    {
-        return lookups == 0 ? 0.0
-                            : static_cast<double>(hits) /
-                                  static_cast<double>(lookups);
-    }
 };
 
 /** Everything a simulation run produces. */
@@ -200,8 +129,6 @@ struct SimResult
     BranchStats branch;
     TlbStats tlb;
     std::uint64_t l2HotEvictions = 0;
-    /** Memo counters of the run (all zero in exact mode). */
-    FastSimStats fast;
 
     double ipc() const
     { return cycles > 0.0 ? static_cast<double>(instructions) / cycles
@@ -257,12 +184,8 @@ class CoreModel
     /** @} */
 
   private:
-    /**
-     * The batched outer loop, instantiated per (stub mask, fast)
-     * combination; Fast is only ever instantiated with kStubNone (the
-     * attribution stubs are defined as exact-engine measurements).
-     */
-    template <unsigned Stub, bool Fast>
+    /** The batched outer loop, instantiated per stub mask. */
+    template <unsigned Stub>
     void stepLoop(InstCount target_instructions);
 
     /** Top the ring up to full when fewer than a window is ahead. */
@@ -272,99 +195,9 @@ class CoreModel
     template <unsigned Stub>
     void fdipPrefetch(const BBEvent &tail);
 
-    /**
-     * Simulate one event.  With Record (fast mode's miss path), the
-     * body additionally captures the event's fetch-side residency
-     * touch set into the rec* scratch so fastEvent() can memoize it;
-     * a Record pass is otherwise the exact body -- identical probes,
-     * stats and timing.
-     */
-    template <unsigned Stub, bool Record = false>
-    void processEvent(const BBEvent &ev);
-
-    /**
-     * One data access, exactly as the event body performs it.  Shared
-     * verbatim between processEvent() and replayEvent(): the fast
-     * engine never memoizes data accesses, it replays the fetch side
-     * and runs this live.
-     */
+    /** Simulate one event. */
     template <unsigned Stub>
-    void processData(const DataAccessEvent &d);
-
-    /** @name Fast-mode memo machinery (see the SimMode comment) */
-    /** @{ */
-
-    /**
-     * Component tags packed into MemoTouch::comp (top 4 bits).  Only
-     * the fetch side is memoized, so entries carry kMemoL1I and
-     * kMemoTlb touches; kMemoL1D stays reserved (data accesses run
-     * live on replay -- see memoKey()).
-     */
-    static constexpr std::uint32_t kMemoL1I = 0;
-    static constexpr std::uint32_t kMemoL1D = 1;
-    static constexpr std::uint32_t kMemoTlb = 2;
-
-    /**
-     * One residency dependency: a (component, set/slot) generation.
-     * No default member initializers: the payload table is allocated
-     * uninitialized (see the memo_ comment), and an NSDMI would drag
-     * a 2 MB zero-fill back into every fast-mode CoreModel.
-     */
-    struct MemoTouch
-    {
-        std::uint32_t comp;  //!< (tag << 28) | set-or-slot index.
-        std::uint32_t gen;   //!< Generation snapshotted at record.
-    };
-
-    /**
-     * Touch capacity per entry: every fetch line contributes an L1I
-     * set + a TLB slot, deduplicated (consecutive lines share a
-     * page, so the TLB slots collapse); an event spanning more
-     * distinct dependencies than this is simply ineligible.  Basic
-     * blocks span a handful of lines at most, and the cap is chosen
-     * so MemoEntry fits one host cache line -- a hit reads exactly
-     * one payload line on top of the tag probe.
-     */
-    static constexpr std::uint32_t kMemoTouchCap = 6;
-
-    struct alignas(64) MemoEntry
-    {
-        std::uint64_t branchGen;  //!< BranchUnit::generation().
-        Temperature fetchTemp;
-        std::uint8_t nTouch;
-        std::array<MemoTouch, kMemoTouchCap> touch;
-    };
-    static_assert(sizeof(MemoEntry) == 64,
-                  "one payload cache line per memo hit");
-
-    /** Content hash of @p ev (plus the skip-first-line bit); never 0. */
-    std::uint64_t memoKey(const BBEvent &ev, bool skip_first) const;
-
-    /** Fast-mode per-event step: replay on a valid hit, else record. */
-    void fastEvent(const BBEvent &ev);
-
-    /** Replay @p ev against memo entry @p e (all accesses proved hits). */
-    void replayEvent(const BBEvent &ev, const MemoEntry &e,
-                     bool skip_first);
-
-    /** Record-path touch capture (dedupes; clears recEligible_ on
-     *  overflow). */
-    void
-    recTouch(std::uint32_t tag, std::uint32_t index, std::uint32_t gen)
-    {
-        const std::uint32_t comp = (tag << 28) | index;
-        for (std::uint32_t i = 0; i < recNTouch_; ++i) {
-            if (recTouch_[i].comp == comp)
-                return;
-        }
-        if (recNTouch_ >= kMemoTouchCap) {
-            recEligible_ = false;
-            return;
-        }
-        recTouch_[recNTouch_++] = MemoTouch{comp, gen};
-    }
-
-    /** @} */
+    void processEvent(const BBEvent &ev);
 
     /** Exact instrs / dispatchWidth, memoized for small sizes. */
     double
@@ -443,46 +276,6 @@ class CoreModel
     double lastInstL2Miss_ = -1e18;
     CostlyMissTracker *costlyTracker_ = nullptr;
     const CancelToken *cancel_ = nullptr;
-
-    /**
-     * @name Fast-mode state
-     * Owned per CoreModel instance, so a retried cell or a reused
-     * worker can never replay another attempt's memo (bench/chaos
-     * verifies Retry convergence in fast mode).  Allocated only when
-     * the resolved mode is Fast.
-     */
-    /** @{ */
-    SimMode mode_ = SimMode::Exact;   //!< Resolved (never Auto).
-    /**
-     * Direct-mapped memo table, split so the every-event probe stays
-     * cheap: memoKeys_ holds just the content hashes (0 = empty; 8
-     * bytes per slot, small enough to stay cache-resident) and is the
-     * only array touched on a miss, while the ~10x larger payload
-     * table memo_ is read on a tag match and written on a record.
-     * The payload is allocated uninitialized -- a slot is only read
-     * after its key matched, and a key only exists once a record
-     * wrote the slot -- so construction faults no payload pages and
-     * unused slots never cost host memory.
-     */
-    std::vector<std::uint64_t> memoKeys_;
-    std::unique_ptr<MemoEntry[]> memo_;
-    /**
-     * First-sighting filter: one bit per key hash.  A key is only
-     * recorded on its second sighting, so cold code -- blocks
-     * executed once and never seen again -- costs a bit flip instead
-     * of an entry write.
-     */
-    std::vector<std::uint64_t> seen_;
-    FastSimStats fastStats_;
-    /** Record-pass scratch, reset by fastEvent() per event. */
-    bool recEligible_ = false;
-    std::uint32_t recNTouch_ = 0;
-    Temperature recFetchTemp_ = Temperature::None;
-    std::array<MemoTouch, kMemoTouchCap> recTouch_{};
-    /** @} */
-
-    static constexpr std::uint32_t kMemoEntries = 1u << 15;
-    static constexpr std::uint32_t kSeenBits = 1u << 17;
 };
 
 } // namespace trrip

@@ -277,13 +277,6 @@ aggregateMultiCore(const MultiCoreResult &result)
         sum.tlb.accesses += r.tlb.accesses;
         sum.tlb.misses += r.tlb.misses;
         sum.l2HotEvictions += r.l2HotEvictions;
-        sum.fast.lookups += r.fast.lookups;
-        sum.fast.hits += r.fast.hits;
-        sum.fast.records += r.fast.records;
-        sum.fast.ineligible += r.fast.ineligible;
-        sum.fast.genInvalidations += r.fast.genInvalidations;
-        sum.fast.branchInvalidations += r.fast.branchInvalidations;
-        sum.fast.conflictEvictions += r.fast.conflictEvictions;
     }
     sum.slc = result.slc;
     if (sum.instructions > 0) {

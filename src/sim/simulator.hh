@@ -29,13 +29,6 @@ struct SimOptions
     /** Instrumented training-run length; 0 = budget / 4. */
     InstCount profileInstructions = 0;
 
-    /**
-     * The simulation fidelity axis rides in core.mode (SimMode):
-     * Auto (the default) resolves TRRIP_SIM_MODE at CoreModel
-     * construction, so experiment grids switch engines through the
-     * environment without touching any spec.  Golden-pinned suites
-     * set SimMode::Exact explicitly.
-     */
     HierarchyParams hier;
     CoreParams core;
     BranchParams branch;

@@ -38,8 +38,7 @@ class Mmu
 {
   public:
     explicit Mmu(PageTable &pt, std::size_t tlb_entries = 128) :
-        pt_(pt), tlb_(tlb_entries), slotGen_(tlb_entries, 0),
-        tlbMask_(tlb_entries - 1)
+        pt_(pt), tlb_(tlb_entries), tlbMask_(tlb_entries - 1)
     {
         panic_if(tlb_entries == 0 ||
                      (tlb_entries & (tlb_entries - 1)) != 0,
@@ -62,11 +61,6 @@ class Mmu
         }
         ++stats_.misses;
         const PageTranslation tr = pt_.translate(vaddr);
-        // A resident translation is being displaced: stale any
-        // fast-mode memo that proved a hit in this slot.  Filling an
-        // invalid slot displaces nothing, and the hit path above is
-        // untouched.
-        slotGen_[vpn & tlbMask_] += e.valid;
         e.valid = true;
         e.vpn = vpn;
         e.ppn = tr.paddr >> shift;
@@ -76,32 +70,6 @@ class Mmu
 
     const TlbStats &stats() const { return stats_; }
     PageTable &pageTable() { return pt_; }
-
-    /**
-     * @name Fast-mode residency generations
-     * Per-slot displacement counters mirroring Cache::setGeneration():
-     * a translation proved TLB-resident at generation g is still
-     * resident while its slot's generation stays g.
-     */
-    /** @{ */
-    std::uint32_t
-    slotOf(Addr vaddr) const
-    {
-        return static_cast<std::uint32_t>(
-            (vaddr >> pt_.pageShift()) & tlbMask_);
-    }
-    std::uint32_t
-    slotGeneration(std::uint32_t slot) const
-    {
-        return slotGen_[slot];
-    }
-    /** @} */
-
-    /**
-     * Credit @p n TLB-hit accesses without probing -- the fast-mode
-     * replay path's counterpart of Cache::creditDemandHits().
-     */
-    void creditHits(std::uint64_t n) { stats_.accesses += n; }
 
   private:
     struct Entry
@@ -114,8 +82,6 @@ class Mmu
 
     PageTable &pt_;
     std::vector<Entry> tlb_;
-    /** Per-slot displacement generation (see slotGeneration()). */
-    std::vector<std::uint32_t> slotGen_;
     Addr tlbMask_;
     TlbStats stats_;
 };

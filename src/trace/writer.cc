@@ -1,5 +1,12 @@
 #include "trace/writer.hh"
 
+#include <fcntl.h>
+#include <stdlib.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdio>
+
 #if TRRIP_HAVE_ZSTD
 #include <zstd.h>
 #endif
@@ -7,7 +14,8 @@
 namespace trrip::trace {
 
 TraceWriter::TraceWriter(const std::string &path, TraceCodec codec,
-                         std::uint32_t chunk_records)
+                         std::uint32_t chunk_records) :
+    path_(path), tmpPath_(path + ".XXXXXX")
 {
     if (chunk_records == 0) {
         setError("chunk size must be at least one record");
@@ -24,8 +32,16 @@ TraceWriter::TraceWriter(const std::string &path, TraceCodec codec,
     header_.chunkRecords = chunk_records;
     pending_.reserve(chunk_records);
 
-    file_ = std::fopen(path.c_str(), "wb");
+    const int fd = ::mkstemp(tmpPath_.data());
+    if (fd < 0) {
+        setError("cannot open '" + path + "' for writing");
+        return;
+    }
+    // mkstemp creates 0600; a trace is as readable as any output file.
+    file_ = ::fchmod(fd, 0644) == 0 ? ::fdopen(fd, "wb") : nullptr;
     if (!file_) {
+        ::close(fd);
+        std::remove(tmpPath_.c_str());
         setError("cannot open '" + path + "' for writing");
         return;
     }
@@ -40,8 +56,6 @@ TraceWriter::TraceWriter(const std::string &path, TraceCodec codec,
 TraceWriter::~TraceWriter()
 {
     finish();
-    if (file_)
-        std::fclose(file_);
 }
 
 void
@@ -120,8 +134,31 @@ TraceWriter::finish()
         }
     }
     finished_ = true;
-    std::fclose(file_);
+    if (std::fclose(file_) != 0)
+        setError("cannot close '" + tmpPath_ + "'");
     file_ = nullptr;
+    bool exchanged = false;
+    if (ok()) {
+        // Over an existing trace, exchange the two names and unlink
+        // the old file: ext4 forces writeback of a file renamed over
+        // another (auto_da_alloc), which made regenerating a pack
+        // slower than rewriting it in place.  Anything else (no trace
+        // yet, a directory in the way) takes the plain rename.
+        struct stat st;
+        exchanged =
+            ::stat(path_.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+            ::renameat2(AT_FDCWD, tmpPath_.c_str(), AT_FDCWD,
+                        path_.c_str(), RENAME_EXCHANGE) == 0;
+        if (!exchanged &&
+            std::rename(tmpPath_.c_str(), path_.c_str()) != 0) {
+            setError("cannot rename '" + tmpPath_ + "' to '" + path_ +
+                     "'");
+        }
+    }
+    // After an exchange the temporary name holds the old trace; after
+    // a failure, the unfinished new one.
+    if (exchanged || !ok())
+        std::remove(tmpPath_.c_str());
     return ok();
 }
 

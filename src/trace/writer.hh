@@ -8,9 +8,15 @@
  * is a pure function of the appended records, so regenerated packs
  * are byte-identical.
  *
+ * The trace is written to a unique temporary file next to the target
+ * and moved onto it by finish(), so the target path only ever names a
+ * complete trace.  A reader that has the old file mapped keeps
+ * reading the old contents while a new pack is generated in place
+ * (truncating the mapped file would fault the reader with SIGBUS).
+ *
  * Errors are reported through ok()/error() rather than aborting, so
  * tests can exercise failure paths; a writer that is !ok() turns all
- * further calls into no-ops.
+ * further calls into no-ops and leaves no temporary file behind.
  */
 
 #ifndef TRRIP_TRACE_WRITER_HH
@@ -41,9 +47,9 @@ class TraceWriter
     void append(const TraceInstr &instr);
 
     /**
-     * Flush the tail chunk, write the directory, patch the header and
-     * close.  Idempotent; also invoked by the destructor.  Returns
-     * ok().
+     * Flush the tail chunk, write the directory, patch the header,
+     * close and rename the temporary file onto the target path.
+     * Idempotent; also invoked by the destructor.  Returns ok().
      */
     bool finish();
 
@@ -55,6 +61,8 @@ class TraceWriter
     void flushChunk();
     void setError(std::string message);
 
+    std::string path_;
+    std::string tmpPath_;   //!< Unique sibling of path_ being written.
     std::FILE *file_ = nullptr;
     TraceHeader header_;
     std::vector<TraceInstr> pending_;   //!< Current chunk only.

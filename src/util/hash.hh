@@ -2,8 +2,8 @@
  * @file
  * The repository's one SplitMix64 implementation.
  *
- * SplitMix64 (Steele/Lea/Flood via Vigna) serves three distinct roles
- * here and must be bit-identical across them, because two of them sit
+ * SplitMix64 (Steele/Lea/Flood via Vigna) serves two distinct roles
+ * here and must be bit-identical across them, because both sit
  * underneath byte-reproducible outputs:
  *
  *  - Rng seeding (util/rng.hh): the xoshiro256** state words are the
@@ -13,11 +13,6 @@
  *  - Deterministic fault draws (util/fault.cc): the TRRIP_FAULT
  *    injection harness hashes (site, scope key, ordinal) through the
  *    finalizer so a fault schedule is a pure function of the spec.
- *  - Fast-mode memo keys (sim/core_model.cc): block-level fetch
- *    memoization folds the event content through the same finalizer.
- *
- * Before the fast mode existed the first two carried private copies;
- * they were deduplicated onto this header rather than growing a third.
  */
 
 #ifndef TRRIP_UTIL_HASH_HH
@@ -56,13 +51,6 @@ splitMix64Next(std::uint64_t &state)
     const std::uint64_t out = splitMix64(state);
     state += kSplitMix64Gamma;
     return out;
-}
-
-/** Fold @p value into hash @p h (one avalanched SplitMix64 step). */
-constexpr std::uint64_t
-hashCombine(std::uint64_t h, std::uint64_t value)
-{
-    return splitMix64(h ^ value);
 }
 
 } // namespace trrip

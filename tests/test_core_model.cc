@@ -3,7 +3,8 @@
  * Dedicated CoreModel unit suite: retire, fetch-stall, branch-penalty,
  * backend-stall and starvation-burst accounting verified against
  * hand-computed cycle counts on small synthetic block streams, plus
- * the FDIP lookahead-window behavior of the batched event path.
+ * the FDIP lookahead-window behavior of the batched event path and
+ * cooperative cancellation.
  *
  * The streams come from a scripted BBEventSource (the batched contract
  * of workloads/executor.hh), so every event is exactly what the test
@@ -23,8 +24,10 @@
 #include "branch/predictors.hh"
 #include "cache/hierarchy.hh"
 #include "sim/core_model.hh"
+#include "sim/golden.hh"
 #include "sw/mmu.hh"
 #include "sw/page_table.hh"
+#include "util/error.hh"
 
 namespace trrip {
 namespace {
@@ -100,20 +103,8 @@ struct Rig
                  BackendParams backend = BackendParams{}) :
         source(std::move(script)), pt(4096), mmu(pt),
         branch(BranchParams{}), hier(hp),
-        model(source, hier, mmu, branch, exact(core), backend)
+        model(source, hier, mmu, branch, core, backend)
     {}
-
-    /**
-     * Every assertion here is a hand-computed exact-engine number;
-     * pin the mode so the suite holds under TRRIP_SIM_MODE=fast (the
-     * sanitizer CI runs the golden label that way).
-     */
-    static CoreParams
-    exact(CoreParams core)
-    {
-        core.mode = SimMode::Exact;
-        return core;
-    }
 
     ScriptSource source;
     PageTable pt;
@@ -364,6 +355,44 @@ TEST(CoreModel, FdipDisabledIssuesNoPrefetches)
     const SimResult res = rig.model.run(100 * 16);
     EXPECT_EQ(res.prefetch.issued, 0u);
     EXPECT_EQ(res.l2.instDemandMisses, 100u);
+}
+
+// ------------------------- Cancellation ---------------------------
+
+TEST(CoreModel, CancelledRunThrowsTimeoutAndAFreshModelIsUnaffected)
+{
+    // The watchdog's cooperative cancellation unwinds out of run() at
+    // the next batch refill.  A retried attempt gets a fresh CoreModel
+    // on the same stream, and nothing of the interrupted attempt may
+    // leak into it: its fingerprint (every counter plus the exact
+    // cycle total) must equal an uncancelled run's.
+    const std::vector<BBEvent> script = {
+        block(0x10000, 8), block(0x10040, 5),
+        branchBlock(0x10080, 7, 0x10000),
+    };
+    const InstCount budget = 20 * 60;
+    Rig reference(script, tinyHier(), noFdip());
+    const std::uint64_t want =
+        goldenFingerprint(reference.model.run(budget));
+
+    CancelToken token;
+    {
+        Rig rig(script, tinyHier(), noFdip());
+        rig.model.setCancelToken(&token);
+        // An armed token changes nothing: this partial run completes.
+        EXPECT_GE(rig.model.run(20 * 20).instructions, 20u * 20u);
+        token.cancel();
+        try {
+            rig.model.run(budget);
+            ADD_FAILURE() << "cancelled run() returned normally";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Timeout);
+        }
+    }
+    token.rearm();
+    Rig fresh(script, tinyHier(), noFdip());
+    fresh.model.setCancelToken(&token);
+    EXPECT_EQ(goldenFingerprint(fresh.model.run(budget)), want);
 }
 
 } // namespace

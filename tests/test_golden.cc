@@ -3,15 +3,17 @@
  * Golden-fingerprint equivalence guard for the per-access simulation
  * engine.
  *
- * The pinned table and the counter-folding fingerprint live in
- * src/sim/golden.{hh,cc} so bench/throughput_parallel can re-verify
- * the same 16 tuples through the worker pool; this test is the ctest
- * guard that runs them serially in every configuration, including
- * Debug + sanitizers.  Hot-path refactors must keep simulated
- * behavior bit-identical, so any change to the fingerprints is a
- * simulation-behavior change and must be justified, not just
- * re-pinned.  On mismatch the failure message contains the full
- * counter dump and the actual fingerprint.
+ * The pinned tables and the counter-folding fingerprint live in
+ * src/sim/golden.{hh,cc}: 19 single-core fingerprints (16 proxy
+ * tuples, which bench/throughput_parallel re-verifies through the
+ * worker pool, plus 3 trace-replay tuples) and 5 multi-core bundles
+ * (pinned by tests/test_multicore.cc), 24 in total.  This test is the
+ * ctest guard that runs the 19 single-core ones serially in every
+ * configuration, including Debug + sanitizers.  Hot-path refactors
+ * must keep simulated behavior bit-identical, so any change to the
+ * fingerprints is a simulation-behavior change and must be justified,
+ * not just re-pinned.  On mismatch the failure message contains the
+ * full counter dump and the actual fingerprint.
  */
 
 #include <gtest/gtest.h>
@@ -35,12 +37,7 @@ TEST(Golden, EngineFingerprintsAreBitIdentical)
     const bool print = std::getenv("TRRIP_PRINT_GOLDEN") != nullptr;
     for (const GoldenCase &c : goldenCases()) {
         CoDesignPipeline pipeline(proxyParams(c.workload));
-        // The fingerprints pin the exact engine; force it so the
-        // guard holds under any TRRIP_SIM_MODE (the fast engine is
-        // covered by the smoke test below and bench/fast_mode).
-        SimOptions opts = c.options();
-        opts.core.mode = SimMode::Exact;
-        const RunArtifacts art = pipeline.run(c.policy, opts);
+        const RunArtifacts art = pipeline.run(c.policy, c.options());
         std::string dump;
         const std::uint64_t fp =
             goldenFingerprint(art.result, &dump);
@@ -71,10 +68,8 @@ TEST(Golden, TraceReplayFingerprintsAreBitIdentical)
 
     const bool print = std::getenv("TRRIP_PRINT_GOLDEN") != nullptr;
     for (const TraceGoldenCase &c : traceGoldenCases()) {
-        SimOptions opts = c.options();
-        opts.core.mode = SimMode::Exact;
         const RunArtifacts art = trace::runTrace(
-            trace::miniTracePath(dir, c.trace), c.policy, opts);
+            trace::miniTracePath(dir, c.trace), c.policy, c.options());
         std::string dump;
         const std::uint64_t fp =
             goldenFingerprint(art.result, &dump);
@@ -89,41 +84,6 @@ TEST(Golden, TraceReplayFingerprintsAreBitIdentical)
             << (c.pgo ? " (pgo)" : " (no-pgo)")
             << ": trace replay behavior changed.  Counter dump:\n"
             << dump;
-    }
-}
-
-/**
- * Fast-engine smoke over the same pinned tuples.  Active only when
- * TRRIP_SIM_MODE=fast (the sanitizer CI job runs the golden label
- * once that way): every case runs through the memoizing engine under
- * ASan/UBSan, and the invariants that hold in ANY mode are asserted
- * -- the event stream is consumer-independent, so the instruction
- * total must reach the budget, and the memo must actually engage.
- * Accuracy bounds live in bench/fast_mode, not here.
- */
-TEST(Golden, FastModeSmokeRunsEveryGoldenTuple)
-{
-    if (defaultSimMode() != SimMode::Fast)
-        GTEST_SKIP() << "TRRIP_SIM_MODE=fast not set";
-    for (const GoldenCase &c : goldenCases()) {
-        CoDesignPipeline pipeline(proxyParams(c.workload));
-        const RunArtifacts art = pipeline.run(c.policy, c.options());
-        EXPECT_GE(art.result.instructions, kGoldenBudget)
-            << c.workload << " / " << c.policy;
-        EXPECT_GT(art.result.fast.lookups, 0u)
-            << c.workload << " / " << c.policy
-            << ": fast engine did not engage";
-    }
-    const std::string dir = "golden_mini_traces";
-    trace::generateMiniTracePack(dir);
-    for (const TraceGoldenCase &c : traceGoldenCases()) {
-        const RunArtifacts art = trace::runTrace(
-            trace::miniTracePath(dir, c.trace), c.policy, c.options());
-        EXPECT_GE(art.result.instructions, kGoldenBudget)
-            << "trace " << c.trace << " / " << c.policy;
-        EXPECT_GT(art.result.fast.lookups, 0u)
-            << "trace " << c.trace << " / " << c.policy
-            << ": fast engine did not engage";
     }
 }
 

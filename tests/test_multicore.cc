@@ -113,21 +113,13 @@ struct TwoCoreRig
         return mp;
     }
 
-    static CoreParams
-    coreParams()
-    {
-        CoreParams cp;
-        cp.mode = SimMode::Exact;
-        return cp;
-    }
-
     TwoCoreRig() :
         fabric(params()), pt(4096), mmu0(pt), mmu1(pt),
         br0(BranchParams{}), br1(BranchParams{}), src0(0x10000),
         src1(0x20000),
-        core0(src0, fabric.core(0), mmu0, br0, coreParams(),
+        core0(src0, fabric.core(0), mmu0, br0, CoreParams{},
               BackendParams{}),
-        core1(src1, fabric.core(1), mmu1, br1, coreParams(),
+        core1(src1, fabric.core(1), mmu1, br1, CoreParams{},
               BackendParams{})
     {
         // Both cores' code pages, mapped up front (no loader here).
@@ -260,7 +252,6 @@ TEST(MultiCoreGolden, OneCoreBundleReplaysProxyGoldens)
     for (const GoldenCase &c : goldenCases()) {
         MultiCoreOptions mo;
         mo.base = c.options();
-        mo.base.core.mode = SimMode::Exact;
         const MultiCoreResult mc =
             runMultiCore({c.workload}, c.policy, mo);
         ASSERT_EQ(mc.cores.size(), 1u);
@@ -281,7 +272,6 @@ TEST(MultiCoreGolden, OneCoreBundleReplaysTraceGoldens)
     for (const TraceGoldenCase &c : traceGoldenCases()) {
         MultiCoreOptions mo;
         mo.base = c.options();
-        mo.base.core.mode = SimMode::Exact;
         const std::string label =
             std::string(trace::kTracePrefix) +
             trace::miniTracePath(dir, c.trace);
@@ -308,7 +298,6 @@ TEST(MultiCoreGolden, OneCoreBundleIsQuantumInvariant)
     for (int i = 0; i < 2; ++i) {
         MultiCoreOptions mo;
         mo.base = c.options();
-        mo.base.core.mode = SimMode::Exact;
         mo.quantum = quanta[i];
         const MultiCoreResult mc =
             runMultiCore({c.workload}, c.policy, mo);
@@ -342,7 +331,6 @@ TEST(MultiCoreGolden, MultiCoreFingerprintsAreBitIdentical)
     for (const MultiCoreGoldenCase &c : multiCoreGoldenCases()) {
         MultiCoreOptions mo;
         mo.base = c.options();
-        mo.base.core.mode = SimMode::Exact;
         const MultiCoreResult mc =
             runMultiCore(resolveBundle(c.workloads, dir), c.policy, mo);
         const std::uint64_t fp = multiCoreFingerprint(mc);
@@ -364,7 +352,6 @@ TEST(MultiCoreGolden, DriverIsDeterministicAcrossRuns)
 {
     MultiCoreOptions mo;
     mo.base.maxInstructions = 30'000;
-    mo.base.core.mode = SimMode::Exact;
     const std::vector<std::string> bundle = {"gcc", "sqlite"};
     const std::uint64_t fp1 = multiCoreFingerprint(
         runMultiCore(bundle, "TRRIP-2", mo));
@@ -381,7 +368,6 @@ TEST(MultiCoreGolden, MaskedAndNaiveBackInvalidationAgreeEndToEnd)
     // bit of any core's counters versus probing every core.
     MultiCoreOptions mo;
     mo.base.maxInstructions = 30'000;
-    mo.base.core.mode = SimMode::Exact;
     // A small SLC so evictions (the cascade under test) are constant.
     mo.base.hier.slc = CacheGeometry{"SLC", 64 * 1024, 8, 64};
     const std::vector<std::string> bundle = {"python", "gcc"};
@@ -398,7 +384,6 @@ TEST(MultiCoreGolden, MaskedAndNaiveBackInvalidationAgreeEndToEnd)
 TEST(MultiCoreGolden, PerCoreBudgetsRunIndependently)
 {
     MultiCoreOptions mo;
-    mo.base.core.mode = SimMode::Exact;
     mo.base.profileInstructions = 20'000;
     mo.quantum = 2'000;
     mo.coreBudgets = {5'000, 40'000};

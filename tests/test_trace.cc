@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,66 @@ TEST_F(TraceTest, WriterOutputIsBytePure)
         ASSERT_TRUE(writer.ok()) << writer.error();
     }
     EXPECT_EQ(fileBytes(a), fileBytes(b));
+}
+
+TEST_F(TraceTest, RewritingAMappedTraceLeavesTheReaderIntact)
+{
+    // Two processes regenerating the same pack in place: one already
+    // has the trace mapped while the other rewrites it.  The writer
+    // must never truncate the mapped file (the reader would fault
+    // with SIGBUS); the reader keeps seeing the old records.
+    constexpr std::uint64_t kRecords = 4096;
+    const std::string file = path("mapped.trrtrc");
+    {
+        TraceWriter writer(file, TraceCodec::Raw, 64);
+        for (std::uint64_t i = 0; i < kRecords; ++i)
+            writer.append(plainAt(0x1000 + i * 4, 0x9000 + i * 8));
+        ASSERT_TRUE(writer.finish()) << writer.error();
+    }
+    TraceReader reader(file);
+    ASSERT_TRUE(reader.valid()) << reader.error();
+
+    TraceWriter rewriter(file, TraceCodec::Raw, 64);
+    for (std::uint64_t i = 0; i < 3; ++i)
+        rewriter.append(plainAt(0x7000 + i * 4));
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        const TraceInstr *rec = reader.next();
+        ASSERT_NE(rec, nullptr) << "record " << i;
+        EXPECT_EQ(rec->ip, 0x1000 + i * 4);
+        EXPECT_EQ(rec->srcMem[0], 0x9000 + i * 8);
+    }
+    EXPECT_EQ(reader.next(), nullptr);
+
+    // Once finished, the path names the new trace in full.
+    ASSERT_TRUE(rewriter.finish()) << rewriter.error();
+    TraceReader fresh(file);
+    ASSERT_TRUE(fresh.valid()) << fresh.error();
+    EXPECT_EQ(fresh.recordCount(), 3u);
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                            std::filesystem::directory_iterator()),
+              1)
+        << "the writer left a temporary file behind";
+}
+
+TEST_F(TraceTest, FailedWriterLeavesNoTemporaryFile)
+{
+    // A writer whose target directory does not exist fails up front;
+    // one that fails at finish() (the target is a directory, so the
+    // rename cannot replace it) removes its temporary file.
+    TraceWriter missing(path("no_such_dir/x.trrtrc"));
+    EXPECT_FALSE(missing.ok());
+
+    const std::string target = path("occupied");
+    std::filesystem::create_directories(target + "/child");
+    TraceWriter writer(target);
+    writer.append(plainAt(0x1000));
+    EXPECT_FALSE(writer.finish());
+    EXPECT_NE(writer.error().find("cannot rename"), std::string::npos)
+        << writer.error();
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                            std::filesystem::directory_iterator()),
+              1)
+        << "the failed writer left a temporary file behind";
 }
 
 /**

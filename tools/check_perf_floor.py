@@ -21,14 +21,6 @@ Checks, in order (each only when the sidecar carries the field):
 * ``chaos`` block (bench/chaos's sidecar): faults were injected at
   >= 3 distinct sites, every retried grid converged, and the
   converged BENCH files were byte-identical to the fault-free run.
-  When the block carries the fast-mode keys, the fast-engine Retry
-  grid must also have converged byte-identically.
-* ``fast_mode`` block (bench/fast_mode's sidecar): exact-vs-fast
-  instruction totals were equal and the quiescent configs were
-  bit-exact (both unconditional -- they are correctness, not
-  throughput), the Top-Down share drift stays under
-  ``$TRRIP_FAST_DRIFT_PP`` percentage points (default 5.0), and
-  ``fast_mode.speedup >= $TRRIP_FAST_SPEEDUP_FLOOR`` (default 1.3).
 * ``--bench FILE``: each named BENCH_*.json is scanned for error
   rows.  The sidecar's ``error_rows.declared`` (default 0) is the
   total the run expects across all --bench files; undeclared error
@@ -104,17 +96,6 @@ def main() -> int:
             status |= fail(
                 "a converged run's BENCH files differ from the "
                 "fault-free run -- retries leaked into the output.")
-        if "fast_mode_converged" in chaos:
-            if not chaos["fast_mode_converged"]:
-                status |= fail(
-                    "the fast-engine Retry grid did not converge "
-                    "under injection -- memo state leaked across "
-                    "attempts or faults escaped containment.")
-            if not chaos.get("fast_bench_identical", False):
-                status |= fail(
-                    "the converged fast-engine BENCH differs from "
-                    "the fault-free fast run -- retries leaked into "
-                    "the fast output.")
 
     if args.bench:
         declared = sidecar.get("error_rows", {}).get("declared", 0)
@@ -188,47 +169,6 @@ def main() -> int:
                     f"{float(mc_floor):.2f} floor -- the bundle "
                     "driver got slower; find the regression instead "
                     "of lowering the floor.")
-
-    drift = sidecar.get("drift")
-    if drift is not None:
-        if not drift.get("instructions_equal", False):
-            status |= fail(
-                "exact and fast runs retired different instruction "
-                "counts -- the event stream is consumer-independent, "
-                "so the fast engine dropped or duplicated work.")
-        ceiling = float(os.environ.get("TRRIP_FAST_DRIFT_PP", "5.0"))
-        pp = drift["max_bucket_drift_pp"]
-        print(f"fast-mode Top-Down drift: {pp:.3f} pp "
-              f"(ceiling {ceiling:.3f})")
-        if pp > ceiling:
-            status |= fail(
-                f"fast-mode Top-Down share drift {pp:.3f} pp exceeds "
-                f"the {ceiling:.3f} pp ceiling -- the memo is "
-                "replaying stale microarchitectural state; fix the "
-                "invalidation, don't raise the ceiling.")
-
-    quiescent = sidecar.get("quiescent")
-    if quiescent is not None and not quiescent.get("bit_exact", False):
-        status |= fail(
-            "a quiescent config was not bit-exact under the fast "
-            "engine -- with no evictions, back-invalidations or "
-            "retrains possible, any divergence is a replay bug.")
-
-    fast = sidecar.get("fast_mode")
-    if fast is not None:
-        speed_floor = float(
-            os.environ.get("TRRIP_FAST_SPEEDUP_FLOOR", "1.3"))
-        speedup = fast.get("speedup", 0.0)
-        print(f"fast-mode speedup: {speedup:.3f}x over exact "
-              f"(floor {speed_floor:.3f}x, memo hit rate "
-              f"{fast.get('hit_rate', 0.0) * 100:.1f}%)")
-        if speedup < speed_floor:
-            status |= fail(
-                f"fast-mode speedup {speedup:.3f}x is below the "
-                f"{speed_floor:.3f}x floor -- the memo is not "
-                "earning its complexity on this mix; find the "
-                "eligibility regression instead of lowering the "
-                "floor.")
 
     eff_floor = os.environ.get("TRRIP_SCALING_FLOOR")
     if eff_floor:
