@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation study beyond the paper's figures, covering the design
- * choices DESIGN.md calls out:
+ * Ablation study beyond the paper's figures, covering the main
+ * design choices of the reproduction:
  *   1. TRRIP-1 vs TRRIP-2 (warm handling);
  *   2. mixed-page policies of paper section 4.9 (disable-mark vs
  *      mark-dominant vs padded sections);

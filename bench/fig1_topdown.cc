@@ -4,7 +4,7 @@
  * mobile system-software components (interp, ui, graphics, render,
  * js_runtime), compiled with PGO, on the Table 1 configuration.
  * The paper's phone PMU profile is substituted by the simulator's
- * cycle accounting (see DESIGN.md).
+ * cycle accounting (sim/core_model.hh).
  */
 
 #include <cstdio>

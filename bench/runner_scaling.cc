@@ -2,14 +2,17 @@
  * @file
  * Measures what the experiment-orchestration layer buys on one fixed
  * grid (4 workloads x 4 policies):
- *   1. serial, per-cell profile collection (worst case; the serial
+ *   1. serial, per-row profile collection (worst case; the serial
  *      seed harness sat between 1 and 2 -- it cached profiles per
  *      workload within a sweep but re-collected them per config and
- *      per binary, as in the old fig8/fig9 loops);
+ *      per binary, as in the old fig8/fig9 loops).  A row -- one
+ *      workload and config, all four policies as the lanes of one
+ *      engine -- collects once either way, so on this one-config
+ *      grid 1 and 2 do the same work;
  *   2. serial, shared ProfileCache;
  *   3. TRRIP_JOBS-wide pool, shared ProfileCache.
- * The combined speedup of (3) over (1) is superlinear in cores when
- * profile reuse removes the per-cell instrumented run.
+ * Profile reuse pays off when a workload spans several rows (configs
+ * or binaries); the pool scales the rows across cores.
  *
  * A saturation sweep follows: the same grid submitted k times
  * concurrently (k = 1, 2, 4, 8) to one warm TRRIP_JOBS-wide runner,
@@ -68,7 +71,7 @@ main()
         bool reuse;
     };
     const Mode modes[] = {
-        {"serial, per-cell profiles", "serial_per_cell_profiles", 1,
+        {"serial, per-row profiles", "serial_per_cell_profiles", 1,
          false},
         {"serial, shared profile cache", "serial_shared_cache", 1,
          true},
@@ -106,16 +109,16 @@ main()
         row.hits = results.profileHits;
         rows.push_back(row);
         std::printf("%-34s %2u threads  %6.2fs wall  %5.2fx vs "
-                    "per-cell  (%llu profile collections, %llu "
+                    "per-row   (%llu profile collections, %llu "
                     "hits)\n",
                     mode.label, row.threadsUsed, row.wallSeconds,
                     row.speedup,
                     static_cast<unsigned long long>(row.collections),
                     static_cast<unsigned long long>(row.hits));
     }
-    std::printf("\nProfile reuse removes the per-cell instrumented "
-                "run; the pool then scales the remaining evaluation "
-                "runs across cores.\n");
+    std::printf("\nProfile reuse removes repeated instrumented runs "
+                "across rows; the pool then scales the rows across "
+                "cores.\n");
 
     // --- Saturation sweep: k grids in flight on one warm runner. ---
     banner("Submission saturation (cells/second vs in-flight grids)");

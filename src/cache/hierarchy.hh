@@ -48,7 +48,7 @@ struct HierarchyParams
     CacheGeometry l1d{"L1D", 64 * 1024, 4, 64};
     /**
      * The paper's L2 is 512 kB shared by a 4-core cluster; we simulate
-     * one core against its 128 kB slice (see DESIGN.md).
+     * one core against its 128 kB slice.
      */
     CacheGeometry l2{"L2", 128 * 1024, 8, 64};
     CacheGeometry slc{"SLC", 1024 * 1024, 16, 64};

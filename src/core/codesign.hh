@@ -38,35 +38,33 @@ class CoDesignPipeline
     }
 
     /**
-     * Run the full pipeline with explicit options.  @p policy_spec is
-     * a registry spec string ("SRRIP", "TRRIP-2(bits=3)", ...) naming
-     * the L2 policy under test; the other levels follow the per-level
-     * specs already in options.hier.
+     * Run the full pipeline once for every lane: @p lanes name the L2
+     * policies under test ("SRRIP", "TRRIP-2(bits=3)", ...) and their
+     * observers; the other levels follow the per-level specs already
+     * in options.hier.  One prepare step and one event stream serve
+     * every lane (see runWorkload()).  The training profile is
+     * options.precomputedProfile when set (e.g. from
+     * exp::ProfileCache), else this pipeline's own cached one.
      */
+    std::vector<RunArtifacts>
+    run(const std::vector<LaneSpec> &lanes,
+        const SimOptions &options) const
+    {
+        SimOptions opts = options;
+        if (!opts.precomputedProfile)
+            opts.precomputedProfile =
+                profile(resolveProfileBudget(opts));
+        return runWorkload(workload_, lanes, opts);
+    }
+
+    /** The one-lane form: @p policy_spec with options' observers. */
     RunArtifacts
     run(const std::string &policy_spec, const SimOptions &options) const
     {
         SimOptions opts = options;
         opts.hier.l2Policy = PolicySpec(policy_spec);
-        if (!opts.precomputedProfile)
-            opts.precomputedProfile =
-                profile(resolveProfileBudget(opts));
-        return runWorkload(workload_, opts);
-    }
-
-    /**
-     * Profile-reuse entry point: run with an externally cached
-     * training profile (see exp::ProfileCache), bypassing this
-     * pipeline's own per-budget cache entirely.
-     */
-    RunArtifacts
-    run(const std::string &policy_spec, const SimOptions &options,
-        std::shared_ptr<const Profile> profile) const
-    {
-        SimOptions opts = options;
-        opts.hier.l2Policy = PolicySpec(policy_spec);
-        opts.precomputedProfile = std::move(profile);
-        return runWorkload(workload_, opts);
+        const LaneSpec lane = soloLane(opts);
+        return std::move(run({lane}, opts).front());
     }
 
     /**

@@ -112,10 +112,10 @@ WorkerPool::setItemTimeout(std::uint64_t ms)
 }
 
 void
-WorkerPool::armDeadline(unsigned id)
+WorkerPool::armDeadline(unsigned id, unsigned scale)
 {
     const std::uint64_t ms =
-        itemTimeoutMs_.load(std::memory_order_relaxed);
+        itemTimeoutMs_.load(std::memory_order_relaxed) * scale;
     WorkerSlot &slot = *slots_[id];
     std::lock_guard<std::mutex> lock(slot.deadlineMutex);
     // Always clear the token: a cancellation that fired after the
@@ -137,9 +137,9 @@ WorkerPool::disarmDeadline(unsigned id)
 }
 
 void
-WorkerPool::rearmDeadline(unsigned worker)
+WorkerPool::rearmDeadline(unsigned worker, unsigned scale)
 {
-    armDeadline(worker);
+    armDeadline(worker, scale);
 }
 
 void
@@ -265,7 +265,7 @@ WorkerPool::workerMain(unsigned id)
                 // item throws is recorded on the batch and the pool
                 // keeps draining -- a worker thread never dies to an
                 // exception (which would std::terminate the process).
-                armDeadline(id);
+                armDeadline(id, 1);
                 try {
                     batch->fn_(item, ctx);
                 } catch (const SimError &e) {

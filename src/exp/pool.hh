@@ -8,7 +8,7 @@
  * front (preserving grid order as a locality heuristic), idle workers
  * steal from other shards' backs, and a worker that drains every
  * shard of the oldest batch moves on to the next batch -- so several
- * experiment specs can be in flight at once with cell-granularity
+ * experiment specs can be in flight at once with item-granularity
  * stealing across them.  Batches only express *scheduling*; result
  * placement is by item index, so output stays deterministic and
  * independent of thread count (the bit-identical-across-TRRIP_JOBS
@@ -159,14 +159,16 @@ class WorkerPool
     }
 
     /**
-     * Restart worker @p worker's deadline clock and clear its cancel
-     * token.  For callers that run several attempts of a computation
-     * inside ONE pool item (the runner's retry loop): without the
-     * re-arm, attempt 2 would inherit attempt 1's nearly-expired (or
-     * already-fired) deadline.  Must be called from the worker's own
-     * item fn.
+     * Restart worker @p worker's deadline clock at @p scale item
+     * timeouts and clear its cancel token.  For callers that run
+     * several attempts of a computation inside ONE pool item (the
+     * runner's retry loop): without the re-arm, attempt 2 would
+     * inherit attempt 1's nearly-expired (or already-fired) deadline.
+     * An item that computes several cells at once (the runner's
+     * policy lanes) scales the deadline by their count.  Must be
+     * called from the worker's own item fn.
      */
-    void rearmDeadline(unsigned worker);
+    void rearmDeadline(unsigned worker, unsigned scale = 1);
 
   private:
     struct WorkerSlot
@@ -182,7 +184,7 @@ class WorkerPool
 
     void workerMain(unsigned id);
     void finishItem(const std::shared_ptr<Batch> &batch);
-    void armDeadline(unsigned id);
+    void armDeadline(unsigned id, unsigned scale);
     void disarmDeadline(unsigned id);
     void watchdogMain();
 

@@ -118,7 +118,15 @@ struct RunState
     ExperimentSpec spec;
     std::function<WorkloadParams(const std::string &)> paramsFor;
     std::vector<CellRecord> records;
-    std::vector<std::size_t> live;  //!< Record indices to execute.
+    /**
+     * Pool items: the record indices each one executes.  A group is
+     * the live cells of one row -- one workload and config -- in
+     * policy order, run as the policy lanes of one engine; custom-
+     * executor specs keep one cell per group.  Membership depends
+     * only on the spec, the filter and the journal, never on
+     * TRRIP_JOBS.
+     */
+    std::vector<std::vector<std::size_t>> groups;
     std::vector<ResultSink *> sinks;
 
     /**
@@ -213,47 +221,110 @@ struct RunState
         hitsDelta = profiles->hits() - hitsBefore;
     }
 
+    /** A record's outcome: its artifacts and default metrics. */
     void
-    runCell(std::size_t ordinal, WorkerContext &wc)
+    store(std::size_t index, RunArtifacts &&artifacts)
     {
-        CellRecord &rec = records[live[ordinal]];
+        CellRecord &rec = records[index];
+        rec.artifacts = std::move(artifacts);
+        rec.metrics = defaultMetrics(rec.artifacts.result);
+    }
+
+    /** A bundle lane's outcome: aggregate plus per-core metrics. */
+    void
+    store(std::size_t index, MultiCoreResult &&mc)
+    {
+        CellRecord &rec = records[index];
+        const SimResult agg = aggregateMultiCore(mc);
+        rec.metrics = defaultMetrics(agg);
+        for (std::size_t core = 0; core < mc.cores.size(); ++core) {
+            const std::string prefix =
+                "core" + std::to_string(core) + "_";
+            for (const auto &[key, value] :
+                 defaultMetrics(mc.cores[core].result)) {
+                rec.metrics[prefix + key] = value;
+            }
+        }
+        rec.metrics["dram_reads"] = static_cast<double>(mc.dramReads);
+        rec.metrics["dram_writes"] =
+            static_cast<double>(mc.dramWrites);
+        // The record keeps core 0's software artifacts (layout,
+        // profile, resolved policies) with the aggregate result.
+        rec.artifacts = std::move(mc.cores[0]);
+        rec.artifacts.result = agg;
+    }
+
+    /** The options every lane of @p row shares. */
+    SimOptions
+    rowOptions(const CellId &row, WorkerContext &wc) const
+    {
+        SimOptions options = spec.options;
+        if (!spec.configs.empty() && spec.configs[row.config].apply)
+            spec.configs[row.config].apply(options);
+        // Config mutators must not smuggle in a shared observer
+        // either (see the guard on the base options in submit()).
+        panic_if(options.reuse || options.costly, "experiment '",
+                 spec.name,
+                 "': attach observers via ExperimentSpec::hooks, not "
+                 "a config mutator");
+        // Deadline enforcement: the simulation polls the worker's
+        // token at event-ring refills (CoreModel::refill).
+        options.cancel = wc.cancel;
+        return options;
+    }
+
+    /** A custom-executor cell: one cell per pool item. */
+    void
+    runCustomCell(std::size_t index, WorkerContext &wc)
+    {
+        CellRecord &rec = records[index];
         CellContext ctx;
         ctx.id = rec.id;
         ctx.workload = rec.workload;
         ctx.policy = rec.policy;
         ctx.config = rec.config;
-        ctx.options = spec.options;
+        ctx.options = rowOptions(rec.id, wc);
         ctx.worker = wc.worker;
         ctx.arena = wc.arena;
-        if (!spec.configs.empty() && spec.configs[ctx.id.config].apply)
-            spec.configs[ctx.id.config].apply(ctx.options);
-        // Config mutators must not smuggle in a shared observer
-        // either (see the guard on the base options in submit()).
-        panic_if(ctx.options.reuse || ctx.options.costly,
-                 "experiment '", spec.name,
-                 "': attach observers via ExperimentSpec::hooks, not "
-                 "a config mutator");
-        // Deadline enforcement: the simulation polls the worker's
-        // token at event-batch boundaries (CoreModel::refill).
-        ctx.options.cancel = wc.cancel;
+        ctx.profiles = profiles;
         if (spec.hooks)
             rec.hook = spec.hooks(ctx.options, ctx.id);
-        if (!spec.runCell)
-            ensurePipeline(ctx.id.workload, wc);
-        ctx.pipeline = pipelines.empty()
-                           ? nullptr
-                           : pipelines[ctx.id.workload].get();
-        ctx.profiles = profiles;
+        CellOutcome outcome = spec.runCell(ctx);
+        rec.artifacts = std::move(outcome.artifacts);
+        rec.metrics = std::move(outcome.metrics);
+    }
 
-        CellOutcome outcome;
-        if (spec.runCell) {
-            outcome = spec.runCell(ctx);
-        } else if (isMultiCoreName(ctx.workload)) {
-            // mc:a+b+... cells run one shared-SLC bundle; training
-            // profiles and trace indexes are shared through the same
-            // cache as single-core cells.
+    /**
+     * Run the cells @p lanes of one row (same workload and config, in
+     * policy order) as policy lanes of one engine: the build, the
+     * profile, the prepare step and the event stream are shared, and
+     * each lane's result is bit-identical to its solo run.
+     */
+    void
+    runLanes(const std::vector<std::size_t> &lanes, WorkerContext &wc)
+    {
+        const CellId row = records[lanes.front()].id;
+        const std::string &workload = spec.workloads[row.workload];
+        SimOptions options = rowOptions(row, wc);
+
+        // A lane takes only the observers from its hooked options
+        // (the ExperimentSpec::hooks contract).
+        std::vector<LaneSpec> specs;
+        for (std::size_t index : lanes) {
+            CellRecord &rec = records[index];
+            SimOptions hooked = options;
+            if (spec.hooks)
+                rec.hook = spec.hooks(hooked, rec.id);
+            specs.push_back(
+                {PolicySpec(rec.policy), hooked.reuse, hooked.costly});
+        }
+
+        if (isMultiCoreName(workload)) {
+            // mc:a+b+... rows run one shared-SLC fabric per lane;
+            // training profiles and trace indexes are shared through
+            // the same cache as single-core rows.
             MultiCoreOptions mo;
-            mo.base = ctx.options;
+            mo.base = options;
             mo.paramsFor = paramsFor;
             if (reuseProfiles) {
                 ProfileCache *cache = profiles;
@@ -267,63 +338,42 @@ struct RunState
                         return cache->traceIndex(path);
                     };
             }
-            MultiCoreResult mc = runMultiCore(
-                multiCoreWorkloadsOf(ctx.workload), ctx.policy, mo);
-            const SimResult agg = aggregateMultiCore(mc);
-            outcome.metrics = defaultMetrics(agg);
-            for (std::size_t core = 0; core < mc.cores.size();
-                 ++core) {
-                const std::string prefix =
-                    "core" + std::to_string(core) + "_";
-                for (const auto &[key, value] :
-                     defaultMetrics(mc.cores[core].result)) {
-                    outcome.metrics[prefix + key] = value;
-                }
-            }
-            outcome.metrics["dram_reads"] =
-                static_cast<double>(mc.dramReads);
-            outcome.metrics["dram_writes"] =
-                static_cast<double>(mc.dramWrites);
-            // The record keeps core 0's software artifacts (layout,
-            // profile, resolved policies) with the aggregate result.
-            outcome.artifacts = std::move(mc.cores[0]);
-            outcome.artifacts.result = agg;
-        } else if (trace::isTraceName(ctx.workload)) {
-            // trace:<path> cells replay the file instead of running a
+            std::vector<MultiCoreResult> mc = runMultiCore(
+                multiCoreWorkloadsOf(workload), specs, mo);
+            for (std::size_t k = 0; k < lanes.size(); ++k)
+                store(lanes[k], std::move(mc[k]));
+            return;
+        }
+
+        std::vector<RunArtifacts> arts;
+        if (trace::isTraceName(workload)) {
+            // trace:<path> rows replay the file instead of running a
             // proxy; the policy-independent pre-pass index is shared
             // across the grid exactly like a training profile.
-            const std::string path = trace::tracePathOf(ctx.workload);
+            const std::string path = trace::tracePathOf(workload);
             std::shared_ptr<const trace::TraceIndex> index;
             if (reuseProfiles)
                 index = profiles->traceIndex(path);
-            outcome.artifacts = trace::runTrace(
-                path, ctx.policy, ctx.options, std::move(index));
-            outcome.metrics = defaultMetrics(outcome.artifacts.result);
+            arts = trace::runTrace(path, specs, options,
+                                   std::move(index));
         } else {
-            panic_if(!ctx.pipeline, "spec '", spec.name,
-                     "' has no workloads and no runCell");
-            std::shared_ptr<const Profile> profile =
-                ctx.options.precomputedProfile;
-            if (!profile) {
-                const InstCount budget =
-                    resolveProfileBudget(ctx.options);
-                // Without reuse every cell repeats its instrumented
+            ensurePipeline(row.workload, wc);
+            const CoDesignPipeline &pipeline = *pipelines[row.workload];
+            if (!options.precomputedProfile) {
+                const InstCount budget = resolveProfileBudget(options);
+                // Without reuse every row repeats its instrumented
                 // run (the no-cache worst case).
-                profile = reuseProfiles
-                              ? profiles->get(ctx.pipeline->workload(),
-                                              budget)
-                              : std::make_shared<const Profile>(
-                                    collectProfile(
-                                        ctx.pipeline->workload(),
-                                        budget));
+                options.precomputedProfile =
+                    reuseProfiles
+                        ? profiles->get(pipeline.workload(), budget)
+                        : std::make_shared<const Profile>(
+                              collectProfile(pipeline.workload(),
+                                             budget));
             }
-            outcome.artifacts =
-                ctx.pipeline->run(ctx.policy, ctx.options, profile);
-            outcome.metrics =
-                defaultMetrics(outcome.artifacts.result);
+            arts = pipeline.run(specs, options);
         }
-        rec.artifacts = std::move(outcome.artifacts);
-        rec.metrics = std::move(outcome.metrics);
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            store(lanes[k], std::move(arts[k]));
     }
 
     JournalEntry
@@ -345,85 +395,32 @@ struct RunState
         return entry;
     }
 
-    /**
-     * The success-or-error cell contract: every attempt of runCell()
-     * runs under a deterministic fault-injection scope, failures are
-     * retried/recorded per the OnError policy, and nothing escapes to
-     * the pool.  (The pool's own item-boundary catch stays as the
-     * backstop for raw submitters.)
-     */
+    /** Drop whatever a failed attempt half-produced, so a retry (or
+     *  the error row) starts from a clean record. */
     void
-    runCellGuarded(std::size_t ordinal, WorkerContext &wc)
+    failAttempt(std::size_t index, const SimError &error,
+                std::map<std::size_t, SimError> &errors)
     {
-        const std::size_t index = live[ordinal];
+        failedAttempts.fetch_add(1, std::memory_order_relaxed);
         CellRecord &rec = records[index];
-        // Abort mode short-circuit: once one cell failed, the rest
-        // of the grid is moot (wait() throws before the sinks run),
-        // so do not burn time executing it.
-        if (onError.mode == OnError::Mode::Abort &&
-            abortRequested.load(std::memory_order_relaxed)) {
-            return;
-        }
+        rec.hook = nullptr;
+        rec.artifacts = RunArtifacts{};
+        rec.metrics.clear();
+        errors.insert_or_assign(index, error);
+    }
 
-        const unsigned max_attempts =
-            onError.mode == OnError::Mode::Retry
-                ? std::max(1u, onError.maxAttempts)
-                : 1;
-        SimError last(ErrorCategory::Internal, "unreachable");
-        for (unsigned attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            if (attempt > 1) {
-                if (onError.backoffMs > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            static_cast<std::uint64_t>(
-                                onError.backoffMs)
-                            << (attempt - 2)));
-                }
-                // A fresh attempt deserves a fresh deadline: all
-                // attempts run inside ONE pool item, so without this
-                // the first attempt's clock would cancel its
-                // retries.
-                pool->rearmDeadline(wc.worker);
-            }
-            // Scope keyed on (cell index, attempt): which faults
-            // fire depends only on the cell and the attempt number,
-            // never on the worker or the schedule -- and a retry
-            // re-rolls, so finite rates converge.
-            FaultInjector::Scope scope(index, attempt);
-            try {
-                FaultInjector::instance().maybeInject(
-                    FaultSite::Cell);
-                runCell(ordinal, wc);
-                rec.attempts = attempt;
-                if (attempt > 1) {
-                    cellsRetried.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-                if (journal)
-                    journal->append(journalEntryFor(rec, index));
-                return;
-            } catch (const SimError &e) {
-                last = e;
-            } catch (const std::exception &e) {
-                last = SimError(ErrorCategory::Internal, e.what());
-            }
-            failedAttempts.fetch_add(1, std::memory_order_relaxed);
-            // Drop whatever the failed attempt half-produced so a
-            // retry (or the error row) starts from a clean record.
-            rec.hook = nullptr;
-            rec.artifacts = RunArtifacts{};
-            rec.metrics.clear();
-        }
-
-        // Final failure: a schema-stable error row, not a crash.
+    /** The final failure of @p index: a schema-stable error row. */
+    void
+    failCell(std::size_t index, SimError last, unsigned attempts)
+    {
+        CellRecord &rec = records[index];
         last.addContext(
             "cell " + std::to_string(index) + ": workload " +
             rec.workload + ", policy " + rec.policy +
             (rec.config.empty() ? std::string()
                                 : ", config " + rec.config));
         rec.failed = true;
-        rec.attempts = max_attempts;
+        rec.attempts = attempts;
         rec.errorCategory = errorCategoryName(last.category());
         rec.errorMessage = last.message();
         for (const std::string &frame : last.context())
@@ -439,6 +436,109 @@ struct RunState
                 firstError = std::make_unique<SimError>(last);
             }
         }
+    }
+
+    /**
+     * The success-or-error cell contract, per cell of a group: every
+     * attempt runs under deterministic fault-injection scopes,
+     * failures are retried/recorded per the OnError policy, and
+     * nothing escapes to the pool.  (The pool's own item-boundary
+     * catch stays as the backstop for raw submitters.)
+     *
+     * Scopes are keyed on (cell index, attempt), so which faults fire
+     * depends only on the cell and the attempt number, never on the
+     * worker, the schedule or TRRIP_JOBS -- and a retry re-rolls, so
+     * finite rates converge.  Each pending cell draws its `cell` site
+     * under its own scope; the work the lanes share (build, profile,
+     * prepare, trace chunk loads) runs under the scope of the group's
+     * first pending cell, and a throw there fails the attempt for
+     * every lane in it.  A retry re-runs only the cells still pending.
+     */
+    void
+    runGroupGuarded(std::size_t group, WorkerContext &wc)
+    {
+        // Abort mode short-circuit: once one cell failed, the rest
+        // of the grid is moot (wait() throws before the sinks run),
+        // so do not burn time executing it.
+        if (onError.mode == OnError::Mode::Abort &&
+            abortRequested.load(std::memory_order_relaxed)) {
+            return;
+        }
+
+        const unsigned max_attempts =
+            onError.mode == OnError::Mode::Retry
+                ? std::max(1u, onError.maxAttempts)
+                : 1;
+        std::vector<std::size_t> pending = groups[group];
+        std::map<std::size_t, SimError> errors;
+        for (unsigned attempt = 1;
+             attempt <= max_attempts && !pending.empty(); ++attempt) {
+            if (attempt > 1 && onError.backoffMs > 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    static_cast<std::uint64_t>(onError.backoffMs)
+                    << (attempt - 2)));
+            }
+            // Every attempt gets a fresh deadline of one cell timeout
+            // per pending lane: all attempts run inside ONE pool
+            // item, so without this the first attempt's clock would
+            // cancel its retries.
+            pool->rearmDeadline(wc.worker,
+                                static_cast<unsigned>(pending.size()));
+
+            std::vector<std::size_t> running;
+            for (std::size_t index : pending) {
+                FaultInjector::Scope scope(index, attempt);
+                try {
+                    FaultInjector::instance().maybeInject(
+                        FaultSite::Cell);
+                    running.push_back(index);
+                } catch (const SimError &e) {
+                    failAttempt(index, e, errors);
+                }
+            }
+            if (!running.empty()) {
+                std::unique_ptr<SimError> shared;
+                {
+                    FaultInjector::Scope scope(pending.front(), attempt);
+                    try {
+                        if (spec.runCell)
+                            runCustomCell(running.front(), wc);
+                        else
+                            runLanes(running, wc);
+                    } catch (const SimError &e) {
+                        shared = std::make_unique<SimError>(e);
+                    } catch (const std::exception &e) {
+                        shared = std::make_unique<SimError>(
+                            ErrorCategory::Internal, e.what());
+                    }
+                }
+                for (std::size_t index : running) {
+                    if (shared) {
+                        failAttempt(index, *shared, errors);
+                        continue;
+                    }
+                    CellRecord &rec = records[index];
+                    rec.attempts = attempt;
+                    errors.erase(index);
+                    if (attempt > 1) {
+                        cellsRetried.fetch_add(
+                            1, std::memory_order_relaxed);
+                    }
+                    if (journal) {
+                        // The cell's own scope: its journal line draws
+                        // the sink_write site as a solo cell would.
+                        FaultInjector::Scope scope(index, attempt);
+                        journal->append(journalEntryFor(rec, index));
+                    }
+                }
+            }
+            std::erase_if(pending, [&](std::size_t index) {
+                return !errors.contains(index);
+            });
+        }
+
+        for (std::size_t index : pending)
+            failCell(index, errors.at(index), max_attempts);
     }
 };
 
@@ -487,7 +587,8 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     state->records.resize(n_cells);
 
     // Enumerate the live cells up front (deterministic order).
-    state->live.reserve(n_cells);
+    std::vector<std::size_t> live;
+    live.reserve(n_cells);
     for (std::size_t i = 0; i < n_cells; ++i) {
         const CellId id = spec.cellIdAt(i);
         CellRecord &rec = state->records[i];
@@ -498,7 +599,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         if (spec.filter && !spec.filter(id))
             continue;
         rec.valid = true;
-        state->live.push_back(i);
+        live.push_back(i);
     }
 
     state->onError = spec.onError;
@@ -507,9 +608,9 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         // their records and dropped from the execution set, so the
         // sinks re-emit them byte-identically without re-running.
         const auto done = RunJournal::load(spec.journal);
-        state->live.erase(
+        live.erase(
             std::remove_if(
-                state->live.begin(), state->live.end(),
+                live.begin(), live.end(),
                 [&](std::size_t i) {
                     const auto it = done.find(i);
                     if (it == done.end())
@@ -535,8 +636,29 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                     ++state->cellsResumed;
                     return true;
                 }),
-            state->live.end());
+            live.end());
         state->journal = std::make_unique<RunJournal>(spec.journal);
+    }
+
+    // Group the cells still to run by row, in the order of each
+    // row's first live cell, with each row's cells in policy order
+    // (cell indices are workload-major, so a row's cells are strided
+    // by the config count).
+    if (spec.runCell) {
+        for (std::size_t i : live)
+            state->groups.push_back({i});
+    } else {
+        std::map<std::size_t, std::size_t> group_of_row;
+        for (std::size_t i : live) {
+            const CellId id = spec.cellIdAt(i);
+            const std::size_t row =
+                id.workload * spec.configCount() + id.config;
+            const auto [it, fresh] =
+                group_of_row.emplace(row, group_of_row.size());
+            if (fresh)
+                state->groups.emplace_back();
+            state->groups[it->second].push_back(i);
+        }
     }
 
     // Custom-executor specs get no pipelines: their workload axis is
@@ -547,7 +669,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     state->pipelines.resize(n_builds);
 
     state->threadsUsed = static_cast<unsigned>(std::min<std::size_t>(
-        threads_, std::max<std::size_t>(1, state->live.size())));
+        threads_, std::max<std::size_t>(1, state->groups.size())));
     state->collectionsBefore = profiles_.collections();
     state->hitsBefore = profiles_.hits();
     state->t0 = std::chrono::steady_clock::now();
@@ -571,9 +693,9 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
             [state] { state->finishPhase(); });
     }
     state->cellBatch = pool.submit(
-        state->live.size(),
-        [state](std::size_t ordinal, WorkerContext &wc) {
-            state->runCellGuarded(ordinal, wc);
+        state->groups.size(),
+        [state](std::size_t group, WorkerContext &wc) {
+            state->runGroupGuarded(group, wc);
         },
         state->threadsUsed, [state] { state->finishPhase(); });
 

@@ -3,24 +3,31 @@
  * Parallel experiment execution.
  *
  * The runner expands an ExperimentSpec into cells, builds each
- * workload's CoDesignPipeline exactly once, resolves each cell's
+ * workload's CoDesignPipeline exactly once, resolves each row's
  * training profile through a shared ProfileCache, and executes the
- * cells on a persistent work-stealing WorkerPool that is reused
- * across run() calls (no thread is spawned or joined per run).
- * submit() enqueues a grid without blocking, so several specs can be
- * in flight at once with cell-granularity stealing across them.
- * Results are stored by deterministic cell index and fed to the
- * sinks in that order, so the output is bit-identical regardless of
- * thread count or scheduling.
+ * grid on a persistent work-stealing WorkerPool that is reused
+ * across run() calls (no thread is spawned or joined per run).  One
+ * pool item is one row -- the live cells sharing a workload and a
+ * config -- run as the policy lanes of one engine, so the event
+ * stream, MMU and branch unit are simulated once per row (custom-
+ * runCell specs keep one cell per item).  A grid with fewer rows
+ * than workers therefore runs fewer items in parallel.  submit()
+ * enqueues a grid without blocking, so several specs can be in
+ * flight at once with row-granularity stealing across them.  Results
+ * are stored by deterministic cell index and fed to the sinks in
+ * that order, so the output is bit-identical regardless of thread
+ * count or scheduling.
  *
  * Failure semantics (see exp/spec.hh): a cell that throws SimError is
  * a contained outcome, not a crash.  The runner retries or skips it
  * per ExperimentSpec::onError, records the final error on the
  * CellRecord (the sinks' schema-stable error rows), enforces
- * per-cell deadlines through the pool watchdog
- * (TRRIP_CELL_TIMEOUT_MS / setCellTimeout), and streams completed
- * cells to an optional JSONL run journal from which a resubmitted
- * spec resumes byte-identically (exp/journal.hh).
+ * deadlines through the pool watchdog (TRRIP_CELL_TIMEOUT_MS /
+ * setCellTimeout, per cell: a row gets one timeout per pending
+ * lane), and streams completed cells to an optional JSONL run
+ * journal from which a resubmitted spec resumes byte-identically
+ * (exp/journal.hh).  All of it stays per cell when a row runs as
+ * lanes: a retry re-runs only the row's failed cells.
  */
 
 #ifndef TRRIP_EXP_RUNNER_HH
@@ -158,8 +165,8 @@ class ExperimentRunner
 
     /**
      * Enqueue @p spec on the pool and return without blocking, so
-     * multiple specs can be in flight at once (cells steal across
-     * them at cell granularity).  The sinks are fed by wait().
+     * multiple specs can be in flight at once (rows steal across
+     * them at pool-item granularity).  The sinks are fed by wait().
      */
     PendingRun submit(const ExperimentSpec &spec,
                       const std::vector<ResultSink *> &sinks = {});
@@ -178,7 +185,7 @@ class ExperimentRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Disable training-profile reuse (every cell re-collects its own
+     * Disable training-profile reuse (every row re-collects its own
      * profile, the worst case) -- used by the scaling bench to
      * quantify what the cache buys.
      */
@@ -186,8 +193,9 @@ class ExperimentRunner
 
     /**
      * Per-cell deadline in milliseconds (0 disables).  Defaults to
-     * TRRIP_CELL_TIMEOUT_MS from the environment.  An overrunning
-     * cell is cooperatively cancelled and fails with
+     * TRRIP_CELL_TIMEOUT_MS from the environment.  A row running K
+     * lanes gets K times the deadline; an overrunning row is
+     * cooperatively cancelled and each of its lanes fails with
      * SimError(Timeout), subject to the spec's OnError policy like
      * any other contained failure.
      */

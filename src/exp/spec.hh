@@ -5,8 +5,10 @@
  * The paper's evaluation (Figs. 6-9, Tables 3-5) is a family of
  * (workload x policy x configuration) sweeps.  An ExperimentSpec names
  * the three axes once; the ExperimentRunner expands them into cells,
- * executes the cells on a thread pool with a shared ProfileCache, and
- * hands the records to pluggable ResultSinks in deterministic order.
+ * executes each row's cells (one workload and config, every policy)
+ * as the policy lanes of one engine on a thread pool with a shared
+ * ProfileCache, and hands the records to pluggable ResultSinks in
+ * deterministic order.
  */
 
 #ifndef TRRIP_EXP_SPEC_HH
@@ -133,9 +135,15 @@ struct ExperimentSpec
 
     /**
      * Optional per-cell instrumentation factory: attach caller-owned
-     * hooks (ReuseDistanceProfiler, CostlyMissTracker, ...) to the
+     * observers (ReuseDistanceProfiler, CostlyMissTracker) to the
      * cell's options and return the owning handle, which the runner
      * keeps alive in the CellRecord for post-run inspection.
+     *
+     * Contract: hooks may only attach observers.  The cells of a row
+     * run as the lanes of one engine over one shared SimOptions, so a
+     * lane takes only `reuse` and `costly` from its hooked options;
+     * any other change a hook makes is ignored.  (A custom runCell
+     * receives its cell's hooked options whole.)
      */
     std::function<std::shared_ptr<void>(SimOptions &, const CellId &)>
         hooks;
@@ -146,7 +154,8 @@ struct ExperimentSpec
     /**
      * Optional custom executor replacing the default profile-cached
      * simulation run (used by cells that are not simulations, e.g. the
-     * McPAT table or the policy-churn microbenchmark).
+     * McPAT table or the policy-churn microbenchmark).  Custom cells
+     * run one cell per pool item; they never form lanes.
      */
     std::function<CellOutcome(const CellContext &)> runCell;
 

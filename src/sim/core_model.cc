@@ -11,14 +11,33 @@ CoreModel::CoreModel(BBEventSource &events, CacheHierarchy &hierarchy,
                      Mmu &mmu, BranchUnit &branch,
                      const CoreParams &params,
                      const BackendParams &backend) :
-    events_(events), hier_(hierarchy), mmu_(mmu), branch_(branch),
-    params_(params), backend_(backend),
-    lineMask_(~static_cast<Addr>(hierarchy.params().l2.lineBytes - 1)),
-    lineBytes_(hierarchy.params().l2.lineBytes),
+    CoreModel(events, std::vector<CacheHierarchy *>{&hierarchy}, mmu,
+              branch, params, backend)
+{}
+
+CoreModel::CoreModel(BBEventSource &events,
+                     const std::vector<CacheHierarchy *> &lanes,
+                     Mmu &mmu, BranchUnit &branch,
+                     const CoreParams &params,
+                     const BackendParams &backend) :
+    events_(events), mmu_(mmu), branch_(branch), params_(params),
+    backend_(backend),
     backendStallPerInstr_(backend.dependStallPerInstr +
                           backend.issueStallPerInstr +
                           backend.otherStallPerInstr)
 {
+    panic_if(lanes.empty(), "CoreModel needs at least one lane");
+    lanes_.resize(lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        lanes_[k].hier = lanes[k];
+        // The frontend resolves lines at one granularity for all.
+        panic_if(lanes[k]->params().l2.lineBytes !=
+                     lanes[0]->params().l2.lineBytes,
+                 "lanes of one CoreModel must share the L2 line size");
+    }
+    lineBytes_ = lanes[0]->params().l2.lineBytes;
+    lineMask_ = ~static_cast<Addr>(lineBytes_ - 1);
+
     // Ring capacity: at least one healthy produce batch (~48 events)
     // beyond the FDIP window, rounded to a power of two so every
     // index is a masked add.
@@ -28,32 +47,33 @@ CoreModel::CoreModel(BBEventSource &events, CacheHierarchy &hierarchy,
     ring_.resize(cap);
     mask_ = cap - 1;
     fdipScan_ = params_.fdipEnabled && window_ >= 2;
+    batch_.events.reserve(kBatchEvents);
 
     // The retire cost instrs / dispatchWidth is an FP division on the
-    // per-event critical path (it feeds now_); block sizes repeat, so
-    // the exact quotients are precomputed for every small size.  The
-    // values are the identical doubles the division would produce.
+    // per-event critical path (it feeds the clock); block sizes
+    // repeat, so the exact quotients are precomputed for every small
+    // size.  The values are the identical doubles the division would
+    // produce.
     for (std::size_t n = 0; n < retireMemo_.size(); ++n) {
         retireMemo_[n] =
             static_cast<double>(n) / params_.dispatchWidth;
     }
 
     // Branch penalty by (mispredicted | redirect << 1); a mispredict
-    // dominates a BTB redirect exactly as the old two-way branch did.
+    // dominates a BTB redirect.
     const auto mp = static_cast<double>(params_.mispredictPenalty);
     const auto rd = static_cast<double>(params_.btbRedirectPenalty);
     branchPenalty_ = {0.0, mp, rd, mp};
 }
 
-template <unsigned Stub>
 void
 CoreModel::refill()
 {
     const auto ahead = static_cast<std::uint32_t>(produced_ - head_);
     if (ahead >= window_)
         return;
-    // The cooperative-cancellation poll: once per batch refill (every
-    // few dozen events), never per event.  Unwinds out of run() as a
+    // The cooperative-cancellation poll: once per ring refill (every
+    // few dozen events), never per event.  Unwinds out of step() as a
     // contained cell failure; the pool catches at the item boundary.
     // Message carries no progress counters: error rows are part of
     // the byte-reproducible BENCH contract and the cancellation
@@ -69,7 +89,7 @@ CoreModel::refill()
 
 template <unsigned Stub>
 void
-CoreModel::fdipPrefetch(const BBEvent &tail)
+CoreModel::fdipLines(const BBEvent &tail, Batch::Event &rec)
 {
     // FDIP runs ahead only while the predicted path is clean: any
     // likely-mispredicted branch in the window stops the run-ahead
@@ -78,32 +98,27 @@ CoreModel::fdipPrefetch(const BBEvent &tail)
     const Addr first = tail.vaddr & lineMask_;
     const Addr last = (tail.vaddr + tail.bytes - 1) & lineMask_;
     for (Addr line = first; line <= last; line += lineBytes_) {
-        MemRequest req;
-        req.vaddr = line;
-        req.paddr = line;
-        req.pc = line;
-        req.type = AccessType::InstPrefetch;
+        Batch::Line &out = batch_.lines.emplace_back();
+        out.vaddr = line;
+        out.paddr = line;
         if constexpr ((Stub & kStubMmu) == 0) {
             const MmuResult tr = mmu_.translate(line);
-            req.paddr = tr.paddr;
-            req.temp = tr.temp;
+            out.paddr = tr.paddr;
+            out.temp = tr.temp;
         }
-        if constexpr ((Stub & kStubHier) == 0)
-            hier_.instPrefetch(req, static_cast<Cycles>(now_));
+        ++rec.prefetches;
     }
 }
 
 template <unsigned Stub>
 void
-CoreModel::processEvent(const BBEvent &ev)
+CoreModel::resolveEvent(const BBEvent &ev, Batch::Event &rec)
 {
-    if constexpr ((Stub & kStubExec) != 0) {
-        // Producer-only attribution: count and discard.
-        instructions_ += ev.instrs;
-        return;
-    }
+    rec.instrs = ev.instrs;
+    instructions_ += ev.instrs;
+    if constexpr ((Stub & kStubExec) != 0)
+        return;  // Producer-only attribution: count and discard.
 
-    constexpr bool stub_hier = (Stub & kStubHier) != 0;
     constexpr bool stub_mmu = (Stub & kStubMmu) != 0;
     constexpr bool stub_branch = (Stub & kStubBranch) != 0;
 
@@ -115,49 +130,17 @@ CoreModel::processEvent(const BBEvent &ev)
         if (line == lastFetchLine_)
             continue;
         lastFetchLine_ = line;
-        MemRequest req;
-        req.vaddr = line;
-        req.paddr = line;
-        req.pc = line;
-        req.type = AccessType::InstFetch;
+        Batch::Line &out = batch_.lines.emplace_back();
+        out.vaddr = line;
+        out.paddr = line;
         if constexpr (!stub_mmu) {
             const MmuResult tr = mmu_.translate(line);
-            if (tr.tlbMiss) {
-                td_.other +=
-                    static_cast<double>(params_.tlbWalkPenalty);
-                now_ += static_cast<double>(params_.tlbWalkPenalty);
-            }
-            req.paddr = tr.paddr;
-            req.temp = tr.temp;
+            out.paddr = tr.paddr;
+            out.temp = tr.temp;
+            out.tlbMiss = tr.tlbMiss;
             fetch_temp = tr.temp;
         }
-        if constexpr (stub_hier)
-            continue;
-        const AccessOutcome out =
-            hier_.instFetch(req, static_cast<Cycles>(now_));
-        const double exposed =
-            out.latency > params_.fetchQueueSlack
-                ? static_cast<double>(out.latency -
-                                      params_.fetchQueueSlack)
-                : 0.0;
-        td_.ifetch += exposed;
-        now_ += exposed;
-        if (out.l2DemandMiss) {
-            const bool burst = now_ - lastInstL2Miss_ <=
-                               params_.starvationBurstWindow;
-            lastInstL2Miss_ = now_;
-            // Every exposed miss is recorded for the costly-miss
-            // analysis (Fig. 7); only clustered misses starve decode
-            // hard enough to set Emissary's priority bit.
-            if (out.latency >= params_.starvationThreshold &&
-                costlyTracker_) {
-                costlyTracker_->record(line, exposed);
-            }
-            if (burst && out.latency >= params_.starvationThreshold &&
-                (starvationEvents_++ & 1) == 0) {
-                hier_.markL2Priority(req.paddr);
-            }
-        }
+        ++rec.fetches;
     }
 
     // --- Branch resolution.
@@ -165,91 +148,51 @@ CoreModel::processEvent(const BBEvent &ev)
         BranchInfo info = ev.branch;
         info.temp = fetch_temp; // PTE hint for the TRRIP-BTB option.
         const BranchOutcome out = branch_.predictAndUpdate(info);
-        // Table-indexed penalty: a mispredict dominates a redirect,
-        // and the no-penalty entry adds exactly 0.0.  The buckets are
-        // integer counters, materialized at end of run.
+        // A mispredict dominates a redirect.  The buckets are integer
+        // counters, materialized at end of run.
         const unsigned idx =
             (out.mispredicted ? 1u : 0u) |
             ((out.btbMiss && ev.branch.taken) ? 2u : 0u);
-        now_ += branchPenalty_[idx];
+        rec.branch = static_cast<std::uint8_t>(idx);
         mispredEvents_ += idx & 1u;
         redirectEvents_ += idx == 2u ? 1u : 0u;
     }
 
-    // --- Retire plus synthetic backend components.  The backend
-    // buckets stay in event order: their per-event products round,
-    // so an end-of-run rate * instructions form would drift by ulps
-    // -- visible in the byte-reproducible BENCH files.  Only the
-    // integer-weighted buckets (mispred, see above) hoist exactly.
-    const double instrs = static_cast<double>(ev.instrs);
-    const double retire = retireCycles(ev.instrs);
-    td_.retire += retire;
-    td_.depend += instrs * backend_.dependStallPerInstr;
-    td_.issue += instrs * backend_.issueStallPerInstr;
-    td_.other += instrs * backend_.otherStallPerInstr;
-    now_ += retire + instrs * backendStallPerInstr_;
-
-    // --- Data accesses with MLP-aware exposure.
+    // --- Data accesses.
     for (std::uint8_t i = 0; i < ev.numData; ++i) {
         const DataAccessEvent &d = ev.data[i];
-        MemRequest req;
-        req.vaddr = d.vaddr;
-        req.paddr = d.vaddr;
-        req.pc = d.pc;
-        req.type = d.isStore ? AccessType::Store : AccessType::Load;
+        Batch::Data &out = batch_.data.emplace_back();
+        out.vaddr = d.vaddr;
+        out.paddr = d.vaddr;
+        out.pc = d.pc;
+        out.isStore = d.isStore;
+        out.dependent = d.dependent;
         if constexpr (!stub_mmu) {
             const MmuResult tr = mmu_.translate(d.vaddr);
-            if (tr.tlbMiss) {
-                td_.other +=
-                    static_cast<double>(params_.tlbWalkPenalty);
-                now_ += static_cast<double>(params_.tlbWalkPenalty);
-            }
-            req.paddr = tr.paddr;
-        }
-        if constexpr (stub_hier)
-            continue;
-        const AccessOutcome out =
-            hier_.dataAccess(req, static_cast<Cycles>(now_));
-        if (out.latency == 0)
-            continue;
-        const double raw = static_cast<double>(out.latency);
-        if (d.isStore) {
-            const double exposed = raw * params_.storeExposedFraction;
-            td_.mem += exposed;
-            now_ += exposed;
-        } else if (d.dependent) {
-            // Pointer chase: the next access needs this value; the
-            // OOO window hides almost none of the latency.
-            const double exposed =
-                raw * params_.dependentExposedFraction;
-            missShadowEnd_ = now_ + raw;
-            td_.mem += exposed;
-            now_ += exposed;
-        } else {
-            double exposed = raw * params_.loadExposedFraction;
-            if (now_ < missShadowEnd_)
-                exposed /= params_.overlapMlp;
-            missShadowEnd_ = now_ + raw;
-            td_.mem += exposed;
-            now_ += exposed;
+            out.paddr = tr.paddr;
+            out.tlbMiss = tr.tlbMiss;
         }
     }
-
-    instructions_ += ev.instrs;
+    rec.data = ev.numData;
 }
 
 template <unsigned Stub>
 void
-CoreModel::stepLoop(InstCount target_instructions)
+CoreModel::resolveBatch(InstCount target_instructions)
 {
     constexpr bool stub_branch =
         (Stub & (kStubBranch | kStubExec)) != 0;
-    while (instructions_ < target_instructions) {
-        refill<Stub>();
+    batch_.events.clear();
+    batch_.lines.clear();
+    batch_.data.clear();
+    while (instructions_ < target_instructions &&
+           batch_.events.size() < kBatchEvents) {
+        refill();
+        Batch::Event rec;
         if (!stub_branch && fdipScan_) {
             // Lookahead cursor: stamp fdipMispredict exactly when an
             // event enters the window, i.e. with the predictor state
-            // the event-at-a-time engine would have sampled.
+            // an event-at-a-time engine would have sampled.
             const std::uint64_t visible = head_ + window_;
             while (scanned_ < visible) {
                 BBEvent &ev = ring_[scanned_ & mask_];
@@ -260,44 +203,196 @@ CoreModel::stepLoop(InstCount target_instructions)
                 ++scanned_;
             }
             if (windowMispredicts_ == 0) {
-                fdipPrefetch<Stub>(
-                    ring_[(head_ + window_ - 1) & mask_]);
+                fdipLines<Stub>(ring_[(head_ + window_ - 1) & mask_],
+                                rec);
             }
         }
         const BBEvent &ev = ring_[head_ & mask_];
         if (!stub_branch && fdipScan_ && ev.fdipMispredict)
             --windowMispredicts_;
-        processEvent<Stub>(ev);
+        resolveEvent<Stub>(ev, rec);
+        batch_.events.push_back(rec);
         ++head_;
     }
 }
 
-SimResult
-CoreModel::finalize()
+template <unsigned Stub>
+void
+CoreModel::consumeBatch(Lane &lane) const
 {
+    if constexpr ((Stub & kStubExec) != 0)
+        return;  // Producer-only attribution: the lanes do nothing.
+    constexpr bool stub_hier = (Stub & kStubHier) != 0;
+
+    // The lane's state lives in locals for the batch: the hierarchy
+    // calls are opaque, and members would be reloaded after each.
+    CacheHierarchy &hier = *lane.hier;
+    double now = lane.now;
+    TopDown td = lane.td;
+    double miss_shadow_end = lane.missShadowEnd;
+    const double walk = static_cast<double>(params_.tlbWalkPenalty);
+    const auto line_request = [](const Batch::Line &l, AccessType type) {
+        MemRequest req;
+        req.vaddr = l.vaddr;
+        req.paddr = l.paddr;
+        req.pc = l.vaddr;
+        req.type = type;
+        req.temp = l.temp;
+        return req;
+    };
+
+    const Batch::Line *line = batch_.lines.data();
+    const Batch::Data *data = batch_.data.data();
+    for (const Batch::Event &ev : batch_.events) {
+        // --- FDIP prefetches of the window tail.
+        for (unsigned k = 0; k < ev.prefetches; ++k, ++line) {
+            if constexpr (!stub_hier) {
+                hier.instPrefetch(
+                    line_request(*line, AccessType::InstPrefetch),
+                    static_cast<Cycles>(now));
+            }
+        }
+
+        // --- Instruction fetch, one access per newly touched line.
+        for (unsigned k = 0; k < ev.fetches; ++k, ++line) {
+            if (line->tlbMiss) {
+                td.other += walk;
+                now += walk;
+            }
+            if constexpr (stub_hier)
+                continue;
+            const MemRequest req =
+                line_request(*line, AccessType::InstFetch);
+            const AccessOutcome out =
+                hier.instFetch(req, static_cast<Cycles>(now));
+            const double exposed =
+                out.latency > params_.fetchQueueSlack
+                    ? static_cast<double>(out.latency -
+                                          params_.fetchQueueSlack)
+                    : 0.0;
+            td.ifetch += exposed;
+            now += exposed;
+            if (out.l2DemandMiss) {
+                const bool burst = now - lane.lastInstL2Miss <=
+                                   params_.starvationBurstWindow;
+                lane.lastInstL2Miss = now;
+                // Every exposed miss is recorded for the costly-miss
+                // analysis (Fig. 7); only clustered misses starve
+                // decode hard enough to set Emissary's priority bit.
+                if (out.latency >= params_.starvationThreshold &&
+                    lane.costly) {
+                    lane.costly->record(line->vaddr, exposed);
+                }
+                if (burst &&
+                    out.latency >= params_.starvationThreshold &&
+                    (lane.starvationEvents++ & 1) == 0) {
+                    hier.markL2Priority(req.paddr);
+                }
+            }
+        }
+
+        // --- Branch penalty (0.0 without a penalty: bit-exact).
+        now += branchPenalty_[ev.branch];
+
+        // --- Retire plus synthetic backend components.  The backend
+        // buckets stay in event order: their per-event products
+        // round, so an end-of-run rate * instructions form would
+        // drift by ulps -- visible in the byte-reproducible BENCH
+        // files.  Only the integer-weighted buckets (mispred) hoist
+        // exactly.
+        const double instrs = static_cast<double>(ev.instrs);
+        const double retire = retireCycles(ev.instrs);
+        td.retire += retire;
+        td.depend += instrs * backend_.dependStallPerInstr;
+        td.issue += instrs * backend_.issueStallPerInstr;
+        td.other += instrs * backend_.otherStallPerInstr;
+        now += retire + instrs * backendStallPerInstr_;
+
+        // --- Data accesses with MLP-aware exposure.
+        for (unsigned i = 0; i < ev.data; ++i, ++data) {
+            if (data->tlbMiss) {
+                td.other += walk;
+                now += walk;
+            }
+            if constexpr (stub_hier)
+                continue;
+            MemRequest req;
+            req.vaddr = data->vaddr;
+            req.paddr = data->paddr;
+            req.pc = data->pc;
+            req.type =
+                data->isStore ? AccessType::Store : AccessType::Load;
+            const AccessOutcome out =
+                hier.dataAccess(req, static_cast<Cycles>(now));
+            if (out.latency == 0)
+                continue;
+            const double raw = static_cast<double>(out.latency);
+            if (data->isStore) {
+                const double exposed =
+                    raw * params_.storeExposedFraction;
+                td.mem += exposed;
+                now += exposed;
+            } else if (data->dependent) {
+                // Pointer chase: the next access needs this value;
+                // the OOO window hides almost none of the latency.
+                const double exposed =
+                    raw * params_.dependentExposedFraction;
+                miss_shadow_end = now + raw;
+                td.mem += exposed;
+                now += exposed;
+            } else {
+                double exposed = raw * params_.loadExposedFraction;
+                if (now < miss_shadow_end)
+                    exposed /= params_.overlapMlp;
+                miss_shadow_end = now + raw;
+                td.mem += exposed;
+                now += exposed;
+            }
+        }
+    }
+    lane.now = now;
+    lane.td = td;
+    lane.missShadowEnd = miss_shadow_end;
+}
+
+template <unsigned Stub>
+void
+CoreModel::stepLoop(InstCount target_instructions)
+{
+    while (instructions_ < target_instructions) {
+        resolveBatch<Stub>(target_instructions);
+        for (Lane &lane : lanes_)
+            consumeBatch<Stub>(lane);
+    }
+}
+
+SimResult
+CoreModel::finalize(std::size_t lane_index) const
+{
+    const Lane &lane = lanes_.at(lane_index);
+    const CacheHierarchy &hier = *lane.hier;
+    SimResult res;
+    res.instructions = instructions_;
+    res.cycles = lane.now;
+    res.topdown = lane.td;
     // Materialize the hoisted mispredict bucket.  Its per-event
-    // contributions are integer penalties, so every partial sum of
-    // the old accumulation was an exact integer double and
+    // contributions are integer penalties, so every partial sum of a
+    // per-event accumulation is an exact integer double and
     // count * penalty reproduces the final value bit for bit -- the
     // one Top-Down bucket that hoists exactly (the fractional
-    // backend buckets must stay in event order; see processEvent).
-    td_.mispred =
+    // backend buckets must stay in event order; see consumeBatch).
+    res.topdown.mispred =
         static_cast<double>(params_.mispredictPenalty) *
             static_cast<double>(mispredEvents_) +
         static_cast<double>(params_.btbRedirectPenalty) *
             static_cast<double>(redirectEvents_);
-
-    SimResult res;
-    res.instructions = instructions_;
-    res.cycles = now_;
-    res.topdown = td_;
-    res.l2InstMpki = hier_.l2InstMpki(instructions_);
-    res.l2DataMpki = hier_.l2DataMpki(instructions_);
-    res.l1i = hier_.l1i().stats();
-    res.l1d = hier_.l1d().stats();
-    res.l2 = hier_.l2().stats();
-    res.slc = hier_.slc().stats();
-    res.prefetch = hier_.prefetchStats();
+    res.l2InstMpki = hier.l2InstMpki(instructions_);
+    res.l2DataMpki = hier.l2DataMpki(instructions_);
+    res.l1i = hier.l1i().stats();
+    res.l1d = hier.l1d().stats();
+    res.l2 = hier.l2().stats();
+    res.slc = hier.slc().stats();
+    res.prefetch = hier.prefetchStats();
     res.branch = branch_.stats();
     res.tlb = mmu_.stats();
     res.l2HotEvictions = res.l2.evictionsByTemp[encodeTemperature(
@@ -328,6 +423,8 @@ CoreModel::step(InstCount target_instructions)
 SimResult
 CoreModel::run(InstCount max_instructions)
 {
+    panic_if(lanes_.size() != 1, "CoreModel::run is the one-lane form; ",
+             lanes_.size(), " lanes need step() + finalize(lane)");
     step(max_instructions);
     return finalize();
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Interval-style out-of-order core model (the Sniper substitute; see
- * DESIGN.md).  The model consumes basic-block events, drives the MMU,
- * branch unit and cache hierarchy, performs the pseudo-FDIP lookahead
- * of paper section 4.1, and accounts cycles into Top-Down buckets.
+ * the README's "Architecture" section).  The model consumes basic-block
+ * events, drives the MMU, branch unit and cache hierarchy, performs
+ * the pseudo-FDIP lookahead of paper section 4.1, and accounts cycles
+ * into Top-Down buckets.
  *
  * Timing approximations (all parameters below):
  *  - retire cost is instrs / dispatch width;
@@ -16,21 +17,33 @@
  *  - branch mispredicts cost a fixed penalty, BTB misses on taken
  *    branches a smaller redirect bubble.
  *
+ * Frontend and policy lanes.  Only the cache hierarchy depends on the
+ * L2 policy under test: the event stream, the FDIP lookahead, the MMU
+ * and the branch unit never read simulated time or cache state.  So
+ * one model runs K policies over one event stream.  The frontend
+ * turns a batch of events into a batch record -- translated fetch
+ * and FDIP lines, branch-penalty indices and translated data
+ * accesses, in engine order -- and each lane (one CacheHierarchy plus
+ * its own clock, Top-Down buckets, miss shadow, Emissary alternator
+ * and costly-miss tracker) then consumes the whole batch before the
+ * next lane starts.  Every lane issues exactly the hierarchy calls,
+ * with exactly the arguments, that a solo model would, so each lane's
+ * result is bit-identical to running its policy alone.  A one-lane
+ * model is the single-policy engine; there is no other path.
+ *
  * Event flow is batched (see BBEventSource in workloads/executor.hh):
- * the source fills a core-owned power-of-two ring tens of events at a
- * time -- one virtual call per batch -- and the outer loop walks the
- * ring with masked indices.  A lookahead cursor stamps fdipMispredict
- * exactly when an event enters the FDIP window, so predictor state is
- * sampled at the same instant as in the old event-at-a-time engine
- * and the simulated behavior is bit-identical.  Per-event accounting
- * is table-indexed where that is provably exact: the branch penalty
- * feeding the cycle count is a LUT indexed by (mispredict, redirect)
- * -- the no-penalty entry adds 0.0, which is bit-exact -- and the
- * mispred Top-Down bucket is reconstructed at end of run from
- * integer counters (integer-weighted sums reorder exactly).  The
- * fractional backend buckets stay in event order: reassociating
- * their sums would drift by ulps, visible in the byte-reproducible
- * BENCH files.
+ * the source fills a frontend-owned power-of-two ring tens of events
+ * at a time -- one virtual call per batch -- and the frontend walks
+ * the ring with masked indices.  A lookahead cursor stamps
+ * fdipMispredict exactly when an event enters the FDIP window, so
+ * predictor state is sampled at the same instant as in an
+ * event-at-a-time engine.  The branch penalty feeding the cycle count
+ * is a LUT indexed by (mispredict, redirect) -- the no-penalty entry
+ * adds 0.0, which is bit-exact -- and the mispred Top-Down bucket is
+ * reconstructed at end of run from integer counters (integer-weighted
+ * sums reorder exactly).  The fractional backend buckets stay in
+ * event order: reassociating their sums would drift by ulps, visible
+ * in the byte-reproducible BENCH files.
  */
 
 #ifndef TRRIP_SIM_CORE_MODEL_HH
@@ -138,32 +151,45 @@ struct SimResult
           static_cast<double>(instructions) : 0.0; }
 };
 
-/** The interval core. */
+/**
+ * The interval core: one frontend driving K policy lanes (see the
+ * file comment).  Lane k runs over hierarchy k; every lane retires
+ * the same instructions, so retired() is the group's.
+ */
 class CoreModel
 {
   public:
+    /** The one-lane model. */
     CoreModel(BBEventSource &events, CacheHierarchy &hierarchy,
               Mmu &mmu, BranchUnit &branch, const CoreParams &params,
               const BackendParams &backend);
 
-    /** Optional costly-miss recorder (paper Fig. 7). */
-    void setCostlyTracker(CostlyMissTracker *tracker)
-    { costlyTracker_ = tracker; }
+    /** One lane per hierarchy in @p lanes (at least one). */
+    CoreModel(BBEventSource &events,
+              const std::vector<CacheHierarchy *> &lanes, Mmu &mmu,
+              BranchUnit &branch, const CoreParams &params,
+              const BackendParams &backend);
+
+    /** Optional costly-miss recorder of lane @p lane (paper Fig. 7). */
+    void
+    setCostlyTracker(CostlyMissTracker *tracker, std::size_t lane = 0)
+    { lanes_.at(lane).costly = tracker; }
 
     /**
      * Optional cooperative cancellation (the watchdog's deadline
-     * path).  Polled at event-batch refills -- every few dozen
+     * path).  Polled at event-ring refills -- every few dozen
      * events, so cancellation lands within microseconds without a
      * per-event branch -- and surfaces as a thrown
-     * SimError(Timeout) unwinding out of run().
+     * SimError(Timeout) unwinding out of run()/step().
      */
     void setCancelToken(const CancelToken *cancel) { cancel_ = cancel; }
 
-    /** Run for @p max_instructions and return the aggregated result. */
+    /** One-lane form: run for @p max_instructions, return the result. */
     SimResult run(InstCount max_instructions);
 
     /**
-     * @name Incremental stepping (the multi-core round-robin driver)
+     * @name Incremental stepping (grouped runs and the multi-core
+     * round-robin driver)
      * run(n) == { step(n); finalize(); } bit for bit: every piece of
      * loop state lives in members, so cutting the run into quanta
      * changes nothing about this core's own trajectory -- only the
@@ -172,32 +198,96 @@ class CoreModel
      */
     /** @{ */
 
-    /** Advance until at least @p target_instructions have retired. */
+    /** Advance every lane until at least @p target_instructions have
+     *  retired. */
     void step(InstCount target_instructions);
 
     /** Instructions retired so far. */
     InstCount retired() const { return instructions_; }
 
-    /** Aggregate the result once the final step() has run. */
-    SimResult finalize();
+    /** Lane @p lane's result once the final step() has run. */
+    SimResult finalize(std::size_t lane = 0) const;
 
     /** @} */
 
   private:
+    /**
+     * One batch of frontend-resolved events, in engine order.  Each
+     * event record says how many entries of `lines` (its FDIP
+     * prefetches, then its newly touched fetch lines) and of `data`
+     * belong to it.
+     */
+    struct Batch
+    {
+        struct Event
+        {
+            std::uint32_t instrs = 0;
+            std::uint32_t prefetches = 0;
+            std::uint32_t fetches = 0;
+            std::uint8_t data = 0;
+            /** Branch penalty index: mispredicted | redirect << 1. */
+            std::uint8_t branch = 0;
+        };
+        /** One translated instruction line (FDIP prefetch or fetch). */
+        struct Line
+        {
+            Addr vaddr = 0;
+            Addr paddr = 0;
+            Temperature temp = Temperature::None;
+            bool tlbMiss = false;
+        };
+        /** One translated data access. */
+        struct Data
+        {
+            Addr vaddr = 0;
+            Addr paddr = 0;
+            Addr pc = 0;
+            bool isStore = false;
+            bool dependent = false;
+            bool tlbMiss = false;
+        };
+
+        std::vector<Event> events;
+        std::vector<Line> lines;
+        std::vector<Data> data;
+    };
+
+    /** One policy's hierarchy and timing state. */
+    struct Lane
+    {
+        CacheHierarchy *hier = nullptr;
+        double now = 0.0;
+        TopDown td;
+        double missShadowEnd = 0.0;
+        /** Alternator implementing Emissary's 1/2 marking
+         *  probability. */
+        std::uint64_t starvationEvents = 0;
+        double lastInstL2Miss = -1e18;
+        CostlyMissTracker *costly = nullptr;
+    };
+
     /** The batched outer loop, instantiated per stub mask. */
     template <unsigned Stub>
     void stepLoop(InstCount target_instructions);
 
-    /** Top the ring up to full when fewer than a window is ahead. */
+    /** Frontend: fill batch_ until the target or kBatchEvents. */
     template <unsigned Stub>
+    void resolveBatch(InstCount target_instructions);
+
+    /** Top the ring up to full when fewer than a window is ahead. */
     void refill();
 
+    /** Frontend: translate the FDIP window tail's lines. */
     template <unsigned Stub>
-    void fdipPrefetch(const BBEvent &tail);
+    void fdipLines(const BBEvent &tail, Batch::Event &rec);
 
-    /** Simulate one event. */
+    /** Frontend: resolve one event's fetch, branch and data. */
     template <unsigned Stub>
-    void processEvent(const BBEvent &ev);
+    void resolveEvent(const BBEvent &ev, Batch::Event &rec);
+
+    /** Lane: simulate batch_ against one hierarchy. */
+    template <unsigned Stub>
+    void consumeBatch(Lane &lane) const;
 
     /** Exact instrs / dispatchWidth, memoized for small sizes. */
     double
@@ -208,8 +298,12 @@ class CoreModel
         return static_cast<double>(instrs) / params_.dispatchWidth;
     }
 
+    /** Events per frontend batch: each lane consumes a whole batch
+     *  before the next lane starts, keeping one hierarchy's working
+     *  set hot at a time. */
+    static constexpr std::uint32_t kBatchEvents = 256;
+
     BBEventSource &events_;
-    CacheHierarchy &hier_;
     Mmu &mmu_;
     BranchUnit &branch_;
     CoreParams params_;
@@ -246,35 +340,30 @@ class CoreModel
     std::array<double, 256> retireMemo_{};
     /**
      * Branch penalty by (mispredicted | redirect << 1): {0, P, R, P}.
-     * Indexed per resolved branch; the no-penalty entry adds 0.0,
-     * which leaves the cycle count bit-identical to not adding.
+     * Added per event; the no-penalty entry adds 0.0, which leaves
+     * the cycle count bit-identical to not adding.
      */
     std::array<double, 4> branchPenalty_{};
 
-    double now_ = 0.0;
     InstCount instructions_ = 0;
-    TopDown td_;
     Addr lastFetchLine_ = ~0ull;
-    double missShadowEnd_ = 0.0;
 
     /**
      * @name Integer event counters behind the hoisted mispred bucket
      * The mispredict / redirect Top-Down contributions are integer
      * multiples of their fixed penalties, so the bucket is
      * reconstructed exactly at end of run as count * penalty
-     * (integer-valued doubles: no rounding, identical bits to the
-     * old per-event accumulation).  The fractional backend buckets
-     * cannot hoist this way and stay in event order.
+     * (integer-valued doubles: no rounding, identical bits to a
+     * per-event accumulation).  They depend only on the frontend, so
+     * every lane shares them.
      */
     /** @{ */
     std::uint64_t mispredEvents_ = 0;
     std::uint64_t redirectEvents_ = 0;
     /** @} */
 
-    /** Alternator implementing Emissary's 1/2 marking probability. */
-    std::uint64_t starvationEvents_ = 0;
-    double lastInstL2Miss_ = -1e18;
-    CostlyMissTracker *costlyTracker_ = nullptr;
+    Batch batch_;
+    std::vector<Lane> lanes_;
     const CancelToken *cancel_ = nullptr;
 };
 

@@ -42,24 +42,20 @@ multiCoreWorkloadsOf(const std::string &name)
 namespace {
 
 /**
- * Everything one core's lane owns: the software artifacts, the event
- * source feeding it, and the stepped CoreModel.  Construction mirrors
- * runWorkload()/runTrace() exactly (both share prepareWorkload /
- * prepareTrace), so a one-core bundle is the single-core pipeline.
+ * Everything one core owns: the software artifacts, the event source
+ * feeding it, and the LaneEngine stepping every policy lane over it.
+ * Construction mirrors runWorkload()/runTrace() exactly (all share
+ * prepareWorkload / prepareTrace and LaneEngine), so a one-core
+ * bundle is the single-core pipeline.
  */
 struct CoreRuntime
 {
     RunArtifacts art;
-    std::unique_ptr<SyntheticWorkload> workload;  //!< Proxy lanes only.
+    std::unique_ptr<SyntheticWorkload> workload;  //!< Proxy cores only.
     std::unique_ptr<PageTable> pageTable;
-    std::unique_ptr<Mmu> mmu;
-    std::unique_ptr<BranchUnit> branch;
-    /** Own stack for the N=1 bypass; null when sharing the SLC. */
-    std::unique_ptr<CacheHierarchy> ownHier;
-    CacheHierarchy *hier = nullptr;
     std::unique_ptr<Executor> exec;
     std::unique_ptr<trace::TraceEventSource> traceSource;
-    std::unique_ptr<CoreModel> core;
+    std::unique_ptr<LaneEngine> engine;
     InstCount budget = 0;
 };
 
@@ -94,9 +90,9 @@ foldBytes(std::uint64_t &h, std::uint64_t value)
 
 } // namespace
 
-MultiCoreResult
+std::vector<MultiCoreResult>
 runMultiCore(const std::vector<std::string> &core_workloads,
-             const std::string &policy_spec,
+             const std::vector<LaneSpec> &lanes,
              const MultiCoreOptions &options)
 {
     const unsigned n = static_cast<unsigned>(core_workloads.size());
@@ -106,26 +102,28 @@ runMultiCore(const std::vector<std::string> &core_workloads,
                  options.coreBudgets.size() != core_workloads.size(),
              "runMultiCore: ", options.coreBudgets.size(),
              " budgets for ", n, " cores");
+    const SimOptions &opts = options.base;
 
-    SimOptions opts = options.base;
-    opts.hier.l2Policy = PolicySpec(policy_spec);
-
-    // The shared fabric.  One core bypasses MultiCoreHierarchy: the
-    // plain single-core CacheHierarchy runs, so N=1 is bit-identical
-    // to runWorkload()/runTrace() (the inclusive shared-SLC protocol
-    // and owner masks never even construct).
-    std::unique_ptr<MultiCoreHierarchy> shared;
+    // One shared fabric per lane.  One core bypasses
+    // MultiCoreHierarchy: the engine owns a plain single-core
+    // CacheHierarchy per lane, so N=1 is bit-identical to
+    // runWorkload()/runTrace() (the inclusive shared-SLC protocol and
+    // owner masks never even construct).
+    std::vector<std::unique_ptr<MultiCoreHierarchy>> fabrics;
     if (n > 1) {
-        MultiCoreParams mp;
-        mp.hier = opts.hier;
-        mp.numCores = n;
-        mp.naiveBackInvalidate = options.naiveBackInvalidate;
-        shared = std::make_unique<MultiCoreHierarchy>(mp);
+        for (const LaneSpec &lane : lanes) {
+            MultiCoreParams mp;
+            mp.hier = opts.hier;
+            mp.hier.l2Policy = lane.l2Policy;
+            mp.numCores = n;
+            mp.naiveBackInvalidate = options.naiveBackInvalidate;
+            fabrics.push_back(std::make_unique<MultiCoreHierarchy>(mp));
+        }
     }
 
-    std::vector<CoreRuntime> lanes(n);
+    std::vector<CoreRuntime> cores(n);
     for (unsigned c = 0; c < n; ++c) {
-        CoreRuntime &rt = lanes[c];
+        CoreRuntime &rt = cores[c];
         const std::string &label = core_workloads[c];
         rt.budget = options.coreBudgets.empty()
                         ? resolveBudget(opts)
@@ -178,41 +176,33 @@ runMultiCore(const std::vector<std::string> &core_workloads,
                 rt.workload->params.otherStallPerInstr;
         }
 
-        rt.mmu = std::make_unique<Mmu>(*rt.pageTable);
-        rt.branch = std::make_unique<BranchUnit>(opts.branch);
-        if (shared) {
-            rt.hier = &shared->core(c);
+        if (fabrics.empty()) {
+            rt.engine = std::make_unique<LaneEngine>(
+                *source, *rt.pageTable, lanes, opts, backend);
         } else {
-            rt.ownHier = std::make_unique<CacheHierarchy>(opts.hier);
-            rt.hier = rt.ownHier.get();
+            std::vector<CacheHierarchy *> stacks;
+            for (const auto &fabric : fabrics)
+                stacks.push_back(&fabric->core(c));
+            rt.engine = std::make_unique<LaneEngine>(
+                *source, *rt.pageTable, stacks, lanes, opts, backend);
         }
-        rt.art.resolvedPolicies = {
-            {"L1I", rt.hier->l1i().policy().describe()},
-            {"L1D", rt.hier->l1d().policy().describe()},
-            {"L2", rt.hier->l2().policy().describe()},
-            {"SLC", rt.hier->slc().policy().describe()},
-        };
-        if (opts.reuse)
-            rt.hier->setL2Observer(opts.reuse);
-
-        rt.core = std::make_unique<CoreModel>(
-            *source, *rt.hier, *rt.mmu, *rt.branch, opts.core, backend);
-        rt.core->setCostlyTracker(opts.costly);
-        rt.core->setCancelToken(opts.cancel);
     }
 
     // Deterministic round-robin: each rotation advances every
     // unfinished core by one quantum in core-id order.  A finished
     // core drops out; the others keep rotating (per-core budgets are
-    // independent).
+    // independent).  Each step runs all of the core's lanes, and a
+    // lane only touches its own fabric, so every fabric sees exactly
+    // the traffic order of a solo run.
     while (true) {
         bool all_done = true;
-        for (CoreRuntime &rt : lanes) {
-            if (rt.core->retired() >= rt.budget)
+        for (CoreRuntime &rt : cores) {
+            CoreModel &core = rt.engine->core();
+            if (core.retired() >= rt.budget)
                 continue;
             all_done = false;
-            rt.core->step(std::min<InstCount>(
-                rt.budget, rt.core->retired() + options.quantum));
+            core.step(std::min<InstCount>(
+                rt.budget, core.retired() + options.quantum));
         }
         if (all_done)
             break;
@@ -221,22 +211,39 @@ runMultiCore(const std::vector<std::string> &core_workloads,
     // Finalize only after ALL stepping: every core's result.slc is
     // then the same end-of-run shared snapshot, independent of the
     // core's position in the rotation.
-    MultiCoreResult result;
-    result.cores.reserve(n);
-    for (CoreRuntime &rt : lanes) {
-        rt.art.result = rt.core->finalize();
-        result.cores.push_back(std::move(rt.art));
+    std::vector<MultiCoreResult> results(lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        MultiCoreResult &result = results[k];
+        result.cores.reserve(n);
+        for (const CoreRuntime &rt : cores) {
+            RunArtifacts art = rt.art;
+            rt.engine->finish(k, art);
+            result.cores.push_back(std::move(art));
+        }
+        if (!fabrics.empty()) {
+            result.slc = fabrics[k]->slc().stats();
+            result.dramReads = fabrics[k]->dram().reads();
+            result.dramWrites = fabrics[k]->dram().writes();
+        } else {
+            const CacheHierarchy &solo = cores[0].engine->hierarchy(k);
+            result.slc = solo.slc().stats();
+            result.dramReads = solo.dram().reads();
+            result.dramWrites = solo.dram().writes();
+        }
     }
-    if (shared) {
-        result.slc = shared->slc().stats();
-        result.dramReads = shared->dram().reads();
-        result.dramWrites = shared->dram().writes();
-    } else {
-        result.slc = lanes[0].hier->slc().stats();
-        result.dramReads = lanes[0].hier->dram().reads();
-        result.dramWrites = lanes[0].hier->dram().writes();
-    }
-    return result;
+    return results;
+}
+
+MultiCoreResult
+runMultiCore(const std::vector<std::string> &core_workloads,
+             const std::string &policy_spec,
+             const MultiCoreOptions &options)
+{
+    MultiCoreOptions shared = options;
+    shared.base.hier.l2Policy = PolicySpec(policy_spec);
+    const LaneSpec lane = soloLane(shared.base);
+    return std::move(
+        runMultiCore(core_workloads, {lane}, shared).front());
 }
 
 std::uint64_t

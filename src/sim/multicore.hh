@@ -47,10 +47,10 @@ std::vector<std::string> multiCoreWorkloadsOf(const std::string &name);
 struct MultiCoreOptions
 {
     /**
-     * Per-core SimOptions template (budget, fidelity mode, hierarchy
+     * Per-core SimOptions template (budget, hierarchy
      * geometry/policies, classifier, ...).  base.hier seeds
-     * MultiCoreParams::hier; the L2 policy spec argument of
-     * runMultiCore() is applied on top, mirroring runTrace().
+     * MultiCoreParams::hier; each lane's L2 policy is applied on top,
+     * mirroring runTrace().
      */
     SimOptions base;
 
@@ -101,11 +101,21 @@ struct MultiCoreResult
 
 /**
  * Run @p core_workloads (proxy names / `trace:<path>` labels, one per
- * core) against @p policy_spec (every core's L2 policy, mirroring
- * CoDesignPipeline::run) under @p options.  One core bypasses
- * MultiCoreHierarchy entirely -- the plain single-core CacheHierarchy
- * runs, so N=1 is bit-identical to runWorkload()/runTrace().
+ * core) once for every lane (every core's L2 policy plus the lane's
+ * observers, mirroring CoDesignPipeline::run) under @p options.  Each
+ * core is built once -- workload, profile, prepare step, event
+ * stream, MMU and branch unit -- and drives one shared-SLC fabric per
+ * lane; the result is one bundle result per lane, in lane order.
+ * One core bypasses MultiCoreHierarchy entirely -- the plain
+ * single-core CacheHierarchy runs, so N=1 is bit-identical to
+ * runWorkload()/runTrace().
  */
+std::vector<MultiCoreResult>
+runMultiCore(const std::vector<std::string> &core_workloads,
+             const std::vector<LaneSpec> &lanes,
+             const MultiCoreOptions &options);
+
+/** The one-lane form: every core's L2 runs @p policy_spec. */
 MultiCoreResult runMultiCore(
     const std::vector<std::string> &core_workloads,
     const std::string &policy_spec, const MultiCoreOptions &options);

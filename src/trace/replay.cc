@@ -208,37 +208,31 @@ prepareTrace(const std::string &path, const SimOptions &options,
     return rt;
 }
 
+std::vector<RunArtifacts>
+runTrace(const std::string &path, const std::vector<LaneSpec> &lanes,
+         const SimOptions &options,
+         std::shared_ptr<const TraceIndex> index)
+{
+    const TraceRuntime rt = prepareTrace(path, options, std::move(index));
+
+    // (9)-(11) Replay through the unchanged core/hierarchy engine.
+    TraceEventSource source(path);
+    // Traces carry no synthetic stall model.
+    LaneEngine engine(source, *rt.pageTable, lanes, options,
+                      BackendParams{});
+    return engine.run(rt.art, resolveBudget(options));
+}
+
 RunArtifacts
 runTrace(const std::string &path, const std::string &policy_spec,
          const SimOptions &options,
          std::shared_ptr<const TraceIndex> index)
 {
-    SimOptions opts = options;
-    opts.hier.l2Policy = PolicySpec(policy_spec);
-
-    TraceRuntime rt = prepareTrace(path, opts, std::move(index));
-    RunArtifacts &art = rt.art;
-
-    // (9)-(11) Replay through the unchanged core/hierarchy engine.
-    Mmu mmu(*rt.pageTable);
-    BranchUnit branch(opts.branch);
-    CacheHierarchy hier(opts.hier);
-    art.resolvedPolicies = {
-        {"L1I", hier.l1i().policy().describe()},
-        {"L1D", hier.l1d().policy().describe()},
-        {"L2", hier.l2().policy().describe()},
-        {"SLC", hier.slc().policy().describe()},
-    };
-    if (opts.reuse)
-        hier.setL2Observer(opts.reuse);
-
-    TraceEventSource source(path);
-    BackendParams backend;  // Traces carry no synthetic stall model.
-    CoreModel core(source, hier, mmu, branch, opts.core, backend);
-    core.setCostlyTracker(opts.costly);
-    core.setCancelToken(opts.cancel);
-    art.result = core.run(resolveBudget(opts));
-    return std::move(rt.art);
+    SimOptions shared = options;
+    shared.hier.l2Policy = PolicySpec(policy_spec);
+    const LaneSpec lane = soloLane(shared);
+    return std::move(
+        runTrace(path, {lane}, shared, std::move(index)).front());
 }
 
 } // namespace trrip::trace

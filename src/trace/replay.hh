@@ -17,7 +17,7 @@
  * temperatures from the index profile, stamp PTE attribute bits for
  * every touched code page (sparse-safe: pages are enumerated from the
  * blocks, not from the address-space span), and drive CoreModel from
- * a fresh TraceEventSource.  Replay is bit-deterministic: the same
+ * a fresh TraceEventSource -- one reader for every policy lane.  Replay is bit-deterministic: the same
  * file and options produce the identical SimResult on any thread.
  */
 
@@ -90,12 +90,20 @@ TraceRuntime prepareTrace(const std::string &path,
                           std::shared_ptr<const TraceIndex> index = {});
 
 /**
- * Replay @p path against @p policy_spec (the L2 policy, like
- * CoDesignPipeline::run) under @p options.  @p index may be shared
- * across calls (exp::ProfileCache); pass nullptr to build a private
- * one.  SimOptions fields that describe proxy synthesis (layout
- * options, profile budget) are ignored: the trace IS the program.
+ * Replay @p path once for every lane (the L2 policy under test and
+ * its observers, like CoDesignPipeline::run): one prepareTrace() and
+ * one trace reader, MMU and branch unit shared by every lane, one
+ * result per lane in lane order.  @p index may be shared across calls
+ * (exp::ProfileCache); pass nullptr to build a private one.
+ * SimOptions fields that describe proxy synthesis (layout options,
+ * profile budget) are ignored: the trace IS the program.
  */
+std::vector<RunArtifacts>
+runTrace(const std::string &path, const std::vector<LaneSpec> &lanes,
+         const SimOptions &options,
+         std::shared_ptr<const TraceIndex> index = {});
+
+/** The one-lane form: replay @p path against @p policy_spec. */
 RunArtifacts runTrace(const std::string &path,
                       const std::string &policy_spec,
                       const SimOptions &options,

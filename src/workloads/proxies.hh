@@ -6,10 +6,9 @@
  * Each set is sized from the paper's published per-benchmark data:
  * static hot/warm text from Table 5's page counts, binary size from
  * Table 5, and dynamic footprint / data pressure tuned so the SRRIP
- * L2 MPKIs land in the regime of Table 3 (see EXPERIMENTS.md for the
- * measured values).  These are synthetic stand-ins: the real
- * benchmarks' binaries and inputs are not reproducible offline (see
- * DESIGN.md substitution table).
+ * L2 MPKIs land in the regime of Table 3 (bench/table3_mpki prints
+ * the measured values).  These are synthetic stand-ins: the real
+ * benchmarks' binaries and inputs are not reproducible offline.
  */
 
 #ifndef TRRIP_WORKLOADS_PROXIES_HH

@@ -85,10 +85,14 @@ processThreadCount()
 
 TEST(ExperimentRunner, FourThreadsBitIdenticalToOne)
 {
+    // Four rows, so four pool items: a row's policies run as the
+    // lanes of one item.
+    exp::ExperimentSpec spec = tinySpec();
+    spec.workloads = {"python", "deepsjeng", "gcc", "sqlite"};
     exp::ExperimentRunner serial(1);
     exp::ExperimentRunner pool(4);
-    const auto a = serial.run(tinySpec());
-    const auto b = pool.run(tinySpec());
+    const auto a = serial.run(spec);
+    const auto b = pool.run(spec);
     EXPECT_EQ(b.threadsUsed, 4u);
     ASSERT_EQ(a.cells().size(), b.cells().size());
     for (std::size_t i = 0; i < a.cells().size(); ++i) {
@@ -104,6 +108,28 @@ TEST(ExperimentRunner, FourThreadsBitIdenticalToOne)
                   rb.result().l2.demandMisses);
         EXPECT_EQ(ra.result().l2InstMpki, rb.result().l2InstMpki);
         EXPECT_EQ(ra.metrics, rb.metrics);
+    }
+}
+
+TEST(ExperimentRunner, RowLanesMatchSoloRuns)
+{
+    // A row's policies run as the lanes of one pool item; each lane
+    // must match its policy run alone, and a 2-row grid can use at
+    // most two workers.
+    exp::ExperimentRunner runner(4);
+    const auto results = runner.run(tinySpec());
+    EXPECT_EQ(results.threadsUsed, 2u);
+    const exp::ExperimentSpec spec = tinySpec();
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+        CoDesignPipeline pipeline(proxyParams(spec.workloads[w]));
+        for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+            const RunArtifacts solo =
+                pipeline.run(spec.policies[p], spec.options);
+            EXPECT_EQ(results.at(w, p).metrics,
+                      exp::defaultMetrics(solo.result));
+            EXPECT_EQ(results.at(w, p).artifacts.resolvedPolicies,
+                      solo.resolvedPolicies);
+        }
     }
 }
 
@@ -210,9 +236,11 @@ TEST(ExperimentRunner, GridCollectsEachWorkloadProfileOnce)
 {
     exp::ExperimentRunner runner(4);
     const auto results = runner.run(tinySpec());
-    // One instrumented run per workload; every other cell hits.
+    // One instrumented run per workload.  A row asks the cache once
+    // for all of its policy lanes, and each workload is one row here,
+    // so nothing asks twice.
     EXPECT_EQ(results.profileCollections, 2u);
-    EXPECT_EQ(results.profileHits, 4u);
+    EXPECT_EQ(results.profileHits, 0u);
     // The cells of one workload share one Profile object.
     for (std::size_t w = 0; w < 2; ++w) {
         const Profile *first =

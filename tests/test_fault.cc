@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -493,6 +494,113 @@ TEST_F(FaultTest, ResumeReproducesByteIdenticalBench)
     std::remove(clean_json.c_str());
     std::remove(crashed_json.c_str());
     std::remove(resumed_json.c_str());
+}
+
+// ------------------------------------------------------ grouped rows
+
+TEST_F(FaultTest, ResumeFromHalfARowRunsOnlyTheMissingLanes)
+{
+    const std::string journal = "fault_half_row.jsonl";
+    const std::string clean_json = "fault_half_row_clean.json";
+    const std::string resumed_json = "fault_half_row_resumed.json";
+    std::remove(journal.c_str());
+    exp::ExperimentSpec spec = tinySpec();
+    spec.workloads = {"python"};
+    spec.policies = {"SRRIP", "TRRIP-1", "CLIP", "LRU"};
+
+    {
+        exp::ExperimentRunner runner(2);
+        exp::JsonSink sink(clean_json);
+        runner.run(spec, {&sink});
+    }
+    // A journal holding the first half of the row.
+    {
+        exp::ExperimentRunner runner(2);
+        exp::ExperimentSpec half = spec;
+        half.journal = journal;
+        half.filter = [](const exp::CellId &id) {
+            return id.policy < 2;
+        };
+        runner.run(half, {});
+    }
+    // Resume: the hook sees exactly the lanes that execute.
+    std::mutex mutex;
+    std::set<std::size_t> executed;
+    {
+        exp::ExperimentRunner runner(2);
+        exp::ExperimentSpec resumed = spec;
+        resumed.journal = journal;
+        resumed.hooks = [&](SimOptions &, const exp::CellId &id) {
+            std::lock_guard<std::mutex> lock(mutex);
+            executed.insert(id.policy);
+            return std::shared_ptr<void>();
+        };
+        exp::JsonSink sink(resumed_json);
+        const exp::ExperimentResults results =
+            runner.run(resumed, {&sink});
+        EXPECT_EQ(results.cellsResumed, 2u);
+        EXPECT_EQ(results.cellsFailed, 0u);
+    }
+    EXPECT_EQ(executed, (std::set<std::size_t>{2, 3}));
+    EXPECT_EQ(slurp(resumed_json), slurp(clean_json));
+
+    std::remove(journal.c_str());
+    std::remove(clean_json.c_str());
+    std::remove(resumed_json.c_str());
+}
+
+TEST_F(FaultTest, SkipModeSurvivingLanesMatchAFaultFreeRun)
+{
+    exp::ExperimentRunner runner(2);
+    const exp::ExperimentResults clean = runner.run(tinySpec(), {});
+
+    FaultInjector::instance().configure("cell:1/2,seed=5");
+    exp::ExperimentSpec spec = tinySpec();
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    const exp::ExperimentResults faulty = runner.run(spec, {});
+    FaultInjector::instance().configure("");
+
+    // The case that matters: a row whose lanes partly failed their
+    // own cell draws, so the survivors ran without their neighbours.
+    bool mixed_row = false;
+    for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+        std::size_t failed = 0;
+        for (std::size_t p = 0; p < spec.policies.size(); ++p)
+            failed += faulty.at(w, p).failed ? 1 : 0;
+        mixed_row = mixed_row ||
+                    (failed > 0 && failed < spec.policies.size());
+    }
+    EXPECT_TRUE(mixed_row);
+    ASSERT_EQ(clean.cells().size(), faulty.cells().size());
+    for (std::size_t i = 0; i < clean.cells().size(); ++i) {
+        const exp::CellRecord &rec = faulty.cells()[i];
+        if (rec.failed)
+            EXPECT_EQ(rec.errorCategory, "injected");
+        else
+            EXPECT_EQ(rec.metrics, clean.cells()[i].metrics);
+    }
+}
+
+TEST_F(FaultTest, TimedOutGroupFailsEveryPendingLane)
+{
+    exp::ExperimentRunner runner(2);
+    runner.setCellTimeout(150);
+    exp::ExperimentSpec spec;
+    spec.name = "timeout_row";
+    spec.workloads = {"python"};
+    spec.policies = {"SRRIP", "TRRIP-1", "CLIP"};
+    // A budget far beyond what the row's deadline can simulate, after
+    // a short training run.
+    spec.options.maxInstructions = 2'000'000'000;
+    spec.options.profileInstructions = 10'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    const exp::ExperimentResults results = runner.run(spec, {});
+    ASSERT_EQ(results.cells().size(), 3u);
+    for (const exp::CellRecord &rec : results.cells()) {
+        EXPECT_TRUE(rec.failed);
+        EXPECT_EQ(rec.errorCategory, "timeout");
+    }
+    EXPECT_EQ(results.cellsFailed, 3u);
 }
 
 } // namespace

@@ -14,6 +14,10 @@
  * fingerprints is a simulation-behavior change and must be justified,
  * not just re-pinned.  On mismatch the failure message contains the
  * full counter dump and the actual fingerprint.
+ *
+ * The lane tests rerun every pinned case as one policy lane of a
+ * three-lane group, once as the first lane and once as the last: a
+ * lane must reproduce its solo fingerprint wherever it sits.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/codesign.hh"
 #include "sim/golden.hh"
@@ -31,6 +37,21 @@
 
 namespace trrip {
 namespace {
+
+/**
+ * @p policy as the first and as the last of three lanes, next to two
+ * other policies: (lanes, index of @p policy).
+ */
+std::vector<std::pair<std::vector<LaneSpec>, std::size_t>>
+lanePlacements(const std::string &policy)
+{
+    std::vector<std::string> others;
+    for (const char *other : {"LRU", "TRRIP-2", "SRRIP"})
+        if (other != policy && others.size() < 2)
+            others.push_back(other);
+    return {{{{policy}, {others[0]}, {others[1]}}, 0},
+            {{{others[0]}, {others[1]}, {policy}}, 2}};
+}
 
 TEST(Golden, EngineFingerprintsAreBitIdentical)
 {
@@ -84,6 +105,38 @@ TEST(Golden, TraceReplayFingerprintsAreBitIdentical)
             << (c.pgo ? " (pgo)" : " (no-pgo)")
             << ": trace replay behavior changed.  Counter dump:\n"
             << dump;
+    }
+}
+
+TEST(Golden, LanesReproduceProxyFingerprints)
+{
+    for (const GoldenCase &c : goldenCases()) {
+        CoDesignPipeline pipeline(proxyParams(c.workload));
+        for (const auto &[lanes, at] : lanePlacements(c.policy)) {
+            const std::vector<RunArtifacts> arts =
+                pipeline.run(lanes, c.options());
+            ASSERT_EQ(arts.size(), 3u);
+            EXPECT_EQ(goldenFingerprint(arts[at].result), c.expected)
+                << c.workload << " / " << c.policy << " as lane " << at
+                << ": a lane diverged from its solo run.";
+        }
+    }
+}
+
+TEST(Golden, LanesReproduceTraceFingerprints)
+{
+    const std::string dir = "golden_mini_traces";
+    trace::generateMiniTracePack(dir);
+    for (const TraceGoldenCase &c : traceGoldenCases()) {
+        for (const auto &[lanes, at] : lanePlacements(c.policy)) {
+            const std::vector<RunArtifacts> arts = trace::runTrace(
+                trace::miniTracePath(dir, c.trace), lanes, c.options());
+            ASSERT_EQ(arts.size(), 3u);
+            EXPECT_EQ(goldenFingerprint(arts[at].result), c.expected)
+                << "trace " << c.trace << " / " << c.policy
+                << " as lane " << at
+                << ": a lane diverged from its solo replay.";
+        }
     }
 }
 

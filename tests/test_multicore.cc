@@ -348,6 +348,37 @@ TEST(MultiCoreGolden, MultiCoreFingerprintsAreBitIdentical)
     }
 }
 
+TEST(MultiCoreGolden, LanesReproduceMultiCoreFingerprints)
+{
+    // Each pinned bundle as one lane of a three-lane group, first and
+    // last: every lane drives its own shared-SLC fabric from the same
+    // per-core frontends, and must match its solo bundle bit for bit.
+    const std::string dir = "golden_mini_traces";
+    trace::generateMiniTracePack(dir);
+    for (const MultiCoreGoldenCase &c : multiCoreGoldenCases()) {
+        std::vector<std::string> others;
+        for (const char *other : {"LRU", "TRRIP-2", "SRRIP"})
+            if (other != std::string(c.policy) && others.size() < 2)
+                others.push_back(other);
+        const std::pair<std::vector<LaneSpec>, std::size_t>
+            placements[] = {
+                {{{c.policy}, {others[0]}, {others[1]}}, 0},
+                {{{others[0]}, {others[1]}, {c.policy}}, 2},
+            };
+        for (const auto &[lanes, at] : placements) {
+            MultiCoreOptions mo;
+            mo.base = c.options();
+            const std::vector<MultiCoreResult> mc = runMultiCore(
+                resolveBundle(c.workloads, dir), lanes, mo);
+            ASSERT_EQ(mc.size(), 3u);
+            EXPECT_EQ(multiCoreFingerprint(mc[at]), c.expected)
+                << "mc:" << c.workloads << " / " << c.policy
+                << " as lane " << at
+                << ": a lane diverged from its solo bundle.";
+        }
+    }
+}
+
 TEST(MultiCoreGolden, DriverIsDeterministicAcrossRuns)
 {
     MultiCoreOptions mo;
