@@ -65,6 +65,38 @@ struct CacheStats
 };
 
 /**
+ * Call @p f(name, counter...) once per counter of CacheStats, with
+ * that counter of each of @p stats, in the golden fingerprint's fold
+ * order: the eleven scalars, instEvictions, dataEvictions, then
+ * evictionsByTemp.0 to .3.
+ */
+template <typename F, typename... Stats>
+void
+forEachCounter(F &&f, Stats &...stats)
+{
+    f("demandAccesses", stats.demandAccesses...);
+    f("demandMisses", stats.demandMisses...);
+    f("instDemandAccesses", stats.instDemandAccesses...);
+    f("instDemandMisses", stats.instDemandMisses...);
+    f("dataDemandAccesses", stats.dataDemandAccesses...);
+    f("dataDemandMisses", stats.dataDemandMisses...);
+    f("prefetchFills", stats.prefetchFills...);
+    f("fills", stats.fills...);
+    f("evictions", stats.evictions...);
+    f("writebacks", stats.writebacks...);
+    f("invalidations", stats.invalidations...);
+    f("instEvictions", stats.instEvictions...);
+    f("dataEvictions", stats.dataEvictions...);
+    static constexpr const char *kByTemp[] = {
+        "evictionsByTemp.0", "evictionsByTemp.1", "evictionsByTemp.2",
+        "evictionsByTemp.3"};
+    static_assert(std::size(kByTemp) ==
+                  std::tuple_size_v<decltype(CacheStats::evictionsByTemp)>);
+    for (std::size_t t = 0; t < std::size(kByTemp); ++t)
+        f(kByTemp[t], stats.evictionsByTemp[t]...);
+}
+
+/**
  * One cache level.  The cache is functional: it tracks contents and
  * the policy tracks replacement state; the hierarchy layer adds
  * timing.

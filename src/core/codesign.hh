@@ -14,7 +14,7 @@
 #include <string>
 
 #include "core/policy_registry.hh"
-#include "sim/simulator.hh"
+#include "sim/multicore.hh"
 #include "workloads/builder.hh"
 
 namespace trrip {
@@ -42,7 +42,7 @@ class CoDesignPipeline
      * policies under test ("SRRIP", "TRRIP-2(bits=3)", ...) and their
      * observers; the other levels follow the per-level specs already
      * in options.hier.  One prepare step and one event stream serve
-     * every lane (see runWorkload()).  The training profile is
+     * every lane (a one-core runBundle()).  The training profile is
      * options.precomputedProfile when set (e.g. from
      * exp::ProfileCache), else this pipeline's own cached one.
      */
@@ -50,11 +50,17 @@ class CoDesignPipeline
     run(const std::vector<LaneSpec> &lanes,
         const SimOptions &options) const
     {
-        SimOptions opts = options;
-        if (!opts.precomputedProfile)
-            opts.precomputedProfile =
-                profile(resolveProfileBudget(opts));
-        return runWorkload(workload_, lanes, opts);
+        MultiCoreOptions mo;
+        mo.base = options;
+        const CoreInput core{
+            .workload = &workload_,
+            .profile = options.precomputedProfile
+                           ? options.precomputedProfile
+                           : profile(resolveProfileBudget(options))};
+        std::vector<RunArtifacts> out;
+        for (MultiCoreResult &lane : runBundle({core}, lanes, mo))
+            out.push_back(std::move(lane.cores.front()));
+        return out;
     }
 
     /** The one-lane form: @p policy_spec with options' observers. */

@@ -105,6 +105,21 @@ ExperimentRunner::ensurePool()
     return *pool_;
 }
 
+namespace {
+
+/**
+ * The per-core labels of workload-axis label @p label: the elements
+ * of an `mc:` label, else the label itself.
+ */
+std::vector<std::string>
+coreLabels(const std::string &label)
+{
+    return isMultiCoreName(label) ? multiCoreWorkloadsOf(label)
+                                  : std::vector<std::string>{label};
+}
+
+} // namespace
+
 namespace detail {
 
 /**
@@ -130,15 +145,18 @@ struct RunState
     std::vector<ResultSink *> sinks;
 
     /**
-     * Per-workload pipelines, built exactly once on whichever worker
-     * touches a workload first (a dedicated build batch races the
-     * cells; std::call_once de-duplicates).  The pipeline object is
-     * carved from the building worker's arena and destroyed when the
-     * run's last batch completes -- before the batch retires, which
-     * is what keeps WorkerPool::resetArenasIfIdle() sound.
+     * The grid's distinct proxy labels (bundle cores included), in
+     * order of first appearance, and their workloads: each built
+     * exactly once on whichever worker needs it first (a dedicated
+     * build batch races the cells; std::call_once de-duplicates).  A
+     * workload is carved from the building worker's arena and
+     * destroyed when the run's last batch completes -- before the
+     * batch retires, which is what keeps
+     * WorkerPool::resetArenasIfIdle() sound.
      */
+    std::vector<std::string> proxies;
     std::unique_ptr<std::once_flag[]> buildOnce;
-    std::vector<Arena::UniquePtr<CoDesignPipeline>> pipelines;
+    std::vector<Arena::UniquePtr<SyntheticWorkload>> workloads;
 
     ProfileCache *profiles = nullptr;
     bool reuseProfiles = true;
@@ -173,34 +191,27 @@ struct RunState
     std::shared_ptr<WorkerPool::Batch> buildBatch;
     std::shared_ptr<WorkerPool::Batch> cellBatch;
 
-    void
-    ensurePipeline(std::size_t workload, WorkerContext &wc)
+    /** Proxy @p proxy's workload, built on first use. */
+    const SyntheticWorkload &
+    ensureWorkload(std::size_t proxy, WorkerContext &wc)
     {
-        // Trace workloads have no synthesis pipeline; their shared
-        // state (the TraceIndex) lives in the ProfileCache instead.
-        // Multi-core bundles build their per-core workloads inside
-        // runMultiCore (profiles still shared through the cache).
-        if (trace::isTraceName(spec.workloads[workload]) ||
-            isMultiCoreName(spec.workloads[workload])) {
-            return;
-        }
-        std::call_once(buildOnce[workload], [&] {
+        std::call_once(buildOnce[proxy], [&] {
             // The build injection site.  A throw leaves the once
             // flag unset, so the next cell needing this workload
             // (or this cell's next attempt) rebuilds.
             FaultInjector::instance().maybeInject(FaultSite::Build);
             try {
-                pipelines[workload] =
-                    wc.arena->makeUnique<CoDesignPipeline>(
-                        paramsFor(spec.workloads[workload]));
+                workloads[proxy] =
+                    wc.arena->makeUnique<SyntheticWorkload>(
+                        buildWorkload(paramsFor(proxies[proxy])));
             } catch (const SimError &) {
                 throw;
             } catch (const std::exception &e) {
                 throw SimError(ErrorCategory::BuildFailure, e.what())
-                    .withContext("building pipeline for workload " +
-                                 spec.workloads[workload]);
+                    .withContext("building workload " + proxies[proxy]);
             }
         });
+        return *workloads[proxy];
     }
 
     /** Called as each batch completes; the last one finalizes. */
@@ -209,7 +220,7 @@ struct RunState
     {
         if (phasesRemaining.fetch_sub(1) != 1)
             return;
-        pipelines.clear();
+        workloads.clear();
         wallSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
@@ -221,37 +232,38 @@ struct RunState
         hitsDelta = profiles->hits() - hitsBefore;
     }
 
-    /** A record's outcome: its artifacts and default metrics. */
+    /**
+     * A lane's outcome.  A single row stores its core's own result;
+     * an `mc:` row stores the bundle aggregate plus per-core and
+     * shared-DRAM metrics.  Either keeps core 0's software artifacts
+     * (layout, profile, resolved policies).
+     */
     void
-    store(std::size_t index, RunArtifacts &&artifacts)
+    store(std::size_t index, MultiCoreResult &&lane)
     {
         CellRecord &rec = records[index];
-        rec.artifacts = std::move(artifacts);
-        rec.metrics = defaultMetrics(rec.artifacts.result);
-    }
-
-    /** A bundle lane's outcome: aggregate plus per-core metrics. */
-    void
-    store(std::size_t index, MultiCoreResult &&mc)
-    {
-        CellRecord &rec = records[index];
-        const SimResult agg = aggregateMultiCore(mc);
-        rec.metrics = defaultMetrics(agg);
-        for (std::size_t core = 0; core < mc.cores.size(); ++core) {
-            const std::string prefix =
-                "core" + std::to_string(core) + "_";
-            for (const auto &[key, value] :
-                 defaultMetrics(mc.cores[core].result)) {
-                rec.metrics[prefix + key] = value;
+        RunArtifacts &core0 = lane.cores[0];
+        if (!isMultiCoreName(rec.workload)) {
+            rec.metrics = defaultMetrics(core0.result);
+        } else {
+            const SimResult agg = aggregateMultiCore(lane);
+            rec.metrics = defaultMetrics(agg);
+            for (std::size_t core = 0; core < lane.cores.size();
+                 ++core) {
+                const std::string prefix =
+                    "core" + std::to_string(core) + "_";
+                for (const auto &[key, value] :
+                     defaultMetrics(lane.cores[core].result)) {
+                    rec.metrics[prefix + key] = value;
+                }
             }
+            rec.metrics["dram_reads"] =
+                static_cast<double>(lane.dramReads);
+            rec.metrics["dram_writes"] =
+                static_cast<double>(lane.dramWrites);
+            core0.result = agg;
         }
-        rec.metrics["dram_reads"] = static_cast<double>(mc.dramReads);
-        rec.metrics["dram_writes"] =
-            static_cast<double>(mc.dramWrites);
-        // The record keeps core 0's software artifacts (layout,
-        // profile, resolved policies) with the aggregate result.
-        rec.artifacts = std::move(mc.cores[0]);
-        rec.artifacts.result = agg;
+        rec.artifacts = std::move(core0);
     }
 
     /** The options every lane of @p row shares. */
@@ -295,85 +307,66 @@ struct RunState
     }
 
     /**
+     * The cores of workload-axis label @p label, in core order: one
+     * per element of an `mc:` label, else the label itself.  Proxy
+     * cores run the grid's once-built workloads; training profiles
+     * and trace indexes come from the shared cache.
+     */
+    std::vector<CoreInput>
+    coresOf(const std::string &label, const SimOptions &options,
+            WorkerContext &wc)
+    {
+        const InstCount budget = resolveProfileBudget(options);
+        std::vector<CoreInput> cores;
+        for (const std::string &core : coreLabels(label)) {
+            CoreInput &in = cores.emplace_back();
+            if (trace::isTraceName(core)) {
+                in.tracePath = trace::tracePathOf(core);
+                if (reuseProfiles)
+                    in.traceIndex = profiles->traceIndex(in.tracePath);
+                continue;
+            }
+            in.workload = &ensureWorkload(
+                std::ranges::find(proxies, core) - proxies.begin(), wc);
+            // Without reuse every row repeats its instrumented run
+            // (the no-cache worst case).
+            in.profile = reuseProfiles
+                             ? profiles->get(*in.workload, budget)
+                             : std::make_shared<const Profile>(
+                                   collectProfile(*in.workload, budget));
+        }
+        return cores;
+    }
+
+    /**
      * Run the cells @p lanes of one row (same workload and config, in
-     * policy order) as policy lanes of one engine: the build, the
-     * profile, the prepare step and the event stream are shared, and
-     * each lane's result is bit-identical to its solo run.
+     * policy order) as the policy lanes of one engine: the builds, the
+     * profiles, the prepare steps and the event streams are shared,
+     * and each lane's result is bit-identical to its solo run.
      */
     void
     runLanes(const std::vector<std::size_t> &lanes, WorkerContext &wc)
     {
         const CellId row = records[lanes.front()].id;
-        const std::string &workload = spec.workloads[row.workload];
-        SimOptions options = rowOptions(row, wc);
+        MultiCoreOptions mo;
+        mo.base = rowOptions(row, wc);
 
         // A lane takes only the observers from its hooked options
         // (the ExperimentSpec::hooks contract).
         std::vector<LaneSpec> specs;
         for (std::size_t index : lanes) {
             CellRecord &rec = records[index];
-            SimOptions hooked = options;
+            SimOptions hooked = mo.base;
             if (spec.hooks)
                 rec.hook = spec.hooks(hooked, rec.id);
             specs.push_back(
                 {PolicySpec(rec.policy), hooked.reuse, hooked.costly});
         }
 
-        if (isMultiCoreName(workload)) {
-            // mc:a+b+... rows run one shared-SLC fabric per lane;
-            // training profiles and trace indexes are shared through
-            // the same cache as single-core rows.
-            MultiCoreOptions mo;
-            mo.base = options;
-            mo.paramsFor = paramsFor;
-            if (reuseProfiles) {
-                ProfileCache *cache = profiles;
-                mo.profileProvider =
-                    [cache](const SyntheticWorkload &w,
-                            InstCount budget) {
-                        return cache->get(w, budget);
-                    };
-                mo.traceIndexProvider =
-                    [cache](const std::string &path) {
-                        return cache->traceIndex(path);
-                    };
-            }
-            std::vector<MultiCoreResult> mc = runMultiCore(
-                multiCoreWorkloadsOf(workload), specs, mo);
-            for (std::size_t k = 0; k < lanes.size(); ++k)
-                store(lanes[k], std::move(mc[k]));
-            return;
-        }
-
-        std::vector<RunArtifacts> arts;
-        if (trace::isTraceName(workload)) {
-            // trace:<path> rows replay the file instead of running a
-            // proxy; the policy-independent pre-pass index is shared
-            // across the grid exactly like a training profile.
-            const std::string path = trace::tracePathOf(workload);
-            std::shared_ptr<const trace::TraceIndex> index;
-            if (reuseProfiles)
-                index = profiles->traceIndex(path);
-            arts = trace::runTrace(path, specs, options,
-                                   std::move(index));
-        } else {
-            ensurePipeline(row.workload, wc);
-            const CoDesignPipeline &pipeline = *pipelines[row.workload];
-            if (!options.precomputedProfile) {
-                const InstCount budget = resolveProfileBudget(options);
-                // Without reuse every row repeats its instrumented
-                // run (the no-cache worst case).
-                options.precomputedProfile =
-                    reuseProfiles
-                        ? profiles->get(pipeline.workload(), budget)
-                        : std::make_shared<const Profile>(
-                              collectProfile(pipeline.workload(),
-                                             budget));
-            }
-            arts = pipeline.run(specs, options);
-        }
+        std::vector<MultiCoreResult> out = runBundle(
+            coresOf(spec.workloads[row.workload], mo.base, wc), specs, mo);
         for (std::size_t k = 0; k < lanes.size(); ++k)
-            store(lanes[k], std::move(arts[k]));
+            store(lanes[k], std::move(out[k]));
     }
 
     JournalEntry
@@ -661,12 +654,21 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         }
     }
 
-    // Custom-executor specs get no pipelines: their workload axis is
-    // free-form labels, not proxy names.
-    const std::size_t n_builds =
-        spec.runCell ? 0 : spec.workloads.size();
+    // The proxies to build, bundle cores included.  Custom-executor
+    // specs build nothing: their workload axis is free-form labels,
+    // not proxy names.
+    for (const std::string &label : spec.workloads) {
+        for (const std::string &core : coreLabels(label)) {
+            if (!spec.runCell && !trace::isTraceName(core) &&
+                std::ranges::find(state->proxies, core) ==
+                    state->proxies.end()) {
+                state->proxies.push_back(core);
+            }
+        }
+    }
+    const std::size_t n_builds = state->proxies.size();
     state->buildOnce = std::make_unique<std::once_flag[]>(n_builds);
-    state->pipelines.resize(n_builds);
+    state->workloads.resize(n_builds);
 
     state->threadsUsed = static_cast<unsigned>(std::min<std::size_t>(
         threads_, std::max<std::size_t>(1, state->groups.size())));
@@ -679,15 +681,15 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     state->phasesRemaining.store(n_builds > 0 ? 2 : 1);
 
     // Both phases ride the persistent pool.  The build batch is
-    // submitted first so idle workers pre-build pipelines in
+    // submitted first so idle workers pre-build workloads in
     // parallel, but cells do not wait for it: a cell arriving ahead
-    // of the builder constructs its own workload's pipeline through
-    // the same once-flag.
+    // of the build batch builds its own workloads through the same
+    // once-flags.
     if (n_builds > 0) {
         state->buildBatch = pool.submit(
             n_builds,
-            [state](std::size_t w, WorkerContext &wc) {
-                state->ensurePipeline(w, wc);
+            [state](std::size_t proxy, WorkerContext &wc) {
+                state->ensureWorkload(proxy, wc);
             },
             state->threadsUsed,
             [state] { state->finishPhase(); });

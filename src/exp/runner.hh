@@ -2,21 +2,23 @@
  * @file
  * Parallel experiment execution.
  *
- * The runner expands an ExperimentSpec into cells, builds each
- * workload's CoDesignPipeline exactly once, resolves each row's
- * training profile through a shared ProfileCache, and executes the
- * grid on a persistent work-stealing WorkerPool that is reused
- * across run() calls (no thread is spawned or joined per run).  One
- * pool item is one row -- the live cells sharing a workload and a
- * config -- run as the policy lanes of one engine, so the event
- * stream, MMU and branch unit are simulated once per row (custom-
- * runCell specs keep one cell per item).  A grid with fewer rows
- * than workers therefore runs fewer items in parallel.  submit()
- * enqueues a grid without blocking, so several specs can be in
- * flight at once with row-granularity stealing across them.  Results
- * are stored by deterministic cell index and fed to the sinks in
- * that order, so the output is bit-identical regardless of thread
- * count or scheduling.
+ * The runner expands an ExperimentSpec into cells, builds each proxy
+ * workload (bundle cores included) exactly once, resolves training
+ * profiles and trace indexes through a shared ProfileCache, and
+ * executes the grid on a persistent work-stealing WorkerPool that is
+ * reused across run() calls (no thread is spawned or joined per
+ * run).  One pool item is one row -- the live cells sharing a
+ * workload and a config -- run as the policy lanes of one engine:
+ * every row, whether a proxy, a `trace:` or an `mc:` bundle, is a
+ * list of cores driven by runBundle() (sim/multicore.hh), so each
+ * core's event stream, MMU and branch unit are simulated once per row
+ * (custom-runCell specs keep one cell per item).  A grid with fewer
+ * rows than workers therefore runs fewer items in parallel.  submit()
+ * enqueues a grid without blocking, so several specs can be in flight
+ * at once with row-granularity stealing across them.  Results are
+ * stored by deterministic cell index and fed to the sinks in that
+ * order, so the output is bit-identical regardless of thread count or
+ * scheduling.
  *
  * Failure semantics (see exp/spec.hh): a cell that throws SimError is
  * a contained outcome, not a crash.  The runner retries or skips it
@@ -135,7 +137,7 @@ class PendingRun
      */
     ExperimentResults wait();
 
-    /** Whether every cell (and pipeline build) has finished. */
+    /** Whether every cell (and workload build) has finished. */
     bool done() const;
 
     bool valid() const { return state_ != nullptr; }
@@ -152,7 +154,7 @@ class PendingRun
 /**
  * Executor for experiment grids on a persistent worker pool.  The
  * pool (threads() workers) is created on first use and reused by
- * every subsequent submit()/run(); pipeline builds and cells both
+ * every subsequent submit()/run(); workload builds and cells both
  * ride it.
  */
 class ExperimentRunner

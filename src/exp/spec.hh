@@ -85,9 +85,6 @@ struct CellContext
     std::string policy;
     std::string config;
     SimOptions options;     //!< Base options + config variant applied.
-    /** The shared per-workload pipeline (null when the spec declares
-     *  no workloads and a custom runCell synthesizes its own cells). */
-    const CoDesignPipeline *pipeline = nullptr;
     ProfileCache *profiles = nullptr;
     /** Stable id of the pool worker executing this cell. */
     unsigned worker = 0;

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "sim/multicore.hh"
+
 namespace trrip {
 
 namespace {
@@ -31,32 +33,24 @@ void
 foldCache(std::uint64_t &h, std::ostringstream &dump, const char *level,
           const CacheStats &s)
 {
-    const auto tag = [&](const char *field) {
-        return std::string(level) + "." + field;
-    };
-    fold(h, dump, tag("demandAccesses").c_str(), s.demandAccesses);
-    fold(h, dump, tag("demandMisses").c_str(), s.demandMisses);
-    fold(h, dump, tag("instDemandAccesses").c_str(),
-         s.instDemandAccesses);
-    fold(h, dump, tag("instDemandMisses").c_str(), s.instDemandMisses);
-    fold(h, dump, tag("dataDemandAccesses").c_str(),
-         s.dataDemandAccesses);
-    fold(h, dump, tag("dataDemandMisses").c_str(), s.dataDemandMisses);
-    fold(h, dump, tag("prefetchFills").c_str(), s.prefetchFills);
-    fold(h, dump, tag("fills").c_str(), s.fills);
-    fold(h, dump, tag("evictions").c_str(), s.evictions);
-    fold(h, dump, tag("writebacks").c_str(), s.writebacks);
-    fold(h, dump, tag("invalidations").c_str(), s.invalidations);
-    fold(h, dump, tag("instEvictions").c_str(), s.instEvictions);
-    fold(h, dump, tag("dataEvictions").c_str(), s.dataEvictions);
-    for (std::size_t t = 0; t < s.evictionsByTemp.size(); ++t) {
-        fold(h, dump,
-             (tag("evictionsByTemp.") + std::to_string(t)).c_str(),
-             s.evictionsByTemp[t]);
-    }
+    forEachCounter(
+        [&](const char *name, std::uint64_t v) {
+            fold(h, dump, (std::string(level) + "." + name).c_str(), v);
+        },
+        s);
 }
 
 } // namespace
+
+std::uint64_t
+multiCoreFingerprint(const MultiCoreResult &result)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const RunArtifacts &core : result.cores)
+        h = fnv1a(h, goldenFingerprint(core.result));
+    h = fnv1a(h, result.dramReads);
+    return fnv1a(h, result.dramWrites);
+}
 
 std::uint64_t
 goldenFingerprint(const SimResult &r, std::string *dump_out)

@@ -1,9 +1,9 @@
 #include "sim/multicore.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/policy_registry.hh"
-#include "sim/golden.hh"
 #include "trace/source.hh"
 #include "util/logging.hh"
 #include "workloads/builder.hh"
@@ -39,173 +39,172 @@ multiCoreWorkloadsOf(const std::string &name)
     return out;
 }
 
+LaneSpec
+soloLane(SimOptions &options)
+{
+    LaneSpec lane{options.hier.l2Policy, options.reuse, options.costly};
+    options.reuse = nullptr;
+    options.costly = nullptr;
+    return lane;
+}
+
 namespace {
 
 /**
- * Everything one core owns: the software artifacts, the event source
- * feeding it, and the LaneEngine stepping every policy lane over it.
- * Construction mirrors runWorkload()/runTrace() exactly (all share
- * prepareWorkload / prepareTrace and LaneEngine), so a one-core
- * bundle is the single-core pipeline.
+ * Everything one core owns.  Set up in place and never moved: the
+ * event source holds references into the record (an Executor to
+ * art.image) and the CoreModel to the source, MMU and branch unit.
  */
-struct CoreRuntime
+struct Core
 {
     RunArtifacts art;
-    std::unique_ptr<SyntheticWorkload> workload;  //!< Proxy cores only.
     std::unique_ptr<PageTable> pageTable;
-    std::unique_ptr<Executor> exec;
-    std::unique_ptr<trace::TraceEventSource> traceSource;
-    std::unique_ptr<LaneEngine> engine;
+    std::unique_ptr<BBEventSource> source;
+    BackendParams backend;
+    std::optional<Mmu> mmu;
+    std::optional<BranchUnit> branch;
+    std::optional<CoreModel> model;
     InstCount budget = 0;
 };
 
+/**
+ * Steps (2)-(8) of the Fig. 4 flow for @p in, then its event source:
+ * a proxy is prepared from its workload and profile and runs an
+ * Executor with the workload's backend stall model; a trace is
+ * prepared from its index and replays through a TraceEventSource
+ * with no synthetic stall model.
+ */
 void
-sumCacheStats(CacheStats &into, const CacheStats &from)
+setUpCore(Core &core, const CoreInput &in, const SimOptions &options)
 {
-    into.demandAccesses += from.demandAccesses;
-    into.demandMisses += from.demandMisses;
-    into.instDemandAccesses += from.instDemandAccesses;
-    into.instDemandMisses += from.instDemandMisses;
-    into.dataDemandAccesses += from.dataDemandAccesses;
-    into.dataDemandMisses += from.dataDemandMisses;
-    into.prefetchFills += from.prefetchFills;
-    into.fills += from.fills;
-    into.evictions += from.evictions;
-    into.writebacks += from.writebacks;
-    into.invalidations += from.invalidations;
-    for (std::size_t t = 0; t < from.evictionsByTemp.size(); ++t)
-        into.evictionsByTemp[t] += from.evictionsByTemp[t];
-    into.instEvictions += from.instEvictions;
-    into.dataEvictions += from.dataEvictions;
+    if (!in.workload) {
+        trace::TraceRuntime rt =
+            trace::prepareTrace(in.tracePath, options, in.traceIndex);
+        core.art = std::move(rt.art);
+        core.pageTable = std::move(rt.pageTable);
+        core.source =
+            std::make_unique<trace::TraceEventSource>(in.tracePath);
+        return;
+    }
+    const WorkloadParams &params = in.workload->params;
+    SimOptions wopts = options;
+    wopts.precomputedProfile = in.profile;
+    WorkloadRuntime rt = prepareWorkload(*in.workload, wopts);
+    core.art = std::move(rt.art);
+    core.pageTable = std::move(rt.pageTable);
+    ExecOptions exec;
+    exec.seed = params.seed;
+    exec.handlerZipfSkew = params.zipfSkew;
+    core.source =
+        std::make_unique<Executor>(*in.workload, core.art.image, exec);
+    core.backend.dependStallPerInstr = params.dependStallPerInstr;
+    core.backend.issueStallPerInstr = params.issueStallPerInstr;
+    core.backend.otherStallPerInstr = params.otherStallPerInstr;
 }
 
-void
-foldBytes(std::uint64_t &h, std::uint64_t value)
+/** Level label -> describe() of the policy @p hier runs there. */
+std::vector<std::pair<std::string, std::string>>
+resolvedPolicies(const CacheHierarchy &hier)
 {
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (value >> (i * 8)) & 0xffu;
-        h *= 0x100000001b3ull;
-    }
+    return {
+        {"L1I", hier.l1i().policy().describe()},
+        {"L1D", hier.l1d().policy().describe()},
+        {"L2", hier.l2().policy().describe()},
+        {"SLC", hier.slc().policy().describe()},
+    };
 }
 
 } // namespace
 
 std::vector<MultiCoreResult>
-runMultiCore(const std::vector<std::string> &core_workloads,
-             const std::vector<LaneSpec> &lanes,
-             const MultiCoreOptions &options)
+runBundle(const std::vector<CoreInput> &inputs,
+          const std::vector<LaneSpec> &lanes,
+          const MultiCoreOptions &options)
 {
-    const unsigned n = static_cast<unsigned>(core_workloads.size());
-    panic_if(n == 0, "runMultiCore: no core workloads");
-    panic_if(options.quantum == 0, "runMultiCore: zero quantum");
+    const auto n = static_cast<unsigned>(inputs.size());
+    panic_if(n == 0, "runBundle: no cores");
+    panic_if(options.quantum == 0, "runBundle: zero quantum");
     panic_if(!options.coreBudgets.empty() &&
-                 options.coreBudgets.size() != core_workloads.size(),
-             "runMultiCore: ", options.coreBudgets.size(),
-             " budgets for ", n, " cores");
+                 options.coreBudgets.size() != inputs.size(),
+             "runBundle: ", options.coreBudgets.size(), " budgets for ",
+             n, " cores");
     const SimOptions &opts = options.base;
+    // Observers ride the lanes: one shared by every lane would
+    // aggregate several policies' streams.
+    panic_if(opts.reuse || opts.costly,
+             "runs take observers per lane (LaneSpec), not from the "
+             "shared options");
 
-    // One shared fabric per lane.  One core bypasses
-    // MultiCoreHierarchy: the engine owns a plain single-core
-    // CacheHierarchy per lane, so N=1 is bit-identical to
-    // runWorkload()/runTrace() (the inclusive shared-SLC protocol and
-    // owner masks never even construct).
+    // Every core is prepared before any hierarchy exists, so the
+    // prepare steps' temporaries never pile onto the lanes'
+    // hierarchies (peak memory).  The hierarchies are declared first
+    // all the same: they outlive the cores' models that reference
+    // them.
+    std::vector<std::unique_ptr<CacheHierarchy>> solo;
     std::vector<std::unique_ptr<MultiCoreHierarchy>> fabrics;
-    if (n > 1) {
-        for (const LaneSpec &lane : lanes) {
-            MultiCoreParams mp;
-            mp.hier = opts.hier;
-            mp.hier.l2Policy = lane.l2Policy;
-            mp.numCores = n;
-            mp.naiveBackInvalidate = options.naiveBackInvalidate;
-            fabrics.push_back(std::make_unique<MultiCoreHierarchy>(mp));
-        }
+    std::vector<Core> cores(n);
+    for (unsigned c = 0; c < n; ++c) {
+        setUpCore(cores[c], inputs[c], opts);
+        cores[c].budget =
+            options.coreBudgets.empty() ? 0 : options.coreBudgets[c];
+        if (cores[c].budget == 0)
+            cores[c].budget = resolveBudget(opts);
     }
 
-    std::vector<CoreRuntime> cores(n);
+    // One hierarchy set per lane.  One core bypasses
+    // MultiCoreHierarchy: its inclusive shared-SLC protocol and owner
+    // masks are not the single-core exclusive SLC.
+    for (const LaneSpec &lane : lanes) {
+        HierarchyParams hier = opts.hier;
+        hier.l2Policy = lane.l2Policy;
+        if (n == 1) {
+            solo.push_back(std::make_unique<CacheHierarchy>(hier));
+            continue;
+        }
+        MultiCoreParams mp;
+        mp.hier = hier;
+        mp.numCores = n;
+        mp.naiveBackInvalidate = options.naiveBackInvalidate;
+        fabrics.push_back(std::make_unique<MultiCoreHierarchy>(mp));
+    }
+    const auto stack = [&](std::size_t lane,
+                           unsigned c) -> CacheHierarchy & {
+        return n == 1 ? *solo[lane] : fabrics[lane]->core(c);
+    };
+
     for (unsigned c = 0; c < n; ++c) {
-        CoreRuntime &rt = cores[c];
-        const std::string &label = core_workloads[c];
-        rt.budget = options.coreBudgets.empty()
-                        ? resolveBudget(opts)
-                        : options.coreBudgets[c];
-        if (rt.budget == 0)
-            rt.budget = resolveBudget(opts);
-
-        BackendParams backend;
-        BBEventSource *source = nullptr;
-        if (trace::isTraceName(label)) {
-            const std::string path = trace::tracePathOf(label);
-            std::shared_ptr<const trace::TraceIndex> index;
-            if (options.traceIndexProvider)
-                index = options.traceIndexProvider(path);
-            trace::TraceRuntime trt =
-                trace::prepareTrace(path, opts, std::move(index));
-            rt.art = std::move(trt.art);
-            rt.pageTable = std::move(trt.pageTable);
-            rt.traceSource =
-                std::make_unique<trace::TraceEventSource>(path);
-            source = rt.traceSource.get();
-            // Traces carry no synthetic stall model (runTrace()).
-        } else {
-            const WorkloadParams params = options.paramsFor
-                                              ? options.paramsFor(label)
-                                              : proxyParams(label);
-            rt.workload = std::make_unique<SyntheticWorkload>(
-                buildWorkload(params));
-            SimOptions wopts = opts;
-            if (options.profileProvider) {
-                wopts.precomputedProfile = options.profileProvider(
-                    *rt.workload, resolveProfileBudget(wopts));
-            }
-            WorkloadRuntime wrt = prepareWorkload(*rt.workload, wopts);
-            rt.art = std::move(wrt.art);
-            rt.pageTable = std::move(wrt.pageTable);
-
-            ExecOptions exec_opts;
-            exec_opts.seed = rt.workload->params.seed;
-            exec_opts.handlerZipfSkew = rt.workload->params.zipfSkew;
-            rt.exec = std::make_unique<Executor>(
-                *rt.workload, rt.art.image, exec_opts);
-            source = rt.exec.get();
-
-            backend.dependStallPerInstr =
-                rt.workload->params.dependStallPerInstr;
-            backend.issueStallPerInstr =
-                rt.workload->params.issueStallPerInstr;
-            backend.otherStallPerInstr =
-                rt.workload->params.otherStallPerInstr;
+        Core &core = cores[c];
+        std::vector<CacheHierarchy *> hiers;
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            hiers.push_back(&stack(k, c));
+            if (lanes[k].reuse)
+                hiers[k]->setL2Observer(lanes[k].reuse);
         }
-
-        if (fabrics.empty()) {
-            rt.engine = std::make_unique<LaneEngine>(
-                *source, *rt.pageTable, lanes, opts, backend);
-        } else {
-            std::vector<CacheHierarchy *> stacks;
-            for (const auto &fabric : fabrics)
-                stacks.push_back(&fabric->core(c));
-            rt.engine = std::make_unique<LaneEngine>(
-                *source, *rt.pageTable, stacks, lanes, opts, backend);
-        }
+        core.mmu.emplace(*core.pageTable);
+        core.branch.emplace(opts.branch);
+        core.model.emplace(*core.source, hiers, *core.mmu, *core.branch,
+                           opts.core, core.backend);
+        for (std::size_t k = 0; k < lanes.size(); ++k)
+            core.model->setCostlyTracker(lanes[k].costly, k);
+        core.model->setCancelToken(opts.cancel);
     }
 
     // Deterministic round-robin: each rotation advances every
     // unfinished core by one quantum in core-id order.  A finished
     // core drops out; the others keep rotating (per-core budgets are
     // independent).  Each step runs all of the core's lanes, and a
-    // lane only touches its own fabric, so every fabric sees exactly
-    // the traffic order of a solo run.
-    while (true) {
-        bool all_done = true;
-        for (CoreRuntime &rt : cores) {
-            CoreModel &core = rt.engine->core();
-            if (core.retired() >= rt.budget)
+    // lane only touches its own hierarchies, so every lane sees
+    // exactly the traffic order of a solo run.
+    for (bool stepped = true; stepped;) {
+        stepped = false;
+        for (Core &core : cores) {
+            const InstCount retired = core.model->retired();
+            if (retired >= core.budget)
                 continue;
-            all_done = false;
-            core.step(std::min<InstCount>(
-                rt.budget, core.retired() + options.quantum));
+            stepped = true;
+            core.model->step(std::min<InstCount>(
+                core.budget, retired + options.quantum));
         }
-        if (all_done)
-            break;
     }
 
     // Finalize only after ALL stepping: every core's result.slc is
@@ -215,23 +214,50 @@ runMultiCore(const std::vector<std::string> &core_workloads,
     for (std::size_t k = 0; k < lanes.size(); ++k) {
         MultiCoreResult &result = results[k];
         result.cores.reserve(n);
-        for (const CoreRuntime &rt : cores) {
-            RunArtifacts art = rt.art;
-            rt.engine->finish(k, art);
-            result.cores.push_back(std::move(art));
+        for (unsigned c = 0; c < n; ++c) {
+            RunArtifacts &art =
+                result.cores.emplace_back(cores[c].art);
+            art.result = cores[c].model->finalize(k);
+            art.resolvedPolicies = resolvedPolicies(stack(k, c));
         }
-        if (!fabrics.empty()) {
-            result.slc = fabrics[k]->slc().stats();
-            result.dramReads = fabrics[k]->dram().reads();
-            result.dramWrites = fabrics[k]->dram().writes();
-        } else {
-            const CacheHierarchy &solo = cores[0].engine->hierarchy(k);
-            result.slc = solo.slc().stats();
-            result.dramReads = solo.dram().reads();
-            result.dramWrites = solo.dram().writes();
-        }
+        const Cache &slc =
+            n == 1 ? solo[k]->slc() : fabrics[k]->slc();
+        const Dram &dram =
+            n == 1 ? solo[k]->dram() : fabrics[k]->dram();
+        result.slc = slc.stats();
+        result.dramReads = dram.reads();
+        result.dramWrites = dram.writes();
     }
     return results;
+}
+
+std::vector<MultiCoreResult>
+runMultiCore(const std::vector<std::string> &core_workloads,
+             const std::vector<LaneSpec> &lanes,
+             const MultiCoreOptions &options)
+{
+    // The built workloads outlive the run: executors reference them.
+    std::vector<std::unique_ptr<SyntheticWorkload>> built;
+    std::vector<CoreInput> cores;
+    for (const std::string &label : core_workloads) {
+        CoreInput &core = cores.emplace_back();
+        if (trace::isTraceName(label)) {
+            core.tracePath = trace::tracePathOf(label);
+            if (options.traceIndexProvider)
+                core.traceIndex =
+                    options.traceIndexProvider(core.tracePath);
+            continue;
+        }
+        built.push_back(std::make_unique<SyntheticWorkload>(
+            buildWorkload(options.paramsFor ? options.paramsFor(label)
+                                            : proxyParams(label))));
+        core.workload = built.back().get();
+        if (options.profileProvider) {
+            core.profile = options.profileProvider(
+                *core.workload, resolveProfileBudget(options.base));
+        }
+    }
+    return runBundle(cores, lanes, options);
 }
 
 MultiCoreResult
@@ -246,20 +272,14 @@ runMultiCore(const std::vector<std::string> &core_workloads,
         runMultiCore(core_workloads, {lane}, shared).front());
 }
 
-std::uint64_t
-multiCoreFingerprint(const MultiCoreResult &result)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const RunArtifacts &core : result.cores)
-        foldBytes(h, goldenFingerprint(core.result));
-    foldBytes(h, result.dramReads);
-    foldBytes(h, result.dramWrites);
-    return h;
-}
-
 SimResult
 aggregateMultiCore(const MultiCoreResult &result)
 {
+    const auto add = [](CacheStats &into, const CacheStats &from) {
+        forEachCounter([](const char *, std::uint64_t &sum,
+                          std::uint64_t v) { sum += v; },
+                       into, from);
+    };
     SimResult sum;
     for (const RunArtifacts &core : result.cores) {
         const SimResult &r = core.result;
@@ -272,9 +292,9 @@ aggregateMultiCore(const MultiCoreResult &result)
         sum.topdown.issue += r.topdown.issue;
         sum.topdown.mem += r.topdown.mem;
         sum.topdown.other += r.topdown.other;
-        sumCacheStats(sum.l1i, r.l1i);
-        sumCacheStats(sum.l1d, r.l1d);
-        sumCacheStats(sum.l2, r.l2);
+        add(sum.l1i, r.l1i);
+        add(sum.l1d, r.l1d);
+        add(sum.l2, r.l2);
         sum.prefetch.issued += r.prefetch.issued;
         sum.prefetch.covered += r.prefetch.covered;
         sum.prefetch.late += r.prefetch.late;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Multi-core simulation driver: N per-core event streams (proxy
- * executors or trace replays) round-robin-interleaved over one
- * MultiCoreHierarchy, plus the `mc:a+b+...` workload-name scheme the
- * experiment layer resolves.
+ * The one engine loop: every run -- one proxy, one trace, or an
+ * `mc:a+b+...` bundle -- is a list of cores (proxy executors or trace
+ * replays) stepped round-robin over one set of hierarchies per policy
+ * lane, plus the `mc:` workload-name scheme the experiment layer
+ * resolves.
  *
  * Determinism contract: the schedule is a fixed round-robin over core
  * ids in quanta of `quantum` retired instructions, every core's own
@@ -11,10 +12,11 @@
  * finalize(); }` identity, and the only cross-core coupling is the
  * shared SLC content / owner masks and the shared DRAM channel
  * timeline -- all deterministic state.  The same spec therefore
- * produces bit-identical results on any thread of any run, and a
- * one-core multi-core spec is construction-for-construction the
- * single-core pipeline (prepareWorkload / prepareTrace are shared),
- * so its fingerprints match the pinned single-core goldens exactly.
+ * produces bit-identical results on any thread of any run.  One core
+ * runs over a plain single-core CacheHierarchy (no shared-SLC
+ * protocol), so its quanta change nothing and a one-core bundle is
+ * the single-core run: runWorkload(), trace::runTrace() and
+ * CoDesignPipeline::run() are one-core calls of runBundle().
  */
 
 #ifndef TRRIP_SIM_MULTICORE_HH
@@ -43,14 +45,45 @@ bool isMultiCoreName(const std::string &name);
  */
 std::vector<std::string> multiCoreWorkloadsOf(const std::string &name);
 
-/** Options for one multi-core run. */
+/**
+ * One policy lane of a run: the L2 policy under test and the lane's
+ * own optional observers (the per-lane counterparts of
+ * SimOptions::reuse / SimOptions::costly).
+ */
+struct LaneSpec
+{
+    PolicySpec l2Policy;
+    ReuseDistanceProfiler *reuse = nullptr;
+    CostlyMissTracker *costly = nullptr;
+};
+
+/** The one lane @p options describe, and @p options without it. */
+LaneSpec soloLane(SimOptions &options);
+
+/**
+ * What one core runs: a proxy -- a caller-owned workload, which must
+ * outlive the run, plus optionally its training profile -- or a trace
+ * file plus optionally its shared index.
+ */
+struct CoreInput
+{
+    // Every member has an initializer, so designated initializers
+    // may name any subset without -Wmissing-field-initializers.
+    const SyntheticWorkload *workload = nullptr;  //!< Null: a trace.
+    /** Proxy: the training profile; null = collect one. */
+    std::shared_ptr<const Profile> profile{};
+    std::string tracePath{};
+    /** Trace: the pre-pass index; null = build a private one. */
+    std::shared_ptr<const trace::TraceIndex> traceIndex{};
+};
+
+/** Options for one run of a list of cores. */
 struct MultiCoreOptions
 {
     /**
      * Per-core SimOptions template (budget, hierarchy
-     * geometry/policies, classifier, ...).  base.hier seeds
-     * MultiCoreParams::hier; each lane's L2 policy is applied on top,
-     * mirroring runTrace().
+     * geometry/policies, classifier, ...).  Each lane's L2 policy is
+     * applied on top of base.hier.
      */
     SimOptions base;
 
@@ -71,6 +104,8 @@ struct MultiCoreOptions
     /** Forwarded to MultiCoreParams (the differential's reference). */
     bool naiveBackInvalidate = false;
 
+    /** @name Label resolution (runMultiCore() only) */
+    /** @{ */
     /** Workload-name -> parameters; defaults to proxyParams(). */
     std::function<WorkloadParams(const std::string &)> paramsFor;
 
@@ -84,9 +119,10 @@ struct MultiCoreOptions
     /** Optional shared trace-index provider (exp::ProfileCache). */
     std::function<std::shared_ptr<const trace::TraceIndex>(
         const std::string &)> traceIndexProvider;
+    /** @} */
 };
 
-/** Everything one multi-core run produces. */
+/** Everything one lane of a run of a list of cores produces. */
 struct MultiCoreResult
 {
     /** Per-core artifacts, in core order.  Every core's result.slc is
@@ -100,15 +136,26 @@ struct MultiCoreResult
 };
 
 /**
- * Run @p core_workloads (proxy names / `trace:<path>` labels, one per
- * core) once for every lane (every core's L2 policy plus the lane's
- * observers, mirroring CoDesignPipeline::run) under @p options.  Each
- * core is built once -- workload, profile, prepare step, event
- * stream, MMU and branch unit -- and drives one shared-SLC fabric per
- * lane; the result is one bundle result per lane, in lane order.
- * One core bypasses MultiCoreHierarchy entirely -- the plain
- * single-core CacheHierarchy runs, so N=1 is bit-identical to
- * runWorkload()/runTrace().
+ * Run @p cores under every lane.  Every core is set up once --
+ * prepare step, event source, MMU, branch unit and one CoreModel
+ * over one hierarchy per lane -- then the cores are stepped
+ * round-robin to their budgets and finalized; the result is one
+ * MultiCoreResult per lane, in lane order, each bit-identical to
+ * running its lane alone.  One core runs over a plain
+ * CacheHierarchy per lane (the single-core exclusive SLC); N > 1
+ * cores share one MultiCoreHierarchy per lane (an inclusive SLC with
+ * owner masks).  Observers come from the lanes, so
+ * options.base.reuse / costly must be null.
+ */
+std::vector<MultiCoreResult>
+runBundle(const std::vector<CoreInput> &cores,
+          const std::vector<LaneSpec> &lanes,
+          const MultiCoreOptions &options);
+
+/**
+ * runBundle() over @p core_workloads (proxy names / `trace:<path>`
+ * labels, one per core): proxies are built with options.paramsFor,
+ * profiles and trace indexes come from the providers.
  */
 std::vector<MultiCoreResult>
 runMultiCore(const std::vector<std::string> &core_workloads,

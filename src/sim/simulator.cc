@@ -1,8 +1,10 @@
 #include "sim/simulator.hh"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
-#include "util/logging.hh"
+#include "sim/multicore.hh"
 
 namespace trrip {
 
@@ -10,9 +12,14 @@ InstCount
 defaultInstrBudget()
 {
     if (const char *env = std::getenv("TRRIP_INSTR_MILLIONS")) {
-        const double millions = std::atof(env);
-        if (millions > 0.0)
-            return static_cast<InstCount>(millions * 1e6);
+        const double instrs = std::atof(env) * 1e6;
+        // Not finite, or no count in [1, max InstCount]: the default.
+        // 2^64 itself is the first double the cast cannot represent.
+        if (std::isfinite(instrs) && instrs >= 1.0 &&
+            instrs < static_cast<double>(
+                         std::numeric_limits<InstCount>::max())) {
+            return static_cast<InstCount>(instrs);
+        }
     }
     return 6'000'000;
 }
@@ -108,140 +115,15 @@ prepareWorkload(const SyntheticWorkload &workload,
     return rt;
 }
 
-std::vector<std::pair<std::string, std::string>>
-resolvedPolicies(const CacheHierarchy &hier)
-{
-    return {
-        {"L1I", hier.l1i().policy().describe()},
-        {"L1D", hier.l1d().policy().describe()},
-        {"L2", hier.l2().policy().describe()},
-        {"SLC", hier.slc().policy().describe()},
-    };
-}
-
-namespace {
-
-/** One CacheHierarchy per lane: @p hier with the lane's L2 policy. */
-std::vector<std::unique_ptr<CacheHierarchy>>
-laneHierarchies(const std::vector<LaneSpec> &lanes,
-                const HierarchyParams &hier)
-{
-    std::vector<std::unique_ptr<CacheHierarchy>> out;
-    for (const LaneSpec &lane : lanes) {
-        HierarchyParams params = hier;
-        params.l2Policy = lane.l2Policy;
-        out.push_back(std::make_unique<CacheHierarchy>(params));
-    }
-    return out;
-}
-
-std::vector<CacheHierarchy *>
-pointersTo(const std::vector<std::unique_ptr<CacheHierarchy>> &owned)
-{
-    std::vector<CacheHierarchy *> out;
-    for (const auto &hier : owned)
-        out.push_back(hier.get());
-    return out;
-}
-
-} // namespace
-
-LaneEngine::LaneEngine(BBEventSource &source, PageTable &page_table,
-                       const std::vector<LaneSpec> &lanes,
-                       const SimOptions &options,
-                       const BackendParams &backend) :
-    owned_(laneHierarchies(lanes, options.hier)),
-    hiers_(pointersTo(owned_)), mmu_(page_table),
-    branch_(options.branch),
-    core_(source, hiers_, mmu_, branch_, options.core, backend)
-{
-    attach(lanes, options);
-}
-
-LaneEngine::LaneEngine(BBEventSource &source, PageTable &page_table,
-                       const std::vector<CacheHierarchy *> &hiers,
-                       const std::vector<LaneSpec> &lanes,
-                       const SimOptions &options,
-                       const BackendParams &backend) :
-    hiers_(hiers), mmu_(page_table), branch_(options.branch),
-    core_(source, hiers_, mmu_, branch_, options.core, backend)
-{
-    attach(lanes, options);
-}
-
-void
-LaneEngine::attach(const std::vector<LaneSpec> &lanes,
-                   const SimOptions &options)
-{
-    panic_if(hiers_.size() != lanes.size(), "LaneEngine: ",
-             hiers_.size(), " hierarchies for ", lanes.size(),
-             " lanes");
-    // Observers ride the lanes: one shared by every lane would
-    // aggregate several policies' streams.
-    panic_if(options.reuse || options.costly,
-             "grouped runs take observers per lane (LaneSpec), not "
-             "from the shared options");
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-        if (lanes[k].reuse)
-            hiers_[k]->setL2Observer(lanes[k].reuse);
-        core_.setCostlyTracker(lanes[k].costly, k);
-    }
-    core_.setCancelToken(options.cancel);
-}
-
-void
-LaneEngine::finish(std::size_t lane, RunArtifacts &art) const
-{
-    art.result = core_.finalize(lane);
-    art.resolvedPolicies = resolvedPolicies(*hiers_[lane]);
-}
-
-std::vector<RunArtifacts>
-LaneEngine::run(const RunArtifacts &shared, InstCount budget)
-{
-    core_.step(budget);
-    std::vector<RunArtifacts> out(hiers_.size(), shared);
-    for (std::size_t k = 0; k < out.size(); ++k)
-        finish(k, out[k]);
-    return out;
-}
-
-LaneSpec
-soloLane(SimOptions &options)
-{
-    LaneSpec lane{options.hier.l2Policy, options.reuse, options.costly};
-    options.reuse = nullptr;
-    options.costly = nullptr;
-    return lane;
-}
-
-std::vector<RunArtifacts>
-runWorkload(const SyntheticWorkload &workload,
-            const std::vector<LaneSpec> &lanes, const SimOptions &options)
-{
-    const WorkloadRuntime rt = prepareWorkload(workload, options);
-
-    // (9)-(11) Execute: MMU stamps temperatures onto fetch requests.
-    ExecOptions exec_opts;
-    exec_opts.seed = workload.params.seed;
-    exec_opts.handlerZipfSkew = workload.params.zipfSkew;
-    Executor exec(workload, rt.art.image, exec_opts);
-
-    BackendParams backend;
-    backend.dependStallPerInstr = workload.params.dependStallPerInstr;
-    backend.issueStallPerInstr = workload.params.issueStallPerInstr;
-    backend.otherStallPerInstr = workload.params.otherStallPerInstr;
-
-    LaneEngine engine(exec, *rt.pageTable, lanes, options, backend);
-    return engine.run(rt.art, resolveBudget(options));
-}
-
 RunArtifacts
 runWorkload(const SyntheticWorkload &workload, const SimOptions &options)
 {
-    SimOptions shared = options;
-    const LaneSpec lane = soloLane(shared);
-    return std::move(runWorkload(workload, {lane}, shared).front());
+    MultiCoreOptions mo;
+    mo.base = options;
+    const LaneSpec lane = soloLane(mo.base);
+    const CoreInput core{.workload = &workload,
+                         .profile = options.precomputedProfile};
+    return std::move(runBundle({core}, {lane}, mo).front().cores.front());
 }
 
 } // namespace trrip

@@ -79,8 +79,10 @@ struct RunArtifacts
 
 /**
  * Default per-run instruction budget: TRRIP_INSTR_MILLIONS million
- * instructions from the environment, else 6 million (the paper runs
- * 400M per benchmark on a cluster; this is the laptop-scale default).
+ * instructions from the environment, else -- or when that is not a
+ * finite count of at least one instruction that fits InstCount -- 6
+ * million (the paper runs 400M per benchmark on a cluster; this is the
+ * laptop-scale default).
  */
 InstCount defaultInstrBudget();
 
@@ -103,12 +105,9 @@ Profile collectProfile(const SyntheticWorkload &workload,
                        InstCount instructions);
 
 /**
- * The software half of a run: artifacts plus the page table they were
- * loaded into -- everything runWorkload() builds before the engine
- * (Mmu/BranchUnit/CacheHierarchy/Executor/CoreModel) exists.  Split
- * out so drivers that own their engine loop (the multi-core
- * round-robin in sim/multicore.hh) share one construction path with
- * the single-core pipeline.
+ * The software half of a proxy run: artifacts plus the page table they
+ * were loaded into -- everything before the engine
+ * (Mmu/BranchUnit/CacheHierarchy/Executor/CoreModel) exists.
  */
 struct WorkloadRuntime
 {
@@ -118,105 +117,18 @@ struct WorkloadRuntime
 
 /**
  * Steps (2)-(8) of the Fig. 4 flow: profile (or adopt the
- * precomputed one), classify, lay out, load.  runWorkload() is
- * exactly prepareWorkload() followed by the engine run.
+ * precomputed one), classify, lay out, load.  runBundle()
+ * (sim/multicore.hh) sets up every proxy core with it.
  */
 WorkloadRuntime prepareWorkload(const SyntheticWorkload &workload,
                                 const SimOptions &options);
 
 /**
- * One policy lane of a grouped run: the L2 policy under test and the
- * lane's own optional observers (the per-lane counterparts of
- * SimOptions::reuse / SimOptions::costly).
- */
-struct LaneSpec
-{
-    PolicySpec l2Policy;
-    ReuseDistanceProfiler *reuse = nullptr;
-    CostlyMissTracker *costly = nullptr;
-};
-
-/**
- * Level label -> describe() of the policy @p hier runs there: the
- * RunArtifacts::resolvedPolicies of a run on @p hier.
- */
-std::vector<std::pair<std::string, std::string>>
-resolvedPolicies(const CacheHierarchy &hier);
-
-/**
- * The engine of one group, built the same way for every entry point:
- * the frontend's MMU and branch unit over a prepared page table, one
- * CacheHierarchy per lane and the CoreModel driving them, with each
- * lane's observers attached and options.cancel wired in.
- */
-class LaneEngine
-{
-  public:
-    /**
-     * Own one CacheHierarchy per lane: options.hier with the lane's
-     * L2 policy.
-     */
-    LaneEngine(BBEventSource &source, PageTable &page_table,
-               const std::vector<LaneSpec> &lanes,
-               const SimOptions &options, const BackendParams &backend);
-
-    /**
-     * Drive caller-owned hierarchies (@p hiers[k] runs lane k): the
-     * per-core stacks of the multi-core bundles.
-     */
-    LaneEngine(BBEventSource &source, PageTable &page_table,
-               const std::vector<CacheHierarchy *> &hiers,
-               const std::vector<LaneSpec> &lanes,
-               const SimOptions &options, const BackendParams &backend);
-
-    CoreModel &core() { return core_; }
-    const CacheHierarchy &hierarchy(std::size_t lane) const
-    { return *hiers_.at(lane); }
-
-    /** Lane @p lane's result and resolved policies, into @p art. */
-    void finish(std::size_t lane, RunArtifacts &art) const;
-
-    /**
-     * Run every lane to @p budget; one copy of the shared software
-     * artifacts @p shared per lane, each finished with its lane.
-     */
-    std::vector<RunArtifacts> run(const RunArtifacts &shared,
-                                  InstCount budget);
-
-  private:
-    /** Attach each lane's observers and the cancel token. */
-    void attach(const std::vector<LaneSpec> &lanes,
-                const SimOptions &options);
-
-    std::vector<std::unique_ptr<CacheHierarchy>> owned_;
-    std::vector<CacheHierarchy *> hiers_;
-    Mmu mmu_;
-    BranchUnit branch_;
-    CoreModel core_;
-};
-
-/**
- * Run the whole pipeline for one workload, once per lane: one
- * prepareWorkload() and one event stream, MMU and branch unit shared
- * by every lane, one result per lane in lane order (each
- * bit-identical to running its policy alone).  The other levels'
- * policies come from the per-level specs in options.hier; observers
- * come from the lanes, so options.reuse / options.costly must be
- * null.
- */
-std::vector<RunArtifacts> runWorkload(const SyntheticWorkload &workload,
-                                      const std::vector<LaneSpec> &lanes,
-                                      const SimOptions &options);
-
-/**
- * The one-lane form: options.hier.l2Policy with options.reuse and
- * options.costly as the lane.
+ * Run the whole pipeline for one workload with options.hier.l2Policy
+ * and options' observers: a one-core runBundle() (sim/multicore.hh).
  */
 RunArtifacts runWorkload(const SyntheticWorkload &workload,
                          const SimOptions &options);
-
-/** The one lane @p options describe, and @p options without it. */
-LaneSpec soloLane(SimOptions &options);
 
 } // namespace trrip
 

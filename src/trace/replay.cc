@@ -4,6 +4,7 @@
 #include <map>
 
 #include "core/policy_registry.hh"
+#include "sim/multicore.hh"
 #include "sw/temperature_classifier.hh"
 #include "util/logging.hh"
 
@@ -208,31 +209,17 @@ prepareTrace(const std::string &path, const SimOptions &options,
     return rt;
 }
 
-std::vector<RunArtifacts>
-runTrace(const std::string &path, const std::vector<LaneSpec> &lanes,
-         const SimOptions &options,
-         std::shared_ptr<const TraceIndex> index)
-{
-    const TraceRuntime rt = prepareTrace(path, options, std::move(index));
-
-    // (9)-(11) Replay through the unchanged core/hierarchy engine.
-    TraceEventSource source(path);
-    // Traces carry no synthetic stall model.
-    LaneEngine engine(source, *rt.pageTable, lanes, options,
-                      BackendParams{});
-    return engine.run(rt.art, resolveBudget(options));
-}
-
 RunArtifacts
 runTrace(const std::string &path, const std::string &policy_spec,
          const SimOptions &options,
          std::shared_ptr<const TraceIndex> index)
 {
-    SimOptions shared = options;
-    shared.hier.l2Policy = PolicySpec(policy_spec);
-    const LaneSpec lane = soloLane(shared);
-    return std::move(
-        runTrace(path, {lane}, shared, std::move(index)).front());
+    MultiCoreOptions mo;
+    mo.base = options;
+    mo.base.hier.l2Policy = PolicySpec(policy_spec);
+    const LaneSpec lane = soloLane(mo.base);
+    const CoreInput core{.tracePath = path, .traceIndex = std::move(index)};
+    return std::move(runBundle({core}, {lane}, mo).front().cores.front());
 }
 
 } // namespace trrip::trace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Trace replay pipeline: the runWorkload() sibling for trace-driven
- * workloads, plus the `trace:<path>` workload-name scheme the
- * experiment layer resolves.
+ * Trace replay pipeline: the prepare step of trace-driven workloads
+ * and the runWorkload() sibling that replays one, plus the
+ * `trace:<path>` workload-name scheme the experiment layer resolves.
  *
  * A TraceIndex is the trace's analogue of (Program, training
  * Profile): one streaming pre-pass over the trace reconstructs every
@@ -13,12 +13,14 @@
  * configuration under test, so exp::ProfileCache shares one index
  * across a whole grid.
  *
- * runTrace() then mirrors the numbered Fig. 4 flow: classify block
- * temperatures from the index profile, stamp PTE attribute bits for
- * every touched code page (sparse-safe: pages are enumerated from the
- * blocks, not from the address-space span), and drive CoreModel from
- * a fresh TraceEventSource -- one reader for every policy lane.  Replay is bit-deterministic: the same
- * file and options produce the identical SimResult on any thread.
+ * prepareTrace() then mirrors the numbered Fig. 4 flow: classify
+ * block temperatures from the index profile and stamp PTE attribute
+ * bits for every touched code page (sparse-safe: pages are enumerated
+ * from the blocks, not from the address-space span).  runBundle()
+ * (sim/multicore.hh) replays a trace core through a fresh
+ * TraceEventSource -- one reader for every policy lane.  Replay is
+ * bit-deterministic: the same file and options produce the identical
+ * SimResult on any thread.
  */
 
 #ifndef TRRIP_TRACE_REPLAY_HH
@@ -81,29 +83,20 @@ struct TraceRuntime
 
 /**
  * Steps (2)-(8) for a trace: adopt or build the index, classify,
- * model the image, stamp PTE bits.  runTrace() is exactly
- * prepareTrace() followed by the engine run; the multi-core driver
- * (sim/multicore.hh) shares this construction path.
+ * model the image, stamp PTE bits.  runBundle() sets up every trace
+ * core with it.
  */
 TraceRuntime prepareTrace(const std::string &path,
                           const SimOptions &options,
                           std::shared_ptr<const TraceIndex> index = {});
 
 /**
- * Replay @p path once for every lane (the L2 policy under test and
- * its observers, like CoDesignPipeline::run): one prepareTrace() and
- * one trace reader, MMU and branch unit shared by every lane, one
- * result per lane in lane order.  @p index may be shared across calls
- * (exp::ProfileCache); pass nullptr to build a private one.
- * SimOptions fields that describe proxy synthesis (layout options,
- * profile budget) are ignored: the trace IS the program.
+ * Replay @p path against @p policy_spec with options' observers: a
+ * one-core runBundle() (sim/multicore.hh).  @p index may be shared
+ * across calls (exp::ProfileCache); pass nullptr to build a private
+ * one.  SimOptions fields that describe proxy synthesis (layout
+ * options, profile budget) are ignored: the trace IS the program.
  */
-std::vector<RunArtifacts>
-runTrace(const std::string &path, const std::vector<LaneSpec> &lanes,
-         const SimOptions &options,
-         std::shared_ptr<const TraceIndex> index = {});
-
-/** The one-lane form: replay @p path against @p policy_spec. */
 RunArtifacts runTrace(const std::string &path,
                       const std::string &policy_spec,
                       const SimOptions &options,

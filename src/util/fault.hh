@@ -50,7 +50,7 @@ namespace trrip {
 enum class FaultSite : std::uint8_t
 {
     TraceRead,  //!< TraceReader chunk load.
-    Build,      //!< Pipeline construction (RunState::ensurePipeline).
+    Build,      //!< Workload construction (RunState::ensureWorkload).
     Cell,       //!< Cell compute entry (runCellGuarded).
     SinkWrite,  //!< Run-journal line append.
     NumSites,

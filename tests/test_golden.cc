@@ -128,11 +128,16 @@ TEST(Golden, LanesReproduceTraceFingerprints)
     const std::string dir = "golden_mini_traces";
     trace::generateMiniTracePack(dir);
     for (const TraceGoldenCase &c : traceGoldenCases()) {
+        const CoreInput core{
+            .tracePath = trace::miniTracePath(dir, c.trace)};
+        MultiCoreOptions mo;
+        mo.base = c.options();
         for (const auto &[lanes, at] : lanePlacements(c.policy)) {
-            const std::vector<RunArtifacts> arts = trace::runTrace(
-                trace::miniTracePath(dir, c.trace), lanes, c.options());
-            ASSERT_EQ(arts.size(), 3u);
-            EXPECT_EQ(goldenFingerprint(arts[at].result), c.expected)
+            const std::vector<MultiCoreResult> out =
+                runBundle({core}, lanes, mo);
+            ASSERT_EQ(out.size(), 3u);
+            EXPECT_EQ(goldenFingerprint(out[at].cores[0].result),
+                      c.expected)
                 << "trace " << c.trace << " / " << c.policy
                 << " as lane " << at
                 << ": a lane diverged from its solo replay.";

@@ -15,7 +15,9 @@
  *  - N>1 pinned fingerprints: 2- and 4-core bundles with mixed
  *    temperature profiles, one bundle mixing a proxy core with a
  *    trace-replay core, plus driver-level determinism and the
- *    masked-vs-naive back-invalidation equivalence end to end.
+ *    masked-vs-naive back-invalidation equivalence end to end;
+ *  - every row kind (proxy, trace, one- and two-core bundles) through
+ *    the experiment runner in one grid.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hh"
 #include "sim/golden.hh"
 #include "sim/multicore.hh"
 #include "trace/generate.hh"
@@ -426,6 +429,57 @@ TEST(MultiCoreGolden, PerCoreBudgetsRunIndependently)
     EXPECT_GE(mc.cores[0].result.instructions, 5'000u);
     EXPECT_LT(mc.cores[0].result.instructions, 6'000u);
     EXPECT_GE(mc.cores[1].result.instructions, 40'000u);
+}
+
+// ------------------------------------------- every row kind, one grid
+
+TEST(MultiCoreRunner, EveryRowKindMatchesItsSoloRun)
+{
+    // A proxy row, a trace row, a one-core bundle and a proxy+trace
+    // bundle in one grid: single rows store exactly their solo run's
+    // metrics, a bundle adds its per-core and shared-DRAM keys, and
+    // a one-core bundle's core is the proxy row itself.
+    const std::string dir = "golden_mini_traces";
+    trace::generateMiniTracePack(dir);
+    const std::string dispatch = trace::miniTracePath(dir, "dispatch");
+    const std::string streaming =
+        trace::miniTracePath(dir, "streaming");
+
+    exp::ExperimentSpec spec;
+    spec.name = "row_kinds";
+    spec.workloads = {"gcc", trace::kTracePrefix + dispatch, "mc:gcc",
+                      "mc:gcc+" + std::string(trace::kTracePrefix) +
+                          streaming};
+    spec.policies = {"SRRIP", "TRRIP-2"};
+    spec.options.maxInstructions = 30'000;
+    exp::ExperimentRunner runner(2);
+    const exp::ExperimentResults results = runner.run(spec);
+
+    CoDesignPipeline gcc(proxyParams("gcc"));
+    for (const std::string &policy : spec.policies) {
+        const auto &proxy = results.at("gcc", policy).metrics;
+        EXPECT_EQ(proxy, exp::defaultMetrics(
+                             gcc.run(policy, spec.options).result))
+            << policy;
+        EXPECT_EQ(proxy.size(), 16u);
+
+        const auto &replay =
+            results.at(spec.workloads[1], policy).metrics;
+        EXPECT_EQ(replay,
+                  exp::defaultMetrics(
+                      trace::runTrace(dispatch, policy, spec.options)
+                          .result))
+            << policy;
+        EXPECT_EQ(replay.size(), 16u);
+
+        const auto &one = results.at("mc:gcc", policy).metrics;
+        EXPECT_EQ(one.size(), 34u);
+        for (const auto &[key, value] : proxy)
+            EXPECT_EQ(one.at("core0_" + key), value) << policy << key;
+
+        EXPECT_EQ(results.at(spec.workloads[3], policy).metrics.size(),
+                  50u);
+    }
 }
 
 } // namespace

@@ -73,6 +73,12 @@ TEST(Simulator, DefaultBudgetRespectsEnv)
 {
     setenv("TRRIP_INSTR_MILLIONS", "2.5", 1);
     EXPECT_EQ(defaultInstrBudget(), 2'500'000u);
+    // Values that are not a finite count of at least one instruction
+    // that fits InstCount fall back to the default.
+    for (const char *bad : {"1e-7", "inf", "1e30", "nan", "-1", "abc"}) {
+        setenv("TRRIP_INSTR_MILLIONS", bad, 1);
+        EXPECT_EQ(defaultInstrBudget(), 6'000'000u) << bad;
+    }
     unsetenv("TRRIP_INSTR_MILLIONS");
     EXPECT_EQ(defaultInstrBudget(), 6'000'000u);
 }
