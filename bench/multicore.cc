@@ -13,33 +13,21 @@
  *    neighbor -- the per-core metrics expose exactly how much IPC the
  *    victim loses to bandwidth and capacity interference.
  *
- * Correctness is held to the same contract as every other bench:
- * before timing, the pinned multi-core golden tuples (sim/golden.hh)
- * are re-verified through the worker pool, and after the parallel
- * pass both grids are re-run on a serial runner and every cell metric
- * is cross-checked -- BENCH files must be byte-identical whatever
- * TRRIP_JOBS is (CI additionally cmp's the files across job counts).
- * Any mismatch exits non-zero.
- *
- * Timing goes to the PERF_multicore.json sidecar, never into BENCH_*
- * files.  Env knobs: TRRIP_JOBS, TRRIP_INSTR_MILLIONS,
- * TRRIP_MC_POLICIES, TRRIP_TRACE_DIR, TRRIP_RESULTS_DIR;
- * tools/check_perf_floor.py gates the sidecar's throughput on
- * TRRIP_MULTICORE_FLOOR.
+ * Both grids write BENCH files, byte-identical whatever TRRIP_JOBS
+ * is.  Bundle speed is measured by bench/perf's multicore_4c
+ * workload; the multi-core goldens are pinned by
+ * tests/test_multicore.cc.  Env knobs: TRRIP_JOBS,
+ * TRRIP_INSTR_MILLIONS, TRRIP_TRACE_DIR, TRRIP_RESULTS_DIR.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "harness.hh"
-#include "sim/golden.hh"
-#include "sim/multicore.hh"
 #include "trace/generate.hh"
-#include "util/logging.hh"
+#include "trace/replay.hh"
 
 namespace {
 
@@ -47,13 +35,7 @@ using namespace trrip;
 using namespace trrip::exp;
 using namespace trrip::bench;
 
-std::string
-sidecarPath()
-{
-    const char *dir = std::getenv("TRRIP_RESULTS_DIR");
-    std::string base = (dir && *dir) ? dir : ".";
-    return base + "/PERF_multicore.json";
-}
+const std::vector<std::string> kPolicies = {"SRRIP", "TRRIP-2"};
 
 std::string
 traceDir()
@@ -62,87 +44,15 @@ traceDir()
     return (dir && *dir) ? dir : "mini_traces";
 }
 
-/**
- * Expand a MultiCoreGoldenCase workload list: '@name' elements become
- * `trace:<path>` labels against the generated mini-trace pack.
- */
-std::vector<std::string>
-resolveBundle(const std::string &workloads, const std::string &dir)
-{
-    std::vector<std::string> labels;
-    for (const std::string &label : multiCoreWorkloadsOf(
-             std::string(kMultiCorePrefix) + workloads)) {
-        if (!label.empty() && label[0] == '@')
-            labels.push_back(std::string(trace::kTracePrefix) +
-                             trace::miniTracePath(dir,
-                                                  label.substr(1)));
-        else
-            labels.push_back(label);
-    }
-    return labels;
-}
-
-/**
- * Re-verify the pinned multi-core golden tuples through the parallel
- * submit() path, one free-form cell per tuple; profiles and trace
- * indices are shared through the runner's profile cache exactly as in
- * a real mixed grid.  Returns how many matched.
- */
-std::size_t
-verifyGoldens(ExperimentRunner &runner, const std::string &dir)
-{
-    const std::vector<MultiCoreGoldenCase> &cases =
-        multiCoreGoldenCases();
-    ExperimentSpec spec;
-    spec.name = "multicore_golden_parallel";
-    spec.title = "Multi-core golden fingerprints through the pool";
-    for (std::size_t i = 0; i < cases.size(); ++i)
-        spec.workloads.push_back("case-" + std::to_string(i));
-    spec.policies = {"pinned"};
-    spec.runCell = [&cases, &dir](const CellContext &ctx) {
-        const MultiCoreGoldenCase &c = cases[ctx.id.workload];
-        MultiCoreOptions mo;
-        mo.base = c.options();
-        ProfileCache *cache = ctx.profiles;
-        mo.profileProvider = [cache](const SyntheticWorkload &w,
-                                     InstCount budget) {
-            return cache->get(w, budget);
-        };
-        mo.traceIndexProvider = [cache](const std::string &path) {
-            return cache->traceIndex(path);
-        };
-        const MultiCoreResult mc = runMultiCore(
-            resolveBundle(c.workloads, dir), c.policy, mo);
-        CellOutcome out;
-        out.metrics["fingerprint_ok"] =
-            multiCoreFingerprint(mc) == c.expected ? 1.0 : 0.0;
-        return out;
-    };
-    const ExperimentResults results = runner.run(spec, {});
-    std::size_t matched = 0;
-    for (const CellRecord &cell : results.cells()) {
-        if (cell.metrics.at("fingerprint_ok") == 1.0) {
-            ++matched;
-        } else {
-            const MultiCoreGoldenCase &c = cases[cell.id.workload];
-            std::fprintf(stderr,
-                         "multi-core golden mismatch under parallel "
-                         "execution: mc:%s / %s\n",
-                         c.workloads, c.policy);
-        }
-    }
-    return matched;
-}
-
 ExperimentSpec
-duelingSpec(const std::vector<std::string> &policies)
+duelingSpec()
 {
     ExperimentSpec spec;
     spec.name = "multicore_dueling";
     spec.title = "Shared-SLC policy dueling "
                  "(mixed-temperature two-core bundles)";
     spec.workloads = {"mc:gcc+sqlite", "mc:python+rapidjson"};
-    spec.policies = policies;
+    spec.policies = kPolicies;
     for (const char *slc : {"LRU", "SRRIP", "TRRIP-2"}) {
         ConfigVariant v;
         v.label = std::string("slc-") + slc;
@@ -156,8 +66,7 @@ duelingSpec(const std::vector<std::string> &policies)
 }
 
 ExperimentSpec
-noisySpec(const std::vector<std::string> &policies,
-          const std::string &dir)
+noisySpec(const std::string &dir)
 {
     ExperimentSpec spec;
     spec.name = "multicore_noisy";
@@ -167,50 +76,9 @@ noisySpec(const std::vector<std::string> &policies,
         std::string(trace::kTracePrefix) +
         trace::miniTracePath(dir, "streaming");
     spec.workloads = {"mc:gcc", "mc:gcc+" + streaming};
-    spec.policies = policies;
+    spec.policies = kPolicies;
     spec.options = defaultOptions();
     return spec;
-}
-
-/** Sum the retired instructions across every valid cell. */
-std::uint64_t
-totalInstructions(const ExperimentResults &results)
-{
-    std::uint64_t instr = 0;
-    for (const CellRecord &cell : results.cells())
-        if (cell.valid)
-            instr += cell.result().instructions;
-    return instr;
-}
-
-/**
- * The determinism cross-check: every cell's full metric map must be
- * bit-equal between the parallel and serial passes (doubles compare
- * exactly -- both passes must run the identical deterministic
- * simulation).
- */
-bool
-sameMetrics(const ExperimentResults &parallel,
-            const ExperimentResults &serial, const char *what)
-{
-    const auto &a = parallel.cells();
-    const auto &b = serial.cells();
-    if (a.size() != b.size()) {
-        std::fprintf(stderr, "%s: cell count diverged\n", what);
-        return false;
-    }
-    bool identical = true;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].metrics != b[i].metrics) {
-            identical = false;
-            std::fprintf(stderr,
-                         "%s: parallel/serial divergence in cell "
-                         "(%s, %s, %s)\n",
-                         what, a[i].workload.c_str(),
-                         a[i].policy.c_str(), a[i].config.c_str());
-        }
-    }
-    return identical;
 }
 
 } // namespace
@@ -222,94 +90,27 @@ main()
     banner("Mini-trace pack (" + dir + ")");
     trace::generateMiniTracePack(dir);
 
-    ExperimentRunner parallel(0);
-    const unsigned workers = parallel.threads();
-
-    banner("Multi-core golden fingerprints through the worker pool (" +
-           std::to_string(workers) + " workers)");
-    const std::size_t n_golden = multiCoreGoldenCases().size();
-    const std::size_t matched = verifyGoldens(parallel, dir);
-    std::printf("%zu/%zu fingerprints match\n", matched, n_golden);
-
-    const std::vector<std::string> policies =
-        envList("TRRIP_MC_POLICIES", {"SRRIP", "TRRIP-2"});
-
-    // --- The two scenario grids, on the parallel pool (timed). ---
-    const ExperimentSpec dueling = duelingSpec(policies);
-    const ExperimentSpec noisy = noisySpec(policies, dir);
+    const ExperimentSpec dueling = duelingSpec();
+    const ExperimentSpec noisy = noisySpec(dir);
 
     banner(dueling.title);
-    const auto t0 = std::chrono::steady_clock::now();
-    const ExperimentResults dueling_par =
-        runExperiment(dueling, parallel);
-    const ExperimentResults noisy_par = runExperiment(noisy, parallel);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    runExperiment(dueling);
+    banner(noisy.title);
+    const ExperimentResults noisy_results = runExperiment(noisy);
 
     // Interference report: solo IPC vs IPC next to the streamer.
     banner("Noisy-neighbor interference (core 0 = victim)");
-    for (const std::string &policy : policies) {
+    for (const std::string &policy : kPolicies) {
         const double solo =
-            noisy_par.at("mc:gcc", policy).metrics.at("ipc");
+            noisy_results.at("mc:gcc", policy).metrics.at("ipc");
         const auto &shared =
-            noisy_par.at(noisy.workloads[1], policy).metrics;
+            noisy_results.at(noisy.workloads[1], policy).metrics;
         const double noisy_ipc = shared.at("core0_ipc");
         std::printf("%-12s solo %.4f IPC, shared %.4f IPC -> "
                     "%5.1f%% retained (neighbor %.4f IPC)\n",
                     policy.c_str(), solo, noisy_ipc,
                     solo > 0.0 ? 100.0 * noisy_ipc / solo : 0.0,
                     shared.at("core1_ipc"));
-    }
-
-    // --- Serial re-run (no sinks) for the determinism flag. ---
-    banner("Serial determinism cross-check");
-    ExperimentRunner serial(1);
-    const bool identical =
-        sameMetrics(dueling_par, serial.run(dueling, {}), "dueling") &
-        sameMetrics(noisy_par, serial.run(noisy, {}), "noisy");
-    std::printf("parallel/serial metrics %s\n",
-                identical ? "identical" : "DIVERGED");
-
-    const std::uint64_t instr =
-        totalInstructions(dueling_par) + totalInstructions(noisy_par);
-    const double rate =
-        wall > 0.0 ? static_cast<double>(instr) / 1e6 / wall : 0.0;
-    std::printf("multi-core throughput: %.2f Minstr in %.2f s -> "
-                "%.2f Minstr/s on %u workers\n",
-                static_cast<double>(instr) / 1e6, wall, rate, workers);
-
-    const std::string path = sidecarPath();
-    std::ofstream out(path);
-    fatal_if(!out, "cannot open ", path, " for writing");
-    char buf[256];
-    out << "{\n  \"bench\": \"multicore\",\n";
-    out << "  \"budget_instructions\": "
-        << resolveBudget(dueling.options) << ",\n";
-    out << "  \"workers\": " << workers << ",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"golden_fingerprints\": {\"total\": %zu, "
-                  "\"matched\": %zu},\n",
-                  n_golden, matched);
-    out << buf;
-    std::snprintf(buf, sizeof(buf), "  \"deterministic\": %s,\n",
-                  identical ? "true" : "false");
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"multicore\": {\"instructions\": %llu, "
-                  "\"wall_seconds\": %.6f, \"minstr_per_sec\": "
-                  "%.3f}\n",
-                  static_cast<unsigned long long>(instr), wall, rate);
-    out << buf;
-    out << "}\n";
-    std::printf("\nwrote %s\n", path.c_str());
-
-    if (matched != n_golden || !identical) {
-        std::fprintf(stderr,
-                     "FAIL: multi-core execution diverged from the "
-                     "pinned behavior\n");
-        return 1;
     }
     return 0;
 }

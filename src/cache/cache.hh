@@ -256,8 +256,6 @@ class Cache
     /** Allocate the owner-mask array (idempotent). */
     void enableOwnerMasks();
 
-    bool ownerMasksEnabled() const { return !owners_.empty(); }
-
     /**
      * OR @p bits into the owner mask of (set, way) -- the follow-up
      * write on a slot bound by accessProbe().  No tag walk.

@@ -96,13 +96,6 @@ class LruPolicy final : public ReplacementPolicy
         }
     }
 
-    /** Current recency rank of (set, way); 0 = MRU (test hook). */
-    std::uint8_t
-    rankOf(std::uint32_t set, std::uint32_t way) const
-    {
-        return ranks_[static_cast<std::size_t>(set) * stride_ + way];
-    }
-
   private:
     /** Make @p way the MRU of @p set, ageing more-recent ways by 1. */
     void

@@ -90,22 +90,6 @@ class CoDesignPipeline
         return cachedProfile_;
     }
 
-
-    /**
-     * Speedup of @p policy_name over @p baseline_name in percent
-     * (reduction in cycles for the same instruction count, as in
-     * paper Fig. 6).
-     */
-    double
-    speedupOver(const std::string &baseline_name,
-                const std::string &policy_name,
-                const SimOptions &options) const
-    {
-        const RunArtifacts base = run(baseline_name, options);
-        const RunArtifacts test = run(policy_name, options);
-        return speedupPercent(base.result, test.result);
-    }
-
     /** Cycle-reduction speedup of @p test over @p base in percent. */
     static double
     speedupPercent(const SimResult &base, const SimResult &test)

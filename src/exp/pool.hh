@@ -152,12 +152,6 @@ class WorkerPool
      */
     void setItemTimeout(std::uint64_t ms);
 
-    std::uint64_t
-    itemTimeoutMs() const
-    {
-        return itemTimeoutMs_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Restart worker @p worker's deadline clock at @p scale item
      * timeouts and clear its cancel token.  For callers that run

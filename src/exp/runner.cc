@@ -148,18 +148,17 @@ struct RunState
      * The grid's distinct proxy labels (bundle cores included), in
      * order of first appearance, and their workloads: each built
      * exactly once on whichever worker needs it first (a dedicated
-     * build batch races the cells; std::call_once de-duplicates).  A
-     * workload is carved from the building worker's arena and
+     * build batch races the cells; a per-proxy mutex de-duplicates).
+     * A workload is carved from the building worker's arena and
      * destroyed when the run's last batch completes -- before the
      * batch retires, which is what keeps
      * WorkerPool::resetArenasIfIdle() sound.
      */
     std::vector<std::string> proxies;
-    std::unique_ptr<std::once_flag[]> buildOnce;
+    std::unique_ptr<std::mutex[]> buildMutex;
     std::vector<Arena::UniquePtr<SyntheticWorkload>> workloads;
 
     ProfileCache *profiles = nullptr;
-    bool reuseProfiles = true;
     WorkerPool *pool = nullptr;
 
     std::chrono::steady_clock::time_point t0;
@@ -195,10 +194,14 @@ struct RunState
     const SyntheticWorkload &
     ensureWorkload(std::size_t proxy, WorkerContext &wc)
     {
-        std::call_once(buildOnce[proxy], [&] {
-            // The build injection site.  A throw leaves the once
-            // flag unset, so the next cell needing this workload
-            // (or this cell's next attempt) rebuilds.
+        // Not std::call_once: a callable that throws out of it never
+        // releases the once-flag under ThreadSanitizer's interceptor,
+        // so the next caller would block forever.
+        std::lock_guard<std::mutex> lock(buildMutex[proxy]);
+        if (!workloads[proxy]) {
+            // The build injection site.  A throw leaves the slot
+            // null, so the next cell needing this workload (or this
+            // cell's next attempt) rebuilds.
             FaultInjector::instance().maybeInject(FaultSite::Build);
             try {
                 workloads[proxy] =
@@ -210,7 +213,7 @@ struct RunState
                 throw SimError(ErrorCategory::BuildFailure, e.what())
                     .withContext("building workload " + proxies[proxy]);
             }
-        });
+        }
         return *workloads[proxy];
     }
 
@@ -322,18 +325,12 @@ struct RunState
             CoreInput &in = cores.emplace_back();
             if (trace::isTraceName(core)) {
                 in.tracePath = trace::tracePathOf(core);
-                if (reuseProfiles)
-                    in.traceIndex = profiles->traceIndex(in.tracePath);
+                in.traceIndex = profiles->traceIndex(in.tracePath);
                 continue;
             }
             in.workload = &ensureWorkload(
                 std::ranges::find(proxies, core) - proxies.begin(), wc);
-            // Without reuse every row repeats its instrumented run
-            // (the no-cache worst case).
-            in.profile = reuseProfiles
-                             ? profiles->get(*in.workload, budget)
-                             : std::make_shared<const Profile>(
-                                   collectProfile(*in.workload, budget));
+            in.profile = profiles->get(*in.workload, budget);
         }
         return cores;
     }
@@ -574,7 +571,6 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                                  return proxyParams(name);
                              };
     state->profiles = &profiles_;
-    state->reuseProfiles = reuseProfiles_;
 
     const std::size_t n_cells = spec.cellCount();
     state->records.resize(n_cells);
@@ -667,7 +663,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         }
     }
     const std::size_t n_builds = state->proxies.size();
-    state->buildOnce = std::make_unique<std::once_flag[]>(n_builds);
+    state->buildMutex = std::make_unique<std::mutex[]>(n_builds);
     state->workloads.resize(n_builds);
 
     state->threadsUsed = static_cast<unsigned>(std::min<std::size_t>(
@@ -684,7 +680,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     // submitted first so idle workers pre-build workloads in
     // parallel, but cells do not wait for it: a cell arriving ahead
     // of the build batch builds its own workloads through the same
-    // once-flags.
+    // per-proxy mutexes.
     if (n_builds > 0) {
         state->buildBatch = pool.submit(
             n_builds,

@@ -187,13 +187,6 @@ class ExperimentRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Disable training-profile reuse (every row re-collects its own
-     * profile, the worst case) -- used by the scaling bench to
-     * quantify what the cache buys.
-     */
-    void setProfileReuse(bool enabled) { reuseProfiles_ = enabled; }
-
-    /**
      * Per-cell deadline in milliseconds (0 disables).  Defaults to
      * TRRIP_CELL_TIMEOUT_MS from the environment.  A row running K
      * lanes gets K times the deadline; an overrunning row is
@@ -211,7 +204,6 @@ class ExperimentRunner
     WorkerPool &ensurePool();
 
     unsigned threads_;
-    bool reuseProfiles_ = true;
     ProfileCache profiles_;
     std::once_flag poolOnce_;
     // Last member: its destructor drains the workers while every

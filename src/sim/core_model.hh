@@ -65,9 +65,9 @@ namespace trrip {
 /**
  * @name Stub-attribution levers
  * Bits of CoreParams::stubMask.  Each lever replaces one engine layer
- * with a no-op so bench/throughput can time the difference and
- * attribute per-instruction cost to that layer (the ROADMAP budget
- * table).  Stubbed runs are NOT behavior-preserving -- they exist
+ * with a no-op so bench/perf's traced run (`trrip_perf --trace`) can
+ * time the difference and attribute per-instruction cost to that
+ * layer.  Stubbed runs are NOT behavior-preserving -- they exist
  * only for wall-clock attribution and never feed BENCH files.  The
  * run loop is instantiated per mask, so the default (zero) hot path
  * carries no stub checks at all.
@@ -146,9 +146,6 @@ struct SimResult
     double ipc() const
     { return cycles > 0.0 ? static_cast<double>(instructions) / cycles
                           : 0.0; }
-    double cpi() const
-    { return instructions > 0 ? cycles /
-          static_cast<double>(instructions) : 0.0; }
 };
 
 /**

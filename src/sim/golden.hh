@@ -1,10 +1,10 @@
 /**
  * @file
  * The engine's golden-fingerprint equivalence table, shared between
- * the ctest guard (tests/test_golden.cc) and the parallel-throughput
- * bench (bench/throughput_parallel.cc), which re-verifies the same
- * 16 tuples through the worker pool so parallel execution is held to
- * the identical bit-exactness contract as serial.
+ * the ctest guards (tests/test_golden.cc, tests/test_multicore.cc)
+ * and bench/perf's correctness gate, which re-verifies all 24
+ * fingerprints through the worker pool so parallel execution is held
+ * to the identical bit-exactness contract as serial.
  *
  * Each case runs the full co-design pipeline on a fixed (workload,
  * policy, seed, budget) tuple and folds every simulation counter --

@@ -98,7 +98,6 @@ class PageTable
         return table_.find(vaddr >> pageShift_);
     }
 
-    std::size_t mappedPages() const { return table_.size(); }
     std::uint64_t lazyMappedPages() const { return lazyMapped_; }
 
   private:

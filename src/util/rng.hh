@@ -87,19 +87,6 @@ class Rng
         return uniform() < p;
     }
 
-    /**
-     * Geometric number of extra iterations with continue-probability p;
-     * clamped to max to bound trace length.
-     */
-    std::uint64_t
-    geometric(double p, std::uint64_t max)
-    {
-        std::uint64_t n = 0;
-        while (n < max && chance(p))
-            ++n;
-        return n;
-    }
-
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)

@@ -174,11 +174,15 @@ TEST_F(FaultTest, UnnamedSitesNeverFireAndCountsAccumulate)
 
 TEST_F(FaultTest, SkipModeContainsFailuresAsErrorRows)
 {
+    const std::string json_path = "fault_skip_rows.json";
+    const std::string csv_path = "fault_skip_rows.csv";
     FaultInjector::instance().configure("cell:1/2,seed=5");
     exp::ExperimentRunner runner(2);
     auto spec = tinySpec();
     spec.onError.mode = exp::OnError::Mode::Skip;
-    const exp::ExperimentResults results = runner.run(spec, {});
+    exp::JsonSink json(json_path);
+    exp::CsvSink csv(csv_path);
+    const exp::ExperimentResults results = runner.run(spec, {&json, &csv});
 
     std::uint64_t failed = 0;
     for (const auto &rec : results.cells()) {
@@ -195,6 +199,60 @@ TEST_F(FaultTest, SkipModeContainsFailuresAsErrorRows)
     }
     EXPECT_GT(failed, 0u); // 1/2 over 6 cells: ~always fires.
     EXPECT_EQ(results.cellsFailed, failed);
+
+    // Every failed cell reaches the BENCH files as an error row: one
+    // "error" object per failed cell in the JSON...
+    const std::string text = slurp(json_path);
+    const auto count = [&text](const std::string &needle) {
+        std::size_t n = 0;
+        for (auto pos = text.find(needle); pos != std::string::npos;
+             pos = text.find(needle, pos + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("\"error\": {"), failed);
+    EXPECT_EQ(count("\"error\": {\"category\": \"injected\", "
+                    "\"message\": \"injected fault"),
+              failed);
+
+    // ...and in the CSV, two trailing error columns that exactly the
+    // failed rows fill.
+    const auto fields = [](const std::string &row) {
+        std::vector<std::string> out(1);
+        bool quoted = false;
+        for (char c : row) {
+            quoted ^= c == '"';
+            if (!quoted && c == ',')
+                out.emplace_back();
+            else
+                out.back() += c;
+        }
+        return out;
+    };
+    std::istringstream rows(slurp(csv_path));
+    std::string line;
+    ASSERT_TRUE(std::getline(rows, line));
+    const std::vector<std::string> header = fields(line);
+    ASSERT_GE(header.size(), 2u);
+    EXPECT_EQ(header[header.size() - 2], "error_category");
+    EXPECT_EQ(header.back(), "error_message");
+    std::size_t n_rows = 0, error_rows = 0;
+    while (std::getline(rows, line)) {
+        ++n_rows;
+        const std::vector<std::string> row = fields(line);
+        ASSERT_EQ(row.size(), header.size()) << line;
+        const std::string &category = row[row.size() - 2];
+        if (category.empty() && row.back().empty())
+            continue;
+        ++error_rows;
+        EXPECT_EQ(category, "injected") << line;
+        EXPECT_NE(row.back().find("injected fault"), std::string::npos)
+            << line;
+    }
+    EXPECT_EQ(n_rows, spec.cellCount());
+    EXPECT_EQ(error_rows, failed);
+    std::remove(json_path.c_str());
+    std::remove(csv_path.c_str());
 }
 
 TEST_F(FaultTest, RetryModeConvergesToFaultFreeResults)

@@ -5,9 +5,9 @@
  *
  * The pinned tables and the counter-folding fingerprint live in
  * src/sim/golden.{hh,cc}: 19 single-core fingerprints (16 proxy
- * tuples, which bench/throughput_parallel re-verifies through the
- * worker pool, plus 3 trace-replay tuples) and 5 multi-core bundles
- * (pinned by tests/test_multicore.cc), 24 in total.  This test is the
+ * tuples plus 3 trace-replay tuples) and 5 multi-core bundles
+ * (pinned by tests/test_multicore.cc), 24 in total; bench/perf's
+ * gate re-verifies all 24 through the worker pool.  This test is the
  * ctest guard that runs the 19 single-core ones serially in every
  * configuration, including Debug + sanitizers.  Hot-path refactors
  * must keep simulated behavior bit-identical, so any change to the

@@ -5,12 +5,11 @@
 #
 #   tools/bench_bytes.sh BUILD_DIR OUT_DIR
 #
-# Generates the mini-trace pack into OUT_DIR/mini_traces, then runs the
-# benches with OUT_DIR as the working directory under the caller's
-# environment (TRRIP_INSTR_MILLIONS, TRRIP_JOBS, ...).  Each bench's
-# output goes to OUT_DIR/<bench>.log.  throughput, throughput_parallel
-# and runner_scaling are left out: they write PERF sidecars only.
-# Exits non-zero if any bench fails.
+# Generates the mini-trace pack into OUT_DIR/mini_traces, then runs
+# every bench of the build (each one writes BENCH files) with OUT_DIR
+# as the working directory under the caller's environment
+# (TRRIP_INSTR_MILLIONS, TRRIP_JOBS, ...).  Each bench's output goes to
+# OUT_DIR/<bench>.log.  Exits non-zero if any bench fails.
 set -u
 
 if [ $# -ne 2 ]; then
