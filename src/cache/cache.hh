@@ -30,9 +30,11 @@
 #define TRRIP_CACHE_CACHE_HH
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -68,9 +70,11 @@ struct CacheStats
  * Call @p f(name, counter...) once per counter of CacheStats, with
  * that counter of each of @p stats, in the golden fingerprint's fold
  * order: the eleven scalars, instEvictions, dataEvictions, then
- * evictionsByTemp.0 to .3.
+ * evictionsByTemp.0 to .3.  The SimResult overload
+ * (sim/core_model.hh) runs this list once per cache level.
  */
 template <typename F, typename... Stats>
+    requires(std::same_as<std::remove_const_t<Stats>, CacheStats> && ...)
 void
 forEachCounter(F &&f, Stats &...stats)
 {
@@ -95,6 +99,9 @@ forEachCounter(F &&f, Stats &...stats)
     for (std::size_t t = 0; t < std::size(kByTemp); ++t)
         f(kByTemp[t], stats.evictionsByTemp[t]...);
 }
+static_assert(sizeof(CacheStats) == 17 * sizeof(std::uint64_t),
+              "a CacheStats field is missing from forEachCounter: list "
+              "it in fold order, then update this count");
 
 /**
  * One cache level.  The cache is functional: it tracks contents and

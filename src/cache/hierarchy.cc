@@ -7,18 +7,10 @@
 namespace trrip {
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params) :
-    CacheHierarchy(params, PolicyRegistry::instance().instantiate(
-                               params.l2Policy, params.l2))
-{
-}
-
-CacheHierarchy::CacheHierarchy(
-    const HierarchyParams &params,
-    std::unique_ptr<ReplacementPolicy> l2_policy) :
     params_(params),
     l1i_(params.l1i, params.l1iPolicy),
     l1d_(params.l1d, params.l1dPolicy),
-    l2_(params.l2, std::move(l2_policy)),
+    l2_(params.l2, params.l2Policy),
     ownSlc_(std::make_unique<Cache>(params.slc, params.slcPolicy)),
     ownDram_(std::make_unique<Dram>(params.dram)),
     slc_(ownSlc_.get()),
@@ -43,8 +35,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
     params_(params),
     l1i_(params.l1i, params.l1iPolicy),
     l1d_(params.l1d, params.l1dPolicy),
-    l2_(params.l2, PolicyRegistry::instance().instantiate(
-                       params.l2Policy, params.l2)),
+    l2_(params.l2, params.l2Policy),
     slc_(&shared_slc),
     dram_(&shared_dram),
     slcOwnerBit_(1u << core_id),

@@ -154,14 +154,6 @@ class CacheHierarchy
     explicit CacheHierarchy(const HierarchyParams &params);
 
     /**
-     * Legacy entry point: an externally constructed L2 policy
-     * overriding params.l2Policy (the other levels still follow their
-     * specs).  Prefer the spec-driven constructor.
-     */
-    CacheHierarchy(const HierarchyParams &params,
-                   std::unique_ptr<ReplacementPolicy> l2_policy);
-
-    /**
      * Private per-core stack over an externally owned shared SLC and
      * DRAM (the multi-core form; requires params.slcInclusive).  The
      * stack stamps (1u << core_id) into the SLC owner masks and routes

@@ -22,51 +22,47 @@ ProfileCache::key(const SyntheticWorkload &workload,
     return os.str();
 }
 
+template <typename T, typename Build>
+std::shared_ptr<const T>
+ProfileCache::lookup(Entries<T> &entries, const std::string &key,
+                     Build &&build)
+{
+    std::shared_ptr<Entry<T>> entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto &slot = entries[key];
+        if (!slot)
+            slot = std::make_shared<Entry<T>>();
+        entry = slot;
+    }
+    // Not std::call_once: a build that throws out of it never releases
+    // the once-flag under ThreadSanitizer's interceptor, so the next
+    // caller would block forever.  A throw leaves the value null and
+    // the next caller builds again.
+    std::lock_guard<std::mutex> lock(entry->mutex);
+    if (entry->value) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return entry->value;
+    }
+    entry->value = std::make_shared<const T>(build());
+    collections_.fetch_add(1, std::memory_order_relaxed);
+    return entry->value;
+}
+
 std::shared_ptr<const Profile>
 ProfileCache::get(const SyntheticWorkload &workload,
                   InstCount profile_instructions)
 {
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &slot = entries_[key(workload, profile_instructions)];
-        if (!slot)
-            slot = std::make_shared<Entry>();
-        entry = slot;
-    }
-    bool collected = false;
-    std::call_once(entry->once, [&] {
-        entry->profile = std::make_shared<const Profile>(
-            collectProfile(workload, profile_instructions));
-        collected = true;
-        collections_.fetch_add(1, std::memory_order_relaxed);
+    return lookup(entries_, key(workload, profile_instructions), [&] {
+        return collectProfile(workload, profile_instructions);
     });
-    if (!collected)
-        hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry->profile;
 }
 
 std::shared_ptr<const trace::TraceIndex>
 ProfileCache::traceIndex(const std::string &path)
 {
-    std::shared_ptr<TraceEntry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto &slot = traceEntries_[path];
-        if (!slot)
-            slot = std::make_shared<TraceEntry>();
-        entry = slot;
-    }
-    bool collected = false;
-    std::call_once(entry->once, [&] {
-        entry->index = std::make_shared<const trace::TraceIndex>(
-            trace::buildTraceIndex(path));
-        collected = true;
-        collections_.fetch_add(1, std::memory_order_relaxed);
-    });
-    if (!collected)
-        hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry->index;
+    return lookup(traceEntries_, path,
+                  [&] { return trace::buildTraceIndex(path); });
 }
 
 void

@@ -70,24 +70,32 @@ class ProfileCache
     void clear();
 
   private:
+    /** One cached value; its mutex serializes the first build. */
+    template <typename T>
     struct Entry
     {
-        std::once_flag once;
-        std::shared_ptr<const Profile> profile;
+        std::mutex mutex;
+        std::shared_ptr<const T> value;
     };
 
-    struct TraceEntry
-    {
-        std::once_flag once;
-        std::shared_ptr<const trace::TraceIndex> index;
-    };
+    template <typename T>
+    using Entries = std::map<std::string, std::shared_ptr<Entry<T>>>;
 
     static std::string key(const SyntheticWorkload &workload,
                            InstCount profile_instructions);
 
+    /**
+     * The value of @p entries at @p key, built by @p build on first
+     * use and counted as a collection, else counted as a hit.
+     */
+    template <typename T, typename Build>
+    std::shared_ptr<const T> lookup(Entries<T> &entries,
+                                    const std::string &key,
+                                    Build &&build);
+
     std::mutex mutex_;
-    std::map<std::string, std::shared_ptr<Entry>> entries_;
-    std::map<std::string, std::shared_ptr<TraceEntry>> traceEntries_;
+    Entries<Profile> entries_;
+    Entries<trace::TraceIndex> traceEntries_;
     // Statistics only (no ordering is derived from them), bumped from
     // every worker at once: relaxed, and each on its own cache line
     // so a hit on one core never invalidates a collection elsewhere.

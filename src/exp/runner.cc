@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -31,14 +33,11 @@ defaultMetrics(const SimResult &r)
     m["branch_mispredicts"] =
         static_cast<double>(r.branch.mispredicts);
     m["btb_misses"] = static_cast<double>(r.branch.btbMisses);
-    const TopDown &td = r.topdown;
-    m["td_retire"] = td.fraction(td.retire);
-    m["td_ifetch"] = td.fraction(td.ifetch);
-    m["td_mispred"] = td.fraction(td.mispred);
-    m["td_depend"] = td.fraction(td.depend);
-    m["td_issue"] = td.fraction(td.issue);
-    m["td_mem"] = td.fraction(td.mem);
-    m["td_other"] = td.fraction(td.other);
+    forEachBucket(
+        [&](const char *name, double bucket) {
+            m[std::string("td_") + name] = r.topdown.fraction(bucket);
+        },
+        r.topdown);
     return m;
 }
 
@@ -74,10 +73,14 @@ ExperimentResults::at(const std::string &workload,
 unsigned
 ExperimentRunner::defaultJobs()
 {
+    // Only a whole decimal count that fits unsigned; anything else
+    // ("4x", "-1", 2^32 + 1) takes the hardware concurrency.
     if (const char *env = std::getenv("TRRIP_JOBS")) {
-        const long n = std::atol(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
+        const char *end = env + std::strlen(env);
+        unsigned n = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, n);
+        if (ec == std::errc() && ptr == end && n > 0)
+            return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

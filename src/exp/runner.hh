@@ -197,7 +197,10 @@ class ExperimentRunner
     void setCellTimeout(std::uint64_t ms)
     { ensurePool().setItemTimeout(ms); }
 
-    /** TRRIP_JOBS from the environment, else hardware concurrency. */
+    /**
+     * TRRIP_JOBS from the environment when it is a whole positive
+     * decimal count that fits unsigned, else hardware concurrency.
+     */
     static unsigned defaultJobs();
 
   private:

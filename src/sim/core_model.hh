@@ -50,6 +50,9 @@
 #define TRRIP_SIM_CORE_MODEL_HH
 
 #include <array>
+#include <concepts>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/costly_miss.hh"
@@ -147,6 +150,49 @@ struct SimResult
     { return cycles > 0.0 ? static_cast<double>(instructions) / cycles
                           : 0.0; }
 };
+
+/**
+ * Call @p f(name, counter...) once per counter of SimResult, with that
+ * counter of each of @p results, in the golden fingerprint's fold
+ * order: instructions, cycles (the one double), the l1i, l1d, l2 and
+ * slc CacheStats lists ("l2.demandMisses"), then the prefetch, tlb and
+ * branch counters.  The Top-Down buckets have their own list
+ * (forEachBucket); the MPKI rates and l2HotEvictions are derived from
+ * these counters and are not listed.
+ */
+template <typename F, typename... Results>
+    requires(std::same_as<std::remove_const_t<Results>, SimResult> && ...)
+void
+forEachCounter(F &&f, Results &...results)
+{
+    f("instructions", results.instructions...);
+    f("cycles", results.cycles...);
+    std::string name;
+    const auto level = [&](const char *prefix, auto &...stats) {
+        forEachCounter(
+            [&](const char *counter, auto &...c) {
+                name.assign(prefix).append(".").append(counter);
+                f(name.c_str(), c...);
+            },
+            stats...);
+    };
+    level("l1i", results.l1i...);
+    level("l1d", results.l1d...);
+    level("l2", results.l2...);
+    level("slc", results.slc...);
+    f("prefetch.issued", results.prefetch.issued...);
+    f("prefetch.covered", results.prefetch.covered...);
+    f("prefetch.late", results.prefetch.late...);
+    f("tlb.accesses", results.tlb.accesses...);
+    f("tlb.misses", results.tlb.misses...);
+    f("branch.branches", results.branch.branches...);
+    f("branch.mispredicts", results.branch.mispredicts...);
+    f("branch.btbMisses", results.branch.btbMisses...);
+}
+static_assert(sizeof(SimResult) == 704,
+              "SimResult changed: list a new counter in forEachCounter "
+              "(or name a new derived field in its comment), then "
+              "update this size");
 
 /**
  * The interval core: one frontend driving K policy lanes (see the

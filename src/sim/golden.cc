@@ -1,7 +1,6 @@
 #include "sim/golden.hh"
 
-#include <cstring>
-#include <sstream>
+#include <bit>
 
 #include "sim/multicore.hh"
 
@@ -20,26 +19,6 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
-/** Hash + log one named counter. */
-void
-fold(std::uint64_t &h, std::ostringstream &dump, const char *name,
-     std::uint64_t v)
-{
-    h = fnv1a(h, v);
-    dump << "  " << name << " = " << v << "\n";
-}
-
-void
-foldCache(std::uint64_t &h, std::ostringstream &dump, const char *level,
-          const CacheStats &s)
-{
-    forEachCounter(
-        [&](const char *name, std::uint64_t v) {
-            fold(h, dump, (std::string(level) + "." + name).c_str(), v);
-        },
-        s);
-}
-
 } // namespace
 
 std::uint64_t
@@ -56,26 +35,20 @@ std::uint64_t
 goldenFingerprint(const SimResult &r, std::string *dump_out)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    std::ostringstream dump;
-    fold(h, dump, "instructions", r.instructions);
-    std::uint64_t cycle_bits = 0;
-    static_assert(sizeof(cycle_bits) == sizeof(r.cycles));
-    std::memcpy(&cycle_bits, &r.cycles, sizeof(cycle_bits));
-    fold(h, dump, "cycles(bits)", cycle_bits);
-    foldCache(h, dump, "l1i", r.l1i);
-    foldCache(h, dump, "l1d", r.l1d);
-    foldCache(h, dump, "l2", r.l2);
-    foldCache(h, dump, "slc", r.slc);
-    fold(h, dump, "prefetch.issued", r.prefetch.issued);
-    fold(h, dump, "prefetch.covered", r.prefetch.covered);
-    fold(h, dump, "prefetch.late", r.prefetch.late);
-    fold(h, dump, "tlb.accesses", r.tlb.accesses);
-    fold(h, dump, "tlb.misses", r.tlb.misses);
-    fold(h, dump, "branch.branches", r.branch.branches);
-    fold(h, dump, "branch.mispredicts", r.branch.mispredicts);
-    fold(h, dump, "branch.btbMisses", r.branch.btbMisses);
     if (dump_out)
-        *dump_out = dump.str();
+        dump_out->clear();
+    // Every counter folds as its 64-bit pattern: the integers as they
+    // are, cycles (the one double) as its exact bits.
+    forEachCounter(
+        [&](const char *name, auto counter) {
+            const auto bits = std::bit_cast<std::uint64_t>(counter);
+            h = fnv1a(h, bits);
+            if (dump_out) {
+                *dump_out += "  " + std::string(name) + " = " +
+                             std::to_string(bits) + "\n";
+            }
+        },
+        r);
     return h;
 }
 

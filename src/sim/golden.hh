@@ -7,10 +7,12 @@
  * to the identical bit-exactness contract as serial.
  *
  * Each case runs the full co-design pipeline on a fixed (workload,
- * policy, seed, budget) tuple and folds every simulation counter --
- * per-level cache stats, prefetch, TLB, branch, the retired
- * instruction count and the exact cycle total -- into one FNV-1a
- * fingerprint pinned in golden.cc.  Any change to these fingerprints
+ * policy, seed, budget) tuple and folds every counter the SimResult
+ * list names (forEachCounter, sim/core_model.hh) -- the retired
+ * instruction count, the exact cycle total, the per-level cache
+ * stats, prefetch, TLB and branch, in that order -- into one FNV-1a
+ * fingerprint pinned in golden.cc.  The Top-Down buckets and the
+ * derived MPKI / hot-eviction fields are not folded.  Any change to these fingerprints
  * is a simulation-behavior change and must be justified, not just
  * re-pinned.
  */
@@ -101,9 +103,9 @@ struct MultiCoreGoldenCase
 const std::vector<MultiCoreGoldenCase> &multiCoreGoldenCases();
 
 /**
- * Fingerprint every integer counter plus the exact cycle total; if
- * @p dump_out is non-null it receives a named counter dump for
- * mismatch diagnostics.
+ * Fold every counter forEachCounter lists, in list order, each as its
+ * 64-bit pattern (cycles as its exact bits); if @p dump_out is
+ * non-null it receives a named counter dump for mismatch diagnostics.
  */
 std::uint64_t goldenFingerprint(const SimResult &result,
                                 std::string *dump_out = nullptr);

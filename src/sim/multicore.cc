@@ -275,37 +275,20 @@ runMultiCore(const std::vector<std::string> &core_workloads,
 SimResult
 aggregateMultiCore(const MultiCoreResult &result)
 {
-    const auto add = [](CacheStats &into, const CacheStats &from) {
-        forEachCounter([](const char *, std::uint64_t &sum,
-                          std::uint64_t v) { sum += v; },
-                       into, from);
-    };
+    const auto add = [](const char *, auto &sum, auto v) { sum += v; };
     SimResult sum;
+    double makespan = 0.0;
     for (const RunArtifacts &core : result.cores) {
         const SimResult &r = core.result;
-        sum.instructions += r.instructions;
-        sum.cycles = std::max(sum.cycles, r.cycles);
-        sum.topdown.retire += r.topdown.retire;
-        sum.topdown.ifetch += r.topdown.ifetch;
-        sum.topdown.mispred += r.topdown.mispred;
-        sum.topdown.depend += r.topdown.depend;
-        sum.topdown.issue += r.topdown.issue;
-        sum.topdown.mem += r.topdown.mem;
-        sum.topdown.other += r.topdown.other;
-        add(sum.l1i, r.l1i);
-        add(sum.l1d, r.l1d);
-        add(sum.l2, r.l2);
-        sum.prefetch.issued += r.prefetch.issued;
-        sum.prefetch.covered += r.prefetch.covered;
-        sum.prefetch.late += r.prefetch.late;
-        sum.branch.branches += r.branch.branches;
-        sum.branch.mispredicts += r.branch.mispredicts;
-        sum.branch.btbMisses += r.branch.btbMisses;
-        sum.tlb.accesses += r.tlb.accesses;
-        sum.tlb.misses += r.tlb.misses;
+        forEachCounter(add, sum, r);
+        forEachBucket(add, sum.topdown, r.topdown);
         sum.l2HotEvictions += r.l2HotEvictions;
+        makespan = std::max(makespan, r.cycles);
     }
+    sum.cycles = makespan;
     sum.slc = result.slc;
+    // Not finalize()'s misses * 1000 / instructions: the two round
+    // differently, and the mc: rows' BENCH bytes pin this one.
     if (sum.instructions > 0) {
         const double kilo =
             static_cast<double>(sum.instructions) / 1000.0;

@@ -176,9 +176,10 @@ std::uint64_t multiCoreFingerprint(const MultiCoreResult &result);
 
 /**
  * Collapse a multi-core run into one SimResult for the generic metric
- * sinks: counters sum across cores, cycles is the slowest core (the
- * bundle's makespan), the SLC block is the shared snapshot, and the
- * MPKI rates are recomputed from the summed counters.
+ * sinks: every counter forEachCounter lists, every Top-Down bucket and
+ * l2HotEvictions sum across cores in core order, except that cycles
+ * is the slowest core's (the bundle's makespan) and the SLC block is
+ * the shared snapshot; the MPKI rates are recomputed from the sums.
  */
 SimResult aggregateMultiCore(const MultiCoreResult &result);
 

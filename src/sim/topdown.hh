@@ -21,11 +21,8 @@ struct TopDown
     double mem = 0.0;      //!< Backend data access stalls.
     double other = 0.0;    //!< Everything else (TLB walks, misc).
 
-    double
-    total() const
-    {
-        return retire + ifetch + mispred + depend + issue + mem + other;
-    }
+    /** Sum of the buckets, added left to right in list order. */
+    double total() const;
 
     /** Fraction of total cycles in one bucket; 0 when empty. */
     double
@@ -35,6 +32,37 @@ struct TopDown
         return t > 0.0 ? bucket / t : 0.0;
     }
 };
+
+/**
+ * Call @p f(name, bucket...) once per Top-Down bucket, with that
+ * bucket of each of @p topdowns, in declaration order.
+ */
+template <typename F, typename... TopDowns>
+void
+forEachBucket(F &&f, TopDowns &...topdowns)
+{
+    f("retire", topdowns.retire...);
+    f("ifetch", topdowns.ifetch...);
+    f("mispred", topdowns.mispred...);
+    f("depend", topdowns.depend...);
+    f("issue", topdowns.issue...);
+    f("mem", topdowns.mem...);
+    f("other", topdowns.other...);
+}
+static_assert(sizeof(TopDown) == 7 * sizeof(double),
+              "a TopDown bucket is missing from forEachBucket: list it, "
+              "then update this count");
+
+inline double
+TopDown::total() const
+{
+    // 0.0 + x is exactly x for the non-negative buckets, so this is
+    // bit-identical to retire + ifetch + ... + other.
+    double t = 0.0;
+    forEachBucket([&t](const char *, double bucket) { t += bucket; },
+                  *this);
+    return t;
+}
 
 } // namespace trrip
 

@@ -18,11 +18,10 @@
  *   [chunk 0 payload][chunk 1 payload]...
  *   [chunk directory: TraceChunk x chunkCount, at header.dirOffset]
  *
- * Payloads are fixed-count groups of records (the last chunk may be
- * short), either raw or zstd-compressed per header.codec.  Raw chunks
- * are multiples of 64 bytes laid back to back after the 64-byte
- * header, so every raw chunk offset is record-aligned and the reader
- * can serve records straight out of the mmap with an aligned cast.
+ * Payloads are fixed-count groups of raw records (the last chunk may
+ * be short): multiples of 64 bytes laid back to back after the 64-byte
+ * header, so every chunk offset is record-aligned and the reader can
+ * serve records straight out of the mmap with an aligned cast.
  * The directory lives at the end so the writer streams append-only
  * and seeks exactly once (to patch the header) at close.
  */
@@ -107,13 +106,6 @@ classifyBranch(const TraceInstr &in)
                        : BranchKind::DirectJump;
 }
 
-/** Chunk payload encoding. */
-enum class TraceCodec : std::uint32_t
-{
-    Raw = 0,
-    Zstd = 1,
-};
-
 /** "trriptrc", little-endian. */
 constexpr std::uint64_t kTraceMagic = 0x6372747069727274ull;
 constexpr std::uint32_t kTraceVersion = 1;
@@ -125,7 +117,7 @@ struct TraceHeader
 {
     std::uint64_t magic = kTraceMagic;
     std::uint32_t version = kTraceVersion;
-    std::uint32_t codec = 0;
+    std::uint32_t codec = 0;    //!< Payload encoding: 0 (raw) only.
     std::uint64_t recordCount = 0;
     std::uint32_t chunkRecords = 0;
     std::uint32_t chunkCount = 0;
@@ -138,7 +130,7 @@ static_assert(sizeof(TraceHeader) == 64);
 struct TraceChunk
 {
     std::uint64_t offset = 0;       //!< Payload file offset.
-    std::uint64_t payloadBytes = 0; //!< Stored (maybe compressed) size.
+    std::uint64_t payloadBytes = 0; //!< Records in the chunk x 64.
 };
 static_assert(sizeof(TraceChunk) == 16);
 

@@ -238,7 +238,7 @@ miniTracePath(const std::string &dir, const std::string &name)
 void
 generateMiniTrace(const std::string &name, const std::string &path)
 {
-    TraceWriter writer(path, TraceCodec::Raw);
+    TraceWriter writer(path);
     fatal_if(!writer.ok(), writer.error());
     if (name == "dispatch")
         generateDispatch(writer);

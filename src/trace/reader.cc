@@ -7,10 +7,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#if TRRIP_HAVE_ZSTD
-#include <zstd.h>
-#endif
-
 #include "util/fault.hh"
 
 namespace trrip::trace {
@@ -49,7 +45,6 @@ TraceReader::operator=(TraceReader &&other) noexcept
     cursor_ = other.cursor_;
     chunkEnd_ = other.chunkEnd_;
     chunkIndex_ = other.chunkIndex_;
-    chunkBuffer_ = std::move(other.chunkBuffer_);
     other.map_ = nullptr;
     other.mapBytes_ = 0;
     other.dir_ = nullptr;
@@ -139,20 +134,12 @@ TraceReader::open(const std::string &path)
              offsetof(TraceHeader, version));
         return;
     }
-    if (header_.codec > static_cast<std::uint32_t>(TraceCodec::Zstd)) {
-        fail("unknown codec " + std::to_string(header_.codec),
+    if (header_.codec != 0) {
+        fail("unknown codec " + std::to_string(header_.codec) +
+                 " (only raw chunks, codec 0, are supported)",
              offsetof(TraceHeader, codec));
         return;
     }
-#if !TRRIP_HAVE_ZSTD
-    if (header_.codec ==
-        static_cast<std::uint32_t>(TraceCodec::Zstd)) {
-        fail("zstd-compressed trace but compiled without zstd "
-             "support (TRRIP_HAVE_ZSTD)",
-             offsetof(TraceHeader, codec));
-        return;
-    }
-#endif
     if (header_.recordCount == 0) {
         if (header_.chunkCount != 0)
             fail("empty trace with a non-empty chunk directory",
@@ -201,18 +188,15 @@ TraceReader::open(const std::string &path)
             fail("chunk out of bounds", entry_offset, c);
             return;
         }
-        if (header_.codec ==
-            static_cast<std::uint32_t>(TraceCodec::Raw)) {
-            if (chunk.payloadBytes !=
-                chunkRecordCount(c) * sizeof(TraceInstr)) {
-                fail("raw chunk has the wrong payload size",
-                     entry_offset, c);
-                return;
-            }
-            if (chunk.offset % alignof(TraceInstr) != 0) {
-                fail("misaligned raw chunk", chunk.offset, c);
-                return;
-            }
+        if (chunk.payloadBytes !=
+            chunkRecordCount(c) * sizeof(TraceInstr)) {
+            fail("raw chunk has the wrong payload size", entry_offset,
+                 c);
+            return;
+        }
+        if (chunk.offset % alignof(TraceInstr) != 0) {
+            fail("misaligned raw chunk", chunk.offset, c);
+            return;
         }
     }
 }
@@ -242,7 +226,6 @@ TraceReader::loadChunk(std::uint32_t index)
     if (!valid() || index >= header_.chunkCount)
         return false;
     const TraceChunk &chunk = dir_[index];
-    const std::uint64_t records = chunkRecordCount(index);
     // Chunk loads are the trace_read fault-injection site: a firing
     // turns the reader !valid() exactly as a mid-stream corruption
     // would, exercising the consumer's must-check contract.
@@ -252,28 +235,9 @@ TraceReader::loadChunk(std::uint32_t index)
         cursor_ = chunkEnd_ = nullptr;
         return false;
     }
-    if (header_.codec == static_cast<std::uint32_t>(TraceCodec::Raw)) {
-        // Zero copy: raw chunks are record-aligned in the mapping.
-        cursor_ =
-            reinterpret_cast<const TraceInstr *>(map_ + chunk.offset);
-    } else {
-#if TRRIP_HAVE_ZSTD
-        chunkBuffer_.resize(records);
-        const std::size_t n = ZSTD_decompress(
-            chunkBuffer_.data(), records * sizeof(TraceInstr),
-            map_ + chunk.offset, chunk.payloadBytes);
-        if (ZSTD_isError(n) || n != records * sizeof(TraceInstr)) {
-            fail("zstd decompression failed", chunk.offset, index);
-            cursor_ = chunkEnd_ = nullptr;
-            return false;
-        }
-        cursor_ = chunkBuffer_.data();
-#else
-        // Unreachable: open() rejects zstd traces in this build.
-        return false;
-#endif
-    }
-    chunkEnd_ = cursor_ + records;
+    // Zero copy: chunks are record-aligned in the mapping.
+    cursor_ = reinterpret_cast<const TraceInstr *>(map_ + chunk.offset);
+    chunkEnd_ = cursor_ + chunkRecordCount(index);
     chunkIndex_ = index;
     return true;
 }

@@ -3,11 +3,10 @@
  * Streaming trace reader over an mmap'd file.
  *
  * The whole file is mapped read-only once; records are then served one
- * chunk at a time -- raw chunks straight out of the mapping (zero
- * copy; raw chunk offsets are record-aligned by construction), zstd
- * chunks decompressed into a single reusable chunk buffer.  The full
- * trace is never materialized, so arbitrarily long traces stream in
- * O(chunk) memory.
+ * chunk at a time straight out of the mapping (zero copy; chunk
+ * offsets are record-aligned by construction).  The full trace is
+ * never materialized, so arbitrarily long traces stream in O(chunk)
+ * memory.
  *
  * Constructors never abort: a missing, truncated or corrupt file
  * leaves the reader !valid() with a human-readable error().  Every
@@ -29,7 +28,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "trace/format.hh"
 #include "util/error.hh"
@@ -67,8 +65,6 @@ class TraceReader
 
     std::uint64_t recordCount() const { return header_.recordCount; }
     std::uint32_t chunkCount() const { return header_.chunkCount; }
-    TraceCodec codec() const
-    { return static_cast<TraceCodec>(header_.codec); }
 
     /** Rewind the streaming cursor to the first record. */
     void reset();
@@ -118,8 +114,6 @@ class TraceReader
     const TraceInstr *cursor_ = nullptr;
     const TraceInstr *chunkEnd_ = nullptr;
     std::uint32_t chunkIndex_ = 0;
-    /** Decompression target for zstd chunks (reused, one chunk). */
-    std::vector<TraceInstr> chunkBuffer_;
 };
 
 } // namespace trrip::trace

@@ -109,8 +109,8 @@ class TraceEventSource final : public BBEventSource
     TraceReader reader_;
     /**
      * Lookahead record, held by value: reader pointers only live to
-     * the next chunk boundary (the zstd buffer is reused), and the
-     * one-record lookahead routinely straddles chunks.
+     * the next chunk boundary, and the one-record lookahead
+     * routinely straddles chunks.
      */
     TraceInstr cur_;
     Addr firstIp_ = 0;

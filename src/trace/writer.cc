@@ -7,13 +7,9 @@
 
 #include <cstdio>
 
-#if TRRIP_HAVE_ZSTD
-#include <zstd.h>
-#endif
-
 namespace trrip::trace {
 
-TraceWriter::TraceWriter(const std::string &path, TraceCodec codec,
+TraceWriter::TraceWriter(const std::string &path,
                          std::uint32_t chunk_records) :
     path_(path), tmpPath_(path + ".XXXXXX")
 {
@@ -21,14 +17,6 @@ TraceWriter::TraceWriter(const std::string &path, TraceCodec codec,
         setError("chunk size must be at least one record");
         return;
     }
-#if !TRRIP_HAVE_ZSTD
-    if (codec == TraceCodec::Zstd) {
-        setError("compiled without zstd support (TRRIP_HAVE_ZSTD); "
-                 "use TraceCodec::Raw");
-        return;
-    }
-#endif
-    header_.codec = static_cast<std::uint32_t>(codec);
     header_.chunkRecords = chunk_records;
     pending_.reserve(chunk_records);
 
@@ -81,26 +69,9 @@ TraceWriter::flushChunk()
 {
     if (pending_.empty() || !ok())
         return;
-    const std::size_t raw_bytes = pending_.size() * sizeof(TraceInstr);
-    const void *payload = pending_.data();
-    std::size_t payload_bytes = raw_bytes;
-#if TRRIP_HAVE_ZSTD
-    std::vector<char> compressed;
-    if (header_.codec == static_cast<std::uint32_t>(TraceCodec::Zstd)) {
-        compressed.resize(ZSTD_compressBound(raw_bytes));
-        const std::size_t n =
-            ZSTD_compress(compressed.data(), compressed.size(),
-                          pending_.data(), raw_bytes, 3);
-        if (ZSTD_isError(n)) {
-            setError(std::string("zstd compression failed: ") +
-                     ZSTD_getErrorName(n));
-            return;
-        }
-        payload = compressed.data();
-        payload_bytes = n;
-    }
-#endif
-    if (std::fwrite(payload, 1, payload_bytes, file_) !=
+    const std::size_t payload_bytes =
+        pending_.size() * sizeof(TraceInstr);
+    if (std::fwrite(pending_.data(), 1, payload_bytes, file_) !=
         payload_bytes) {
         setError("short write flushing a trace chunk");
         return;

@@ -1,9 +1,8 @@
 /**
  * @file
  * Streaming trace writer: append records, close, done.  Chunks are
- * buffered one at a time (never the whole trace), flushed raw or
- * zstd-compressed per the codec, and the chunk directory + patched
- * header are written by finish().  Used by the deterministic
+ * buffered one at a time (never the whole trace) and flushed raw, and
+ * the chunk directory + patched header are written by finish().  Used by the deterministic
  * mini-trace generator (trace/generate.hh) and by tests; the output
  * is a pure function of the appended records, so regenerated packs
  * are byte-identical.
@@ -35,7 +34,6 @@ class TraceWriter
 {
   public:
     explicit TraceWriter(const std::string &path,
-                         TraceCodec codec = TraceCodec::Raw,
                          std::uint32_t chunk_records =
                              kDefaultChunkRecords);
     ~TraceWriter();

@@ -265,8 +265,7 @@ tinyParams()
 std::unique_ptr<CacheHierarchy>
 makeHier(const HierarchyParams &hp)
 {
-    return std::make_unique<CacheHierarchy>(
-        hp, std::make_unique<SrripPolicy>(hp.l2));
+    return std::make_unique<CacheHierarchy>(hp);
 }
 
 TEST(Hierarchy, ColdMissGoesToDram)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "exp/pool.hh"
 #include "exp/runner.hh"
@@ -171,6 +173,30 @@ TEST(ExperimentRunner, PoolPersistsAcrossRunsWithoutThreadLeak)
     }
     // Destroying the runner joins every worker.
     EXPECT_EQ(processThreadCount(), before);
+}
+
+TEST(ExperimentRunner, DefaultJobsRespectsEnv)
+{
+    // Reads the variable only: no runner or pool is built with these
+    // values.
+    using exp::ExperimentRunner;
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    setenv("TRRIP_JOBS", "3", 1);
+    EXPECT_EQ(ExperimentRunner::defaultJobs(), 3u);
+    // Anything but a whole positive decimal count that fits unsigned
+    // takes the hardware concurrency.  The prefixed forms parse to a
+    // count other than hw, so a prefix parser fails them.
+    const std::string other = std::to_string(hw + 1);
+    const std::vector<std::string> bad_values = {
+        "4294967297", "99999999999", other + "x", " " + other,
+        "+" + other,  other + ".5",  "-1",        "0",
+        "",           "abc"};
+    for (const std::string &bad : bad_values) {
+        setenv("TRRIP_JOBS", bad.c_str(), 1);
+        EXPECT_EQ(ExperimentRunner::defaultJobs(), hw) << '"' << bad << '"';
+    }
+    unsetenv("TRRIP_JOBS");
+    EXPECT_EQ(ExperimentRunner::defaultJobs(), hw);
 }
 
 TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)

@@ -16,16 +16,21 @@
  *    temperature profiles, one bundle mixing a proxy core with a
  *    trace-replay core, plus driver-level determinism and the
  *    masked-vs-naive back-invalidation equivalence end to end;
+ *  - aggregateMultiCore over hand-filled cores: every listed counter
+ *    and bucket summed, the makespan, the shared SLC, the MPKI form;
  *  - every row kind (proxy, trace, one- and two-core bundles) through
  *    the experiment runner in one grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "exp/runner.hh"
@@ -429,6 +434,74 @@ TEST(MultiCoreGolden, PerCoreBudgetsRunIndependently)
     EXPECT_GE(mc.cores[0].result.instructions, 5'000u);
     EXPECT_LT(mc.cores[0].result.instructions, 6'000u);
     EXPECT_GE(mc.cores[1].result.instructions, 40'000u);
+}
+
+// ------------------------------------------------------- aggregation
+
+TEST(MultiCoreAggregate, SumsEveryCounterKeepsMakespanAndSharedSlc)
+{
+    // Two hand-filled cores: every listed counter of core 0 counts up
+    // from 1, of core 1 from 100, of the shared SLC from 10'000, so
+    // no two values coincide (and the two MPKI expressions round the
+    // summed L2 misses differently).
+    MultiCoreResult mc;
+    mc.cores.resize(2);
+    const auto fill = [](std::uint64_t next) {
+        return [next](const char *, auto &counter) mutable {
+            counter = static_cast<std::decay_t<decltype(counter)>>(next++);
+        };
+    };
+    for (std::size_t c = 0; c < 2; ++c) {
+        SimResult &r = mc.cores[c].result;
+        forEachCounter(fill(c == 0 ? 1 : 100), r);
+        double bucket = 0.25 + static_cast<double>(c);
+        forEachBucket(
+            [&](const char *, double &b) {
+                b = bucket;
+                bucket += 2.0;
+            },
+            r.topdown);
+        r.l2HotEvictions = 7 + c;
+    }
+    forEachCounter(fill(10'000), mc.slc);
+    // The slower core is the first, so "last core wins" fails.
+    mc.cores[0].result.cycles = 1e6;
+
+    const SimResult &a = mc.cores[0].result;
+    const SimResult &b = mc.cores[1].result;
+    const SimResult sum = aggregateMultiCore(mc);
+    forEachCounter(
+        [](const char *name, auto got, auto x, auto y) {
+            if (std::string_view(name) == "cycles") {
+                EXPECT_EQ(got, std::max(x, y)) << name;
+            } else if (!std::string_view(name).starts_with("slc.")) {
+                EXPECT_EQ(got, x + y) << name;
+            }
+        },
+        sum, a, b);
+    forEachCounter(
+        [](const char *name, std::uint64_t got, std::uint64_t shared) {
+            EXPECT_EQ(got, shared) << name;
+        },
+        sum.slc, mc.slc);
+    forEachBucket(
+        [](const char *name, double got, double x, double y) {
+            EXPECT_EQ(got, x + y) << name;
+        },
+        sum.topdown, a.topdown, b.topdown);
+    EXPECT_EQ(sum.l2HotEvictions, 15u);
+
+    // misses / (instructions / 1000), not finalize()'s
+    // misses * 1000 / instructions.
+    const double kilo = static_cast<double>(sum.instructions) / 1000.0;
+    const auto mpki = [&](std::uint64_t misses) {
+        return static_cast<double>(misses) / kilo;
+    };
+    EXPECT_EQ(sum.l2InstMpki, mpki(sum.l2.instDemandMisses));
+    EXPECT_EQ(sum.l2DataMpki, mpki(sum.l2.dataDemandMisses));
+    EXPECT_NE(sum.l2InstMpki,
+              static_cast<double>(sum.l2.instDemandMisses) * 1000.0 /
+                  static_cast<double>(sum.instructions));
 }
 
 // ------------------------------------------- every row kind, one grid

@@ -77,7 +77,7 @@ TEST_F(TraceTest, RoundTripPreservesEveryRecord)
     constexpr std::uint64_t kRecords = 8 * 3 + 5;
     const std::string file = path("roundtrip.trrtrc");
     {
-        TraceWriter writer(file, TraceCodec::Raw, 8);
+        TraceWriter writer(file, 8);
         for (std::uint64_t i = 0; i < kRecords; ++i) {
             TraceInstr in = plainAt(0x1000 + i * 4, 0x9000 + i * 8);
             in.isBranch = i % 7 == 0;
@@ -160,7 +160,7 @@ TEST_F(TraceTest, CorruptDirectoryAndPayloadAreRejected)
 {
     const std::string file = path("corrupt.trrtrc");
     {
-        TraceWriter writer(file, TraceCodec::Raw, 8);
+        TraceWriter writer(file, 8);
         for (int i = 0; i < 20; ++i)
             writer.append(plainAt(0x1000 + i * 4));
         writer.finish();
@@ -207,6 +207,24 @@ TEST_F(TraceTest, CorruptDirectoryAndPayloadAreRejected)
         TraceReader reader(file);
         EXPECT_FALSE(reader.valid());
     }
+
+    // Any codec but raw (0) is rejected at the codec field.
+    {
+        std::vector<char> bytes = good;
+        const std::uint32_t compressed = 1;
+        std::memcpy(bytes.data() + offsetof(TraceHeader, codec),
+                    &compressed, sizeof(compressed));
+        std::ofstream(file, std::ios::binary)
+            .write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+        TraceReader reader(file);
+        EXPECT_FALSE(reader.valid());
+        EXPECT_EQ(reader.errorCategory(), ErrorCategory::TraceCorrupt);
+        EXPECT_EQ(reader.errorOffset(), offsetof(TraceHeader, codec));
+        EXPECT_NE(reader.error().find("unknown codec 1"),
+                  std::string::npos)
+            << reader.error();
+    }
 }
 
 TEST_F(TraceTest, WriterOutputIsBytePure)
@@ -214,7 +232,7 @@ TEST_F(TraceTest, WriterOutputIsBytePure)
     const std::string a = path("a.trrtrc");
     const std::string b = path("b.trrtrc");
     for (const std::string &file : {a, b}) {
-        TraceWriter writer(file, TraceCodec::Raw, 16);
+        TraceWriter writer(file, 16);
         for (int i = 0; i < 100; ++i)
             writer.append(plainAt(0x4000 + i * 4, 0x8000 + i));
         writer.finish();
@@ -232,7 +250,7 @@ TEST_F(TraceTest, RewritingAMappedTraceLeavesTheReaderIntact)
     constexpr std::uint64_t kRecords = 4096;
     const std::string file = path("mapped.trrtrc");
     {
-        TraceWriter writer(file, TraceCodec::Raw, 64);
+        TraceWriter writer(file, 64);
         for (std::uint64_t i = 0; i < kRecords; ++i)
             writer.append(plainAt(0x1000 + i * 4, 0x9000 + i * 8));
         ASSERT_TRUE(writer.finish()) << writer.error();
@@ -240,7 +258,7 @@ TEST_F(TraceTest, RewritingAMappedTraceLeavesTheReaderIntact)
     TraceReader reader(file);
     ASSERT_TRUE(reader.valid()) << reader.error();
 
-    TraceWriter rewriter(file, TraceCodec::Raw, 64);
+    TraceWriter rewriter(file, 64);
     for (std::uint64_t i = 0; i < 3; ++i)
         rewriter.append(plainAt(0x7000 + i * 4));
     for (std::uint64_t i = 0; i < kRecords; ++i) {
@@ -290,7 +308,7 @@ TEST_F(TraceTest, FailedWriterLeavesNoTemporaryFile)
 void
 writeGatherTrace(const std::string &file, int gather)
 {
-    TraceWriter writer(file, TraceCodec::Raw, 8);
+    TraceWriter writer(file, 8);
     std::uint64_t ip = 0x1000;
     for (int i = 0; i < gather; ++i) {
         TraceInstr in;
