@@ -18,18 +18,26 @@
  * eviction cascades.
  *
  * The access/fill/accessInvalidate bodies are member templates
- * instantiated once per concrete policy class: the constructor reads
- * ReplacementPolicy::kind() and every public entry point switches to
- * the matching instantiation, in which the policy hooks are inlined
- * non-virtual calls (the concrete classes are final).  Policies
- * registered outside the built-in set report PolicyKind::Generic and
- * take the virtual-dispatch fallback instantiation.
+ * defined in this header and instantiated once per concrete policy
+ * class, in which the policy hooks are inlined non-virtual calls (the
+ * concrete classes are final).  The constructor reads
+ * ReplacementPolicy::kind(), and each level's policy is resolved where
+ * its kind is known.  The default entry points (access, accessProbe,
+ * accessInvalidate, fillProbe) carry an inline LRU arm, since the
+ * L1I, L1D and SLC run LRU in every paper configuration; any other
+ * kind takes one out-of-line switch (cache.cc).  accessProbeInline
+ * and fillProbeInline inline the whole switch into the caller: the
+ * L2's demand probe and fill, where every policy lane runs a
+ * different policy.  Policies registered outside the built-in set
+ * report PolicyKind::Generic and take the virtual-dispatch arm of
+ * either switch.
  */
 
 #ifndef TRRIP_CACHE_CACHE_HH
 #define TRRIP_CACHE_CACHE_HH
 
 #include <array>
+#include <cassert>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -39,9 +47,18 @@
 
 #include "cache/geometry.hh"
 #include "cache/line.hh"
+#include "cache/replacement/clip.hh"
+#include "cache/replacement/drrip.hh"
+#include "cache/replacement/emissary.hh"
+#include "cache/replacement/lru.hh"
 #include "cache/replacement/policy.hh"
+#include "cache/replacement/random.hh"
+#include "cache/replacement/rrip.hh"
+#include "cache/replacement/ship.hh"
 #include "core/policy_registry.hh"
+#include "core/trrip_policy.hh"
 #include "mem/request.hh"
+#include "util/logging.hh"
 
 namespace trrip {
 
@@ -157,15 +174,39 @@ class Cache
      * @p mark_dirty_on_write_hit folds the store-hit markDirty()
      * into the same tag probe (the L1D demand path).
      */
-    bool access(const MemRequest &req,
-                bool mark_dirty_on_write_hit = false);
+    bool
+    access(const MemRequest &req, bool mark_dirty_on_write_hit = false)
+    {
+        return accessProbe(req, mark_dirty_on_write_hit).hit;
+    }
 
     /**
      * access() that also reports which (set, way) hit, so the caller
      * can reuse the bound slot.  Identical stats and policy effects.
+     * LRU runs inline; any other kind takes the out-of-line switch.
      */
-    Probe accessProbe(const MemRequest &req,
-                      bool mark_dirty_on_write_hit = false);
+    [[gnu::always_inline]] Probe
+    accessProbe(const MemRequest &req,
+                bool mark_dirty_on_write_hit = false)
+    {
+        if (kind_ == PolicyKind::Lru) [[likely]]
+            return accessWith(lru(), req, mark_dirty_on_write_hit);
+        return accessProbeSwitch(req, mark_dirty_on_write_hit);
+    }
+
+    /**
+     * accessProbe() with the switch over every policy kind inlined
+     * into the caller, for a level whose policy is not known to be
+     * LRU.
+     */
+    [[gnu::always_inline]] Probe
+    accessProbeInline(const MemRequest &req,
+                      bool mark_dirty_on_write_hit = false)
+    {
+        return dispatch([&](auto &pol) __attribute__((always_inline)) {
+            return accessWith(pol, req, mark_dirty_on_write_hit);
+        });
+    }
 
     /**
      * OR @p bits into the packed metadata byte of (set, way) -- the
@@ -185,7 +226,13 @@ class Cache
      * always moves the line back up to the L2.  Stats and policy
      * effects are identical to the two separate calls.
      */
-    bool accessInvalidate(const MemRequest &req);
+    [[gnu::always_inline]] bool
+    accessInvalidate(const MemRequest &req)
+    {
+        if (kind_ == PolicyKind::Lru) [[likely]]
+            return accessInvalidateWith(lru(), req);
+        return accessInvalidateSwitch(req);
+    }
 
     /** True if the line holding @p paddr is present. */
     bool
@@ -227,10 +274,30 @@ class Cache
      * so the cascade can reuse the already-computed identity of the
      * evicted line without materializing a CacheLine.  @p owner_bits
      * seeds the new line's per-core owner mask when owner tracking is
-     * enabled (ignored otherwise).
+     * enabled (ignored otherwise).  LRU runs inline; any other kind
+     * takes the out-of-line switch.
      */
-    Victim fillProbe(const MemRequest &req, std::uint8_t extra_meta,
-                     std::uint32_t owner_bits = 0);
+    [[gnu::always_inline]] Victim
+    fillProbe(const MemRequest &req, std::uint8_t extra_meta,
+              std::uint32_t owner_bits = 0)
+    {
+        if (kind_ == PolicyKind::Lru) [[likely]]
+            return fillWith(lru(), req, extra_meta, owner_bits);
+        return fillProbeSwitch(req, extra_meta, owner_bits);
+    }
+
+    /**
+     * fillProbe() with the switch over every policy kind inlined into
+     * the caller, for a level whose policy is not known to be LRU.
+     */
+    [[gnu::always_inline]] Victim
+    fillProbeInline(const MemRequest &req, std::uint8_t extra_meta,
+                    std::uint32_t owner_bits = 0)
+    {
+        return dispatch([&](auto &pol) __attribute__((always_inline)) {
+            return fillWith(pol, req, extra_meta, owner_bits);
+        });
+    }
 
     /**
      * Remove the line holding @p paddr (inclusive back-invalidation).
@@ -326,22 +393,22 @@ class Cache
         return way;
     }
 
-    /** Demand hit/miss counter updates shared by the access paths. */
+    /**
+     * Demand hit/miss counter updates shared by the access paths:
+     * branch-free, since hit and inst/data are unpredictable per
+     * access.
+     */
     void
     countDemand(const MemRequest &req, bool hit)
     {
+        const std::uint64_t inst = req.isInst();
+        const std::uint64_t miss = !hit;
         ++stats_.demandAccesses;
-        if (req.isInst())
-            ++stats_.instDemandAccesses;
-        else
-            ++stats_.dataDemandAccesses;
-        if (!hit) {
-            ++stats_.demandMisses;
-            if (req.isInst())
-                ++stats_.instDemandMisses;
-            else
-                ++stats_.dataDemandMisses;
-        }
+        stats_.instDemandAccesses += inst;
+        stats_.dataDemandAccesses += inst ^ 1;
+        stats_.demandMisses += miss;
+        stats_.instDemandMisses += miss & inst;
+        stats_.dataDemandMisses += miss & (inst ^ 1);
     }
 
     /** Address decomposition on cached constants (geom_.check()ed). */
@@ -364,20 +431,48 @@ class Cache
     /**
      * @name Policy-specialized hot paths
      * One instantiation per concrete policy class (plus the
-     * ReplacementPolicy fallback); the public entry points select the
-     * instantiation through a switch on kind_.  Defined in cache.cc.
+     * ReplacementPolicy fallback), forced inline so every caller --
+     * an entry point's LRU arm, an inline switch, the out-of-line
+     * switch -- gets its own copy with the hooks inlined.
      */
     /** @{ */
     template <class Policy>
-    Probe accessWith(Policy &pol, const MemRequest &req,
-                     bool mark_dirty_on_write_hit);
+    [[gnu::always_inline]] Probe
+    accessWith(Policy &pol, const MemRequest &req,
+               bool mark_dirty_on_write_hit);
     template <class Policy>
-    bool accessInvalidateWith(Policy &pol, const MemRequest &req);
+    [[gnu::always_inline]] bool
+    accessInvalidateWith(Policy &pol, const MemRequest &req);
     template <class Policy>
-    Victim fillWith(Policy &pol, const MemRequest &req,
-                    std::uint8_t extra_meta, std::uint32_t owner_bits);
+    [[gnu::always_inline]] Victim
+    fillWith(Policy &pol, const MemRequest &req, std::uint8_t extra_meta,
+             std::uint32_t owner_bits);
+
+    /**
+     * Run @p fn with the policy downcast to its concrete class.  The
+     * callers' lambdas carry the GNU spelling of always_inline: in
+     * that position the standard spelling would name the lambda's
+     * type, which GCC ignores.
+     */
     template <class Fn>
-    decltype(auto) dispatch(Fn &&fn);
+    [[gnu::always_inline]] std::invoke_result_t<Fn, ReplacementPolicy &>
+    dispatch(Fn &&fn);
+
+    /** The policy as LruPolicy; only valid when kind_ is Lru. */
+    LruPolicy &lru() { return static_cast<LruPolicy &>(*policy_); }
+
+    /**
+     * The entry points' fallback for every kind but LRU: one
+     * out-of-line switch each (cache.cc), never inlined, so a non-LRU
+     * L1 or SLC costs a call instead of a switch copy per call site.
+     */
+    [[gnu::noinline]] Probe
+    accessProbeSwitch(const MemRequest &req,
+                      bool mark_dirty_on_write_hit);
+    [[gnu::noinline]] bool accessInvalidateSwitch(const MemRequest &req);
+    [[gnu::noinline]] Victim
+    fillProbeSwitch(const MemRequest &req, std::uint8_t extra_meta,
+                    std::uint32_t owner_bits);
     /** @} */
 
     CacheGeometry geom_;
@@ -395,6 +490,156 @@ class Cache
     std::vector<std::uint32_t> owners_;
     CacheStats stats_;
 };
+
+/**
+ * Every case instantiates the caller's template body once; inside it
+ * the hooks are non-virtual calls on a final class, so the optimizer
+ * inlines the SoA state updates straight into the cache loop.  The
+ * default arm keeps full generality for externally registered
+ * policies (PolicyKind::Generic) at the virtual-dispatch cost.
+ */
+template <class Fn>
+inline std::invoke_result_t<Fn, ReplacementPolicy &>
+Cache::dispatch(Fn &&fn)
+{
+    switch (kind_) {
+      case PolicyKind::Lru:
+        return fn(static_cast<LruPolicy &>(*policy_));
+      case PolicyKind::Random:
+        return fn(static_cast<RandomPolicy &>(*policy_));
+      case PolicyKind::Srrip:
+        return fn(static_cast<SrripPolicy &>(*policy_));
+      case PolicyKind::Brrip:
+        return fn(static_cast<BrripPolicy &>(*policy_));
+      case PolicyKind::Drrip:
+        return fn(static_cast<DrripPolicy &>(*policy_));
+      case PolicyKind::Ship:
+        return fn(static_cast<ShipPolicy &>(*policy_));
+      case PolicyKind::Clip:
+        return fn(static_cast<ClipPolicy &>(*policy_));
+      case PolicyKind::Emissary:
+        return fn(static_cast<EmissaryPolicy &>(*policy_));
+      case PolicyKind::Trrip:
+        return fn(static_cast<TrripPolicy &>(*policy_));
+      case PolicyKind::Generic:
+        break;
+    }
+    return fn(*policy_);
+}
+
+template <class Policy>
+inline Cache::Probe
+Cache::accessWith(Policy &pol, const MemRequest &req,
+                  bool mark_dirty_on_write_hit)
+{
+    const std::uint32_t set = setOf(req.paddr);
+    const Addr tag = tagOf(req.paddr);
+    const int way = findWay(set, tag);
+    const bool hit = way >= 0;
+
+    if (!req.isPrefetch())
+        countDemand(req, hit);
+
+    if (hit) {
+        pol.onHit(set, static_cast<std::uint32_t>(way), req);
+        if (mark_dirty_on_write_hit && req.isWrite()) {
+            meta_[static_cast<std::size_t>(set) * assoc_ +
+                  static_cast<std::uint32_t>(way)] |= kLineMetaDirty;
+        }
+    }
+    return Probe{hit, set, hit ? static_cast<std::uint32_t>(way) : 0};
+}
+
+template <class Policy>
+inline bool
+Cache::accessInvalidateWith(Policy &pol, const MemRequest &req)
+{
+    const std::uint32_t set = setOf(req.paddr);
+    const Addr tag = tagOf(req.paddr);
+    const int way = findWay(set, tag);
+    const bool hit = way >= 0;
+
+    if (!req.isPrefetch())
+        countDemand(req, hit);
+
+    if (hit) {
+        const std::size_t idx =
+            static_cast<std::size_t>(set) * assoc_ +
+            static_cast<std::uint32_t>(way);
+        // The policy hit handler still runs (its state -- the LRU
+        // order, SHiP outcome bits -- must advance exactly as in
+        // access()), then the line leaves the cache.
+        pol.onHit(set, static_cast<std::uint32_t>(way), req);
+        tags_[idx] = 0;
+        meta_[idx] = 0;
+        if (!owners_.empty())
+            owners_[idx] = 0;
+        ++freeWays_[set];
+        ++stats_.invalidations;
+    }
+    return hit;
+}
+
+template <class Policy>
+inline Cache::Victim
+Cache::fillWith(Policy &pol, const MemRequest &req,
+                std::uint8_t extra_meta, std::uint32_t owner_bits)
+{
+    const std::uint32_t set = setOf(req.paddr);
+    const Addr tag = tagOf(req.paddr);
+    assert(findWay(set, tag) < 0 &&
+           "fill of already-present line");
+    // The packed word stores (tag << 1) | valid: decomposed tags must
+    // leave the top bit free (physical addresses stay below 2^63).
+    assert((tag >> 63) == 0 && "tag too wide for the packed tag word");
+
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+
+    std::uint32_t way;
+    Victim evicted;
+    if (freeWays_[set] > 0) {
+        // First invalid way, in way order (one bit test per word).
+        way = 0;
+        while ((tags_[base + way] & 1) != 0)
+            ++way;
+        --freeWays_[set];
+    } else {
+        way = pol.victim(set, req);
+        panic_if(way >= assoc_,
+                 geom_.name, ": policy returned invalid victim way");
+        pol.onEvict(set, way);
+        const std::uint8_t vmeta = meta_[base + way];
+        ++stats_.evictions;
+        ++stats_.evictionsByTemp[(vmeta >> kLineMetaTempShift) & 0x3];
+        if (vmeta & kLineMetaInst)
+            ++stats_.instEvictions;
+        else
+            ++stats_.dataEvictions;
+        if (vmeta & kLineMetaDirty)
+            ++stats_.writebacks;
+        evicted.valid = true;
+        evicted.addr = ((tags_[base + way] >> 1) << tagShift_) |
+                       (static_cast<Addr>(set) << lineShift_);
+        evicted.meta = vmeta;
+        if (!owners_.empty())
+            evicted.owner = owners_[base + way];
+    }
+
+    // The policy re-initializes its own per-way state in onFill().
+    tags_[base + way] = (tag << 1) | 1;
+    meta_[base + way] =
+        packLineMeta(req.isWrite(), req.isInst(),
+                     req.isInst() ? req.temp : Temperature::None) |
+        extra_meta;
+    if (!owners_.empty())
+        owners_[base + way] = owner_bits;
+
+    ++stats_.fills;
+    if (req.isPrefetch())
+        ++stats_.prefetchFills;
+    pol.onFill(set, way, req);
+    return evicted;
+}
 
 } // namespace trrip
 

@@ -117,7 +117,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (params_.slcInclusive)
             ensureSlcInclusion(fill, now);
         else
-            slc_->invalidate(line);
+            slc_->invalidateRaw(line);
         fillL2(fill, now, 0);
     }
 
@@ -125,7 +125,11 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
     const std::uint8_t l1bit = is_inst ? kLineMetaInL1I
                                        : kLineMetaInL1D;
 
-    if (const Cache::Probe probe = l2_.accessProbe(req); probe.hit) {
+    // The L2 runs the lane's policy, so the probe and fillL2's fill
+    // inline the switch over every kind: each lane runs its own
+    // policy's hooks with no call.
+    if (const Cache::Probe probe = l2_.accessProbeInline(req);
+        probe.hit) {
         // The line is about to enter an L1: stamp the residency hint
         // on the slot the probe already bound.
         l2_.orMeta(probe.set, probe.way, l1bit);
@@ -152,7 +156,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (params_.slcInclusive)
             ensureSlcInclusion(req, now);
         else
-            slc_->invalidate(line);
+            slc_->invalidateRaw(line);
         fillL2(req, now, l1bit);
         fillL1(l1, req);
         return out;
@@ -257,7 +261,7 @@ void
 CacheHierarchy::fillL2(const MemRequest &req, Cycles now,
                        std::uint8_t l1_residency)
 {
-    const Cache::Victim victim = l2_.fillProbe(req, l1_residency);
+    const Cache::Victim victim = l2_.fillProbeInline(req, l1_residency);
     if (!victim.valid)
         return;
 
@@ -267,15 +271,12 @@ CacheHierarchy::fillL2(const MemRequest &req, Cycles now,
         // the victim (a clear bit proves absence; a stale set bit
         // costs the same no-op probe as the unconditional pre-fusion
         // walk).  A dirty L1D copy folds its data into the victim on
-        // the way out.
+        // the way out (an absent line comes back with meta 0).
         if (victim.meta & kLineMetaInL1I)
-            l1i_.invalidate(victim.addr);
-        if (victim.meta & kLineMetaInL1D) {
-            if (auto l1line = l1d_.invalidate(victim.addr);
-                l1line && l1line->dirty) {
-                dirty = true;
-            }
-        }
+            l1i_.invalidateRaw(victim.addr);
+        if ((victim.meta & kLineMetaInL1D) &&
+            (l1d_.invalidateRaw(victim.addr).meta & kLineMetaDirty))
+            dirty = true;
     }
     victimToSlc(victim.addr, dirty, victim.meta, now);
 }
@@ -359,13 +360,9 @@ CacheHierarchy::dropLine(Addr addr)
         params_.l2Inclusive ? (v.valid && (v.meta & kLineMetaInL1D))
                             : true;
     if (probe_i)
-        l1i_.invalidate(addr);
-    if (probe_d) {
-        if (auto l1line = l1d_.invalidate(addr);
-            l1line && l1line->dirty) {
-            dirty = true;
-        }
-    }
+        l1i_.invalidateRaw(addr);
+    if (probe_d && (l1d_.invalidateRaw(addr).meta & kLineMetaDirty))
+        dirty = true;
     return dirty;
 }
 

@@ -8,6 +8,7 @@
 #ifndef TRRIP_CACHE_REPLACEMENT_LRU_HH
 #define TRRIP_CACHE_REPLACEMENT_LRU_HH
 
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -24,13 +25,13 @@ namespace trrip {
  * compressed to their rank order, so the victim choice is identical
  * to "first minimum stamp" while a 16-way set costs 16 bytes instead
  * of 128 -- the SLC's victim scan and the L1s' hit updates stay
- * inside one or two host cache lines.  The promote is branch-free
- * SWAR over 8-byte chunks (ranks stay below 128, so the per-byte
- * compare borrows never cross lanes).
+ * inside one or two host cache lines.  The promote and the victim
+ * scan are branch-free SWAR over 8-byte chunks (ranks stay below 128,
+ * so per-byte borrows and carries never cross lanes).
  *
  * LRU runs in the L1s and SLC, which see the bulk of all accesses:
- * the cache's compile-time dispatch inlines these updates into the
- * access/fill loops.
+ * the cache entry points' inline LRU arm (cache.hh) inlines these
+ * updates into the hierarchy's access and fill paths.
  */
 class LruPolicy final : public ReplacementPolicy
 {
@@ -58,21 +59,29 @@ class LruPolicy final : public ReplacementPolicy
         promote(set, way);
     }
 
+    /** The one way at rank ways-1 (padding lanes hold 127). */
     std::uint32_t
     victim(std::uint32_t set, const MemRequest &) override
     {
         const std::uint8_t *ranks =
             &ranks_[static_cast<std::size_t>(set) * stride_];
-        const std::uint8_t lru =
-            static_cast<std::uint8_t>(ways_ - 1);
-        std::uint32_t best = 0;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (ranks[w] == lru) {
-                best = w;
-                break;
+        // XOR zeroes the lane holding the LRU rank.  Every lane is
+        // below 128, so adding 0x7f sets a lane's high bit exactly
+        // when the lane is nonzero, with no carry into the next one.
+        const std::uint64_t want = kLanes * (ways_ - 1);
+        for (std::uint32_t c = 0; c < stride_; c += 8) {
+            std::uint64_t x;
+            std::memcpy(&x, ranks + c, 8);
+            const std::uint64_t zero =
+                ~((x ^ want) + kLanes * 0x7f) & kHigh;
+            if (zero != 0) {
+                const int bit = std::endian::native == std::endian::little
+                                    ? std::countr_zero(zero)
+                                    : std::countl_zero(zero);
+                return c + static_cast<std::uint32_t>(bit) / 8;
             }
         }
-        return best;
+        return 0;
     }
 
     void
@@ -97,8 +106,12 @@ class LruPolicy final : public ReplacementPolicy
     }
 
   private:
+    /** One in every byte lane, and the lanes' high bits. */
+    static constexpr std::uint64_t kLanes = 0x0101010101010101ull;
+    static constexpr std::uint64_t kHigh = kLanes * 0x80;
+
     /** Make @p way the MRU of @p set, ageing more-recent ways by 1. */
-    void
+    [[gnu::always_inline]] void
     promote(std::uint32_t set, std::uint32_t way)
     {
         std::uint8_t *ranks =
@@ -108,14 +121,12 @@ class LruPolicy final : public ReplacementPolicy
         // (x | H) - old replicates x - old + 128 per byte with no
         // cross-lane borrow, so the high bit is set exactly when
         // x >= old.
-        const std::uint64_t lanes = 0x0101010101010101ull;
-        const std::uint64_t high = 0x8080808080808080ull;
-        const std::uint64_t old_b = lanes * old;
+        const std::uint64_t old_b = kLanes * old;
         for (std::uint32_t c = 0; c < stride_; c += 8) {
             std::uint64_t x;
             std::memcpy(&x, ranks + c, 8);
-            const std::uint64_t ge = (x | high) - old_b;
-            x += (~ge & high) >> 7;
+            const std::uint64_t ge = (x | kHigh) - old_b;
+            x += (~ge & kHigh) >> 7;
             std::memcpy(ranks + c, &x, 8);
         }
         ranks[way] = 0;

@@ -51,10 +51,11 @@ ProfileCache::lookup(Entries<T> &entries, const std::string &key,
 
 std::shared_ptr<const Profile>
 ProfileCache::get(const SyntheticWorkload &workload,
-                  InstCount profile_instructions)
+                  InstCount profile_instructions,
+                  const CancelToken *cancel)
 {
     return lookup(entries_, key(workload, profile_instructions), [&] {
-        return collectProfile(workload, profile_instructions);
+        return collectProfile(workload, profile_instructions, cancel);
     });
 }
 

@@ -35,11 +35,15 @@ class ProfileCache
      * collected on first use.  The key is the workload's name, its
      * training input (seed and Zipf skew), its structural size, and
      * the budget; everything else (policy, cache geometry, layout
-     * options) does not influence the instrumented run.
+     * options) does not influence the instrumented run.  A collection
+     * polls @p cancel (the calling cell's deadline token, if any); a
+     * cancelled one throws SimError(Timeout) and leaves the entry
+     * empty, so the next caller collects afresh.
      */
     std::shared_ptr<const Profile>
     get(const SyntheticWorkload &workload,
-        InstCount profile_instructions);
+        InstCount profile_instructions,
+        const CancelToken *cancel = nullptr);
 
     /**
      * The shared TraceIndex for the trace file at @p path, built on

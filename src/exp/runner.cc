@@ -70,20 +70,41 @@ ExperimentResults::at(const std::string &workload,
               find(spec_.policies, policy), config);
 }
 
+namespace {
+
+/**
+ * Environment variable @p name as a whole decimal count that fits
+ * @p T, else 0: unset, empty, signed, prefixed, suffixed ("4x",
+ * "1e3", "150ms") and overflowing values all read as 0.
+ */
+template <typename T>
+T
+countFromEnv(const char *name)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return 0;
+    const char *end = env + std::strlen(env);
+    T n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    return ec == std::errc() && ptr == end ? n : 0;
+}
+
+} // namespace
+
 unsigned
 ExperimentRunner::defaultJobs()
 {
-    // Only a whole decimal count that fits unsigned; anything else
-    // ("4x", "-1", 2^32 + 1) takes the hardware concurrency.
-    if (const char *env = std::getenv("TRRIP_JOBS")) {
-        const char *end = env + std::strlen(env);
-        unsigned n = 0;
-        const auto [ptr, ec] = std::from_chars(env, end, n);
-        if (ec == std::errc() && ptr == end && n > 0)
-            return n;
-    }
+    if (const unsigned n = countFromEnv<unsigned>("TRRIP_JOBS"))
+        return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
+}
+
+std::uint64_t
+ExperimentRunner::defaultCellTimeoutMs()
+{
+    return countFromEnv<std::uint64_t>("TRRIP_CELL_TIMEOUT_MS");
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads) :
@@ -97,13 +118,8 @@ ExperimentRunner::ensurePool()
 {
     std::call_once(poolOnce_, [&] {
         pool_ = std::make_unique<WorkerPool>(threads_);
-        if (const char *env = std::getenv("TRRIP_CELL_TIMEOUT_MS")) {
-            const long long ms = std::atoll(env);
-            if (ms > 0) {
-                pool_->setItemTimeout(
-                    static_cast<std::uint64_t>(ms));
-            }
-        }
+        if (const std::uint64_t ms = defaultCellTimeoutMs())
+            pool_->setItemTimeout(ms);
     });
     return *pool_;
 }
@@ -333,7 +349,8 @@ struct RunState
             }
             in.workload = &ensureWorkload(
                 std::ranges::find(proxies, core) - proxies.begin(), wc);
-            in.profile = profiles->get(*in.workload, budget);
+            in.profile = profiles->get(*in.workload, budget,
+                                       options.cancel);
         }
         return cores;
     }

@@ -188,7 +188,7 @@ class ExperimentRunner
 
     /**
      * Per-cell deadline in milliseconds (0 disables).  Defaults to
-     * TRRIP_CELL_TIMEOUT_MS from the environment.  A row running K
+     * defaultCellTimeoutMs().  A row running K
      * lanes gets K times the deadline; an overrunning row is
      * cooperatively cancelled and each of its lanes fails with
      * SimError(Timeout), subject to the spec's OnError policy like
@@ -202,6 +202,14 @@ class ExperimentRunner
      * decimal count that fits unsigned, else hardware concurrency.
      */
     static unsigned defaultJobs();
+
+    /**
+     * TRRIP_CELL_TIMEOUT_MS from the environment when it is a whole
+     * positive decimal count of milliseconds that fits std::uint64_t,
+     * else 0 (no deadline): "1e3" and "150ms" are ignored, not read
+     * as 1 and 150.
+     */
+    static std::uint64_t defaultCellTimeoutMs();
 
   private:
     WorkerPool &ensurePool();

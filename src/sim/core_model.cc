@@ -75,11 +75,7 @@ CoreModel::refill()
     // The cooperative-cancellation poll: once per ring refill (every
     // few dozen events), never per event.  Unwinds out of step() as a
     // contained cell failure; the pool catches at the item boundary.
-    // Message carries no progress counters: error rows are part of
-    // the byte-reproducible BENCH contract and the cancellation
-    // instant is wall-clock dependent.
-    if (cancel_ && cancel_->cancelled())
-        throw SimError(ErrorCategory::Timeout, "cell deadline exceeded");
+    pollCancel(cancel_);
     const auto n =
         static_cast<std::uint32_t>(ring_.size()) - ahead;
     events_.produce(ring_.data(), mask_,

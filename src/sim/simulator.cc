@@ -25,8 +25,8 @@ defaultInstrBudget()
 }
 
 Profile
-collectProfile(const SyntheticWorkload &workload,
-               InstCount instructions)
+collectProfile(const SyntheticWorkload &workload, InstCount instructions,
+               const CancelToken *cancel)
 {
     // Instrumented binaries are the pre-PGO layout (Fig. 4, ELF1).
     LayoutOptions layout_opts;
@@ -46,6 +46,7 @@ collectProfile(const SyntheticWorkload &workload,
     std::vector<BBEvent> ring(kBatch);
     InstCount done = 0;
     while (done < instructions) {
+        pollCancel(cancel);
         exec.produce(ring.data(), kBatch - 1, 0, kBatch);
         for (std::uint32_t i = 0; i < kBatch && done < instructions;
              ++i) {
@@ -90,7 +91,7 @@ prepareWorkload(const SyntheticWorkload &workload,
         art.profile = options.precomputedProfile;
     else
         art.profile = std::make_shared<Profile>(
-            collectProfile(workload, profile_budget));
+            collectProfile(workload, profile_budget, options.cancel));
 
     // (4)-(5) Re-optimization: classify temperature, lay out ELF2.
     LayoutOptions layout_opts = options.layout;

@@ -44,9 +44,10 @@ struct SimOptions
     CostlyMissTracker *costly = nullptr;
 
     /**
-     * Optional cooperative-cancellation token (deadline enforcement;
-     * see CoreModel::setCancelToken).  Caller-owned; the experiment
-     * layer wires the worker's token in per cell.
+     * Optional cooperative-cancellation token (deadline enforcement:
+     * the training-profile run and CoreModel::setCancelToken poll
+     * it).  Caller-owned; the experiment layer wires the worker's
+     * token in per cell.
      */
     const CancelToken *cancel = nullptr;
 
@@ -99,10 +100,13 @@ InstCount resolveProfileBudget(const SimOptions &options);
 /**
  * Run the instrumentation (training) execution and collect the PGO
  * profile (paper Fig. 4, steps 2-3).  Uses the non-PGO layout, the
- * training seed and the training Zipf skew.
+ * training seed and the training Zipf skew.  Polls @p cancel (if any)
+ * once per produce batch and throws SimError(Timeout) once it fires,
+ * so a cell's deadline covers its training run too.
  */
 Profile collectProfile(const SyntheticWorkload &workload,
-                       InstCount instructions);
+                       InstCount instructions,
+                       const CancelToken *cancel = nullptr);
 
 /**
  * The software half of a proxy run: artifacts plus the page table they

@@ -22,10 +22,10 @@
  *
  * CancelToken is the cooperative-cancellation half of the same story:
  * the WorkerPool watchdog sets it when a cell overruns its deadline
- * (TRRIP_CELL_TIMEOUT_MS) and CoreModel checks it at event-batch
- * boundaries, throwing SimError(Timeout) from inside the simulation
- * loop -- no detached threads, no pthread_cancel, ordinary RAII
- * unwinding.
+ * (TRRIP_CELL_TIMEOUT_MS), and CoreModel and the training-profile
+ * run check it at event-batch boundaries, throwing SimError(Timeout)
+ * from inside the loop -- no detached threads, no pthread_cancel,
+ * ordinary RAII unwinding.
  */
 
 #ifndef TRRIP_UTIL_ERROR_HH
@@ -113,6 +113,20 @@ class CancelToken
   private:
     std::atomic<bool> cancelled_{false};
 };
+
+/**
+ * The poll every cancellable loop runs at its batch boundaries: throw
+ * SimError(Timeout) once @p token (null: never) has fired.  The
+ * message carries no progress counters: error rows are part of the
+ * byte-reproducible BENCH contract and the cancellation instant is
+ * wall-clock dependent.
+ */
+inline void
+pollCancel(const CancelToken *token)
+{
+    if (token && token->cancelled())
+        throw SimError(ErrorCategory::Timeout, "cell deadline exceeded");
+}
 
 } // namespace trrip
 

@@ -199,6 +199,24 @@ TEST(ExperimentRunner, DefaultJobsRespectsEnv)
     EXPECT_EQ(ExperimentRunner::defaultJobs(), hw);
 }
 
+TEST(ExperimentRunner, DefaultCellTimeoutRespectsEnv)
+{
+    // Reads the variable only: no runner, pool or watchdog is built.
+    using exp::ExperimentRunner;
+    setenv("TRRIP_CELL_TIMEOUT_MS", "1000", 1);
+    EXPECT_EQ(ExperimentRunner::defaultCellTimeoutMs(), 1000u);
+    // A prefix parser reads "1e3" as 1 ms and "150ms" as 150 ms; the
+    // last value is 2^64.  Every one must arm no deadline.
+    for (const char *bad : {"1e3", "150ms", "-5", "0", "",
+                            "18446744073709551616"}) {
+        setenv("TRRIP_CELL_TIMEOUT_MS", bad, 1);
+        EXPECT_EQ(ExperimentRunner::defaultCellTimeoutMs(), 0u)
+            << '"' << bad << '"';
+    }
+    unsetenv("TRRIP_CELL_TIMEOUT_MS");
+    EXPECT_EQ(ExperimentRunner::defaultCellTimeoutMs(), 0u);
+}
+
 TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)
 {
     exp::ExperimentSpec spec;

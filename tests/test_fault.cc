@@ -324,28 +324,58 @@ TEST_F(FaultTest, BuildFaultsAreContainedPerWorkload)
 
 // --------------------------------------------------- timeout watchdog
 
-TEST_F(FaultTest, WatchdogCancelsOverrunningCell)
+/**
+ * One python x SRRIP cell far longer than a 150 ms deadline can
+ * simulate, with a @p profile_instructions training run (0: the
+ * budget), run under that deadline: the cell must fail as a
+ * contained timeout row.
+ */
+void
+expectWatchdogTimeout(exp::ExperimentRunner &runner,
+                      InstCount profile_instructions)
 {
-    exp::ExperimentRunner runner(2);
     runner.setCellTimeout(150);
     exp::ExperimentSpec spec;
     spec.name = "timeout_grid";
     spec.workloads = {"python"};
     spec.policies = {"SRRIP"};
-    // A budget far beyond what 150 ms can simulate.
     spec.options.maxInstructions = 2'000'000'000;
+    spec.options.profileInstructions = profile_instructions;
     spec.onError.mode = exp::OnError::Mode::Skip;
     const exp::ExperimentResults results = runner.run(spec, {});
     ASSERT_EQ(results.cells().size(), 1u);
     const auto &rec = results.cells()[0];
     ASSERT_TRUE(rec.failed);
     EXPECT_EQ(rec.errorCategory, "timeout");
+    EXPECT_EQ(rec.errorMessage,
+              "cell deadline exceeded; cell 0: workload python, policy "
+              "SRRIP");
     EXPECT_EQ(results.cellsFailed, 1u);
+}
+
+TEST_F(FaultTest, WatchdogCancelsOverrunningEngine)
+{
+    exp::ExperimentRunner runner(2);
+    // A short training run: the deadline fires in the engine.
+    expectWatchdogTimeout(runner, 20'000);
+    EXPECT_EQ(runner.profiles().collections(), 1u);
 
     // With the deadline lifted the same runner completes normally.
     runner.setCellTimeout(0);
-    const exp::ExperimentResults after = runner.run(tinySpec(), {});
+    exp::ExperimentSpec spec = tinySpec();
+    spec.workloads = {"python"};
+    spec.options.maxInstructions = 50'000;
+    const exp::ExperimentResults after = runner.run(spec, {});
     EXPECT_EQ(after.cellsFailed, 0u);
+}
+
+TEST_F(FaultTest, WatchdogCancelsOverrunningTrainingRun)
+{
+    exp::ExperimentRunner runner(2);
+    // The training run is as long as the budget: the deadline fires
+    // in it, and the cancelled collection leaves no profile behind.
+    expectWatchdogTimeout(runner, 0);
+    EXPECT_EQ(runner.profiles().collections(), 0u);
 }
 
 // ------------------------------------------------ trace error context
