@@ -22,7 +22,6 @@
 
 #include "sim/simulator.hh"
 #include "trace/replay.hh"
-#include "util/arena.hh"
 
 namespace trrip::exp {
 
@@ -100,6 +99,11 @@ class ProfileCache
     std::mutex mutex_;
     Entries<Profile> entries_;
     Entries<trace::TraceIndex> traceEntries_;
+    /** Destructive-interference padding unit (a conservative constant:
+     *  std::hardware_destructive_interference_size triggers ABI
+     *  warnings on GCC and is unavailable on some libc++ builds). */
+    static constexpr std::size_t kCacheLineBytes = 64;
+
     // Statistics only (no ordering is derived from them), bumped from
     // every worker at once: relaxed, and each on its own cache line
     // so a hit on one core never invalidates a collection elsewhere.

@@ -7,10 +7,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "core/policy_registry.hh"
 #include "exp/journal.hh"
+#include "exp/pool.hh"
 #include "exp/sink.hh"
 #include "sim/multicore.hh"
 #include "trace/replay.hh"
@@ -108,21 +111,9 @@ ExperimentRunner::defaultCellTimeoutMs()
 }
 
 ExperimentRunner::ExperimentRunner(unsigned threads) :
-    threads_(threads > 0 ? threads : defaultJobs())
+    threads_(threads > 0 ? threads : defaultJobs()),
+    cellTimeoutMs_(defaultCellTimeoutMs())
 {}
-
-ExperimentRunner::~ExperimentRunner() = default;
-
-WorkerPool &
-ExperimentRunner::ensurePool()
-{
-    std::call_once(poolOnce_, [&] {
-        pool_ = std::make_unique<WorkerPool>(threads_);
-        if (const std::uint64_t ms = defaultCellTimeoutMs())
-            pool_->setItemTimeout(ms);
-    });
-    return *pool_;
-}
 
 namespace {
 
@@ -137,59 +128,43 @@ coreLabels(const std::string &label)
                                   : std::vector<std::string>{label};
 }
 
-} // namespace
-
-namespace detail {
-
-/**
- * Everything one submitted grid carries through the pool.  Shared by
- * the batch item closures and the PendingRun handle; the closures are
- * dropped when each batch completes, so the only reference left after
- * wait() is the caller's.
- */
+/** Everything one grid carries through its run. */
 struct RunState
 {
-    ExperimentSpec spec;
+    RunState(const ExperimentSpec &spec, ProfileCache &profiles) :
+        spec(spec), profiles(&profiles),
+        paramsFor(spec.paramsFor ? spec.paramsFor
+                                 : [](const std::string &name) {
+                                       return proxyParams(name);
+                                   })
+    {}
+
+    const ExperimentSpec &spec;
+    ProfileCache *profiles;
+    WorkerPool *pool = nullptr;
     std::function<WorkloadParams(const std::string &)> paramsFor;
     std::vector<CellRecord> records;
     /**
-     * Pool items: the record indices each one executes.  A group is
-     * the live cells of one row -- one workload and config -- in
-     * policy order, run as the policy lanes of one engine; custom-
+     * The rows to run: the record indices each row item executes.  A
+     * group is the live cells of one row -- one workload and config --
+     * in policy order, run as the policy lanes of one engine; custom-
      * executor specs keep one cell per group.  Membership depends
      * only on the spec, the filter and the journal, never on
      * TRRIP_JOBS.
      */
     std::vector<std::vector<std::size_t>> groups;
-    std::vector<ResultSink *> sinks;
 
     /**
      * The grid's distinct proxy labels (bundle cores included), in
      * order of first appearance, and their workloads: each built
-     * exactly once on whichever worker needs it first (a dedicated
-     * build batch races the cells; a per-proxy mutex de-duplicates).
-     * A workload is carved from the building worker's arena and
-     * destroyed when the run's last batch completes -- before the
-     * batch retires, which is what keeps
-     * WorkerPool::resetArenasIfIdle() sound.
+     * exactly once on whichever worker needs it first (the build
+     * items race the rows; a per-proxy mutex de-duplicates).
      */
     std::vector<std::string> proxies;
     std::unique_ptr<std::mutex[]> buildMutex;
-    std::vector<Arena::UniquePtr<SyntheticWorkload>> workloads;
+    std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
 
-    ProfileCache *profiles = nullptr;
-    WorkerPool *pool = nullptr;
-
-    std::chrono::steady_clock::time_point t0;
-    double wallSeconds = 0.0;
-    unsigned threadsUsed = 1;
-    std::uint64_t collectionsBefore = 0;
-    std::uint64_t hitsBefore = 0;
-    std::uint64_t collectionsDelta = 0;
-    std::uint64_t hitsDelta = 0;
-
-    /** Failure policy (copied from the spec) and its bookkeeping. */
-    OnError onError;
+    /** Failure bookkeeping (the policy is spec.onError). */
     std::unique_ptr<RunJournal> journal;
     std::uint64_t cellsResumed = 0;
     std::atomic<std::uint64_t> cellsFailed{0};
@@ -198,20 +173,15 @@ struct RunState
     /** Abort mode: set on the first failure; later cells short-
      *  circuit instead of running. */
     std::atomic<bool> abortRequested{false};
-    /** The failed cell with the lowest record index (what wait()
+    /** The failed cell with the lowest record index (what run()
      *  throws under Abort).  Guarded by errorMutex. */
     std::mutex errorMutex;
     std::size_t firstErrorIndex = ~std::size_t(0);
     std::unique_ptr<SimError> firstError;
 
-    /** Build batch + cell batch still outstanding. */
-    std::atomic<int> phasesRemaining{0};
-    std::shared_ptr<WorkerPool::Batch> buildBatch;
-    std::shared_ptr<WorkerPool::Batch> cellBatch;
-
     /** Proxy @p proxy's workload, built on first use. */
     const SyntheticWorkload &
-    ensureWorkload(std::size_t proxy, WorkerContext &wc)
+    ensureWorkload(std::size_t proxy)
     {
         // Not std::call_once: a callable that throws out of it never
         // releases the once-flag under ThreadSanitizer's interceptor,
@@ -223,9 +193,8 @@ struct RunState
             // cell's next attempt) rebuilds.
             FaultInjector::instance().maybeInject(FaultSite::Build);
             try {
-                workloads[proxy] =
-                    wc.arena->makeUnique<SyntheticWorkload>(
-                        buildWorkload(paramsFor(proxies[proxy])));
+                workloads[proxy] = std::make_unique<SyntheticWorkload>(
+                    buildWorkload(paramsFor(proxies[proxy])));
             } catch (const SimError &) {
                 throw;
             } catch (const std::exception &e) {
@@ -234,24 +203,6 @@ struct RunState
             }
         }
         return *workloads[proxy];
-    }
-
-    /** Called as each batch completes; the last one finalizes. */
-    void
-    finishPhase()
-    {
-        if (phasesRemaining.fetch_sub(1) != 1)
-            return;
-        workloads.clear();
-        wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        // With overlapping submits on one runner these deltas can
-        // include a concurrent spec's cache traffic; for a lone
-        // run() they are exact, as before.
-        collectionsDelta = profiles->collections() - collectionsBefore;
-        hitsDelta = profiles->hits() - hitsBefore;
     }
 
     /**
@@ -296,7 +247,7 @@ struct RunState
         if (!spec.configs.empty() && spec.configs[row.config].apply)
             spec.configs[row.config].apply(options);
         // Config mutators must not smuggle in a shared observer
-        // either (see the guard on the base options in submit()).
+        // either (see the guard on the base options in run()).
         panic_if(options.reuse || options.costly, "experiment '",
                  spec.name,
                  "': attach observers via ExperimentSpec::hooks, not "
@@ -319,7 +270,6 @@ struct RunState
         ctx.config = rec.config;
         ctx.options = rowOptions(rec.id, wc);
         ctx.worker = wc.worker;
-        ctx.arena = wc.arena;
         ctx.profiles = profiles;
         if (spec.hooks)
             rec.hook = spec.hooks(ctx.options, ctx.id);
@@ -335,8 +285,7 @@ struct RunState
      * and trace indexes come from the shared cache.
      */
     std::vector<CoreInput>
-    coresOf(const std::string &label, const SimOptions &options,
-            WorkerContext &wc)
+    coresOf(const std::string &label, const SimOptions &options)
     {
         const InstCount budget = resolveProfileBudget(options);
         std::vector<CoreInput> cores;
@@ -348,7 +297,7 @@ struct RunState
                 continue;
             }
             in.workload = &ensureWorkload(
-                std::ranges::find(proxies, core) - proxies.begin(), wc);
+                std::ranges::find(proxies, core) - proxies.begin());
             in.profile = profiles->get(*in.workload, budget,
                                        options.cancel);
         }
@@ -381,7 +330,7 @@ struct RunState
         }
 
         std::vector<MultiCoreResult> out = runBundle(
-            coresOf(spec.workloads[row.workload], mo.base, wc), specs, mo);
+            coresOf(spec.workloads[row.workload], mo.base), specs, mo);
         for (std::size_t k = 0; k < lanes.size(); ++k)
             store(lanes[k], std::move(out[k]));
     }
@@ -438,7 +387,7 @@ struct RunState
         cellsFailed.fetch_add(1, std::memory_order_relaxed);
         if (journal)
             journal->append(journalEntryFor(rec, index));
-        if (onError.mode == OnError::Mode::Abort) {
+        if (spec.onError.mode == OnError::Mode::Abort) {
             abortRequested.store(true, std::memory_order_relaxed);
             std::lock_guard<std::mutex> lock(errorMutex);
             if (index < firstErrorIndex) {
@@ -452,8 +401,7 @@ struct RunState
      * The success-or-error cell contract, per cell of a group: every
      * attempt runs under deterministic fault-injection scopes,
      * failures are retried/recorded per the OnError policy, and
-     * nothing escapes to the pool.  (The pool's own item-boundary
-     * catch stays as the backstop for raw submitters.)
+     * nothing escapes to the pool (run() panics if anything does).
      *
      * Scopes are keyed on (cell index, attempt), so which faults fire
      * depends only on the cell and the attempt number, never on the
@@ -468,8 +416,9 @@ struct RunState
     runGroupGuarded(std::size_t group, WorkerContext &wc)
     {
         // Abort mode short-circuit: once one cell failed, the rest
-        // of the grid is moot (wait() throws before the sinks run),
+        // of the grid is moot (run() throws before the sinks run),
         // so do not burn time executing it.
+        const OnError &onError = spec.onError;
         if (onError.mode == OnError::Mode::Abort &&
             abortRequested.load(std::memory_order_relaxed)) {
             return;
@@ -520,6 +469,9 @@ struct RunState
                     } catch (const std::exception &e) {
                         shared = std::make_unique<SimError>(
                             ErrorCategory::Internal, e.what());
+                    } catch (...) {
+                        shared = std::make_unique<SimError>(
+                            ErrorCategory::Internal, "unknown exception");
                     }
                 }
                 for (std::size_t index : running) {
@@ -552,11 +504,11 @@ struct RunState
     }
 };
 
-} // namespace detail
+} // namespace
 
-PendingRun
-ExperimentRunner::submit(const ExperimentSpec &spec,
-                         const std::vector<ResultSink *> &sinks)
+ExperimentResults
+ExperimentRunner::run(const ExperimentSpec &spec,
+                      const std::vector<ResultSink *> &sinks)
 {
     // A single observer shared by every cell would be mutated from
     // all worker threads at once (and would aggregate across cells
@@ -582,25 +534,17 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         }
     }
 
-    auto state = std::make_shared<detail::RunState>();
-    state->spec = spec;
-    state->sinks = sinks;
-    state->paramsFor = spec.paramsFor
-                           ? spec.paramsFor
-                           : [](const std::string &name) {
-                                 return proxyParams(name);
-                             };
-    state->profiles = &profiles_;
+    RunState state(spec, profiles_);
 
     const std::size_t n_cells = spec.cellCount();
-    state->records.resize(n_cells);
+    state.records.resize(n_cells);
 
     // Enumerate the live cells up front (deterministic order).
     std::vector<std::size_t> live;
     live.reserve(n_cells);
     for (std::size_t i = 0; i < n_cells; ++i) {
         const CellId id = spec.cellIdAt(i);
-        CellRecord &rec = state->records[i];
+        CellRecord &rec = state.records[i];
         rec.id = id;
         rec.workload = spec.workloads[id.workload];
         rec.policy = spec.policies[id.policy];
@@ -611,7 +555,6 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         live.push_back(i);
     }
 
-    state->onError = spec.onError;
     if (!spec.journal.empty()) {
         // Resume: cells the journal already holds are replayed into
         // their records and dropped from the execution set, so the
@@ -624,7 +567,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                     const auto it = done.find(i);
                     if (it == done.end())
                         return false;
-                    CellRecord &rec = state->records[i];
+                    CellRecord &rec = state.records[i];
                     const JournalEntry &entry = it->second;
                     // A label mismatch means the journal belongs to
                     // a different grid; resuming from it would emit
@@ -642,11 +585,11 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                     rec.artifacts.resolvedPolicies =
                         entry.resolvedPolicies;
                     rec.resumed = true;
-                    ++state->cellsResumed;
+                    ++state.cellsResumed;
                     return true;
                 }),
             live.end());
-        state->journal = std::make_unique<RunJournal>(spec.journal);
+        state.journal = std::make_unique<RunJournal>(spec.journal);
     }
 
     // Group the cells still to run by row, in the order of each
@@ -655,7 +598,7 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     // by the config count).
     if (spec.runCell) {
         for (std::size_t i : live)
-            state->groups.push_back({i});
+            state.groups.push_back({i});
     } else {
         std::map<std::size_t, std::size_t> group_of_row;
         for (std::size_t i : live) {
@@ -665,8 +608,8 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
             const auto [it, fresh] =
                 group_of_row.emplace(row, group_of_row.size());
             if (fresh)
-                state->groups.emplace_back();
-            state->groups[it->second].push_back(i);
+                state.groups.emplace_back();
+            state.groups[it->second].push_back(i);
         }
     }
 
@@ -676,92 +619,82 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     for (const std::string &label : spec.workloads) {
         for (const std::string &core : coreLabels(label)) {
             if (!spec.runCell && !trace::isTraceName(core) &&
-                std::ranges::find(state->proxies, core) ==
-                    state->proxies.end()) {
-                state->proxies.push_back(core);
+                std::ranges::find(state.proxies, core) ==
+                    state.proxies.end()) {
+                state.proxies.push_back(core);
             }
         }
     }
-    const std::size_t n_builds = state->proxies.size();
-    state->buildMutex = std::make_unique<std::mutex[]>(n_builds);
-    state->workloads.resize(n_builds);
+    const std::size_t n_builds = state.proxies.size();
+    state.buildMutex = std::make_unique<std::mutex[]>(n_builds);
+    state.workloads.resize(n_builds);
 
-    state->threadsUsed = static_cast<unsigned>(std::min<std::size_t>(
-        threads_, std::max<std::size_t>(1, state->groups.size())));
-    state->collectionsBefore = profiles_.collections();
-    state->hitsBefore = profiles_.hits();
-    state->t0 = std::chrono::steady_clock::now();
+    // One queue: the builds are items [0, n_builds), so idle workers
+    // build ahead of the rows; the rows follow in grid order.  A row
+    // that reaches a workload before its build item does builds it
+    // itself through the same per-proxy mutex.
+    const std::size_t n_items = n_builds + state.groups.size();
+    const auto threads_used = static_cast<unsigned>(std::min<std::size_t>(
+        {threads_, std::max<std::size_t>(1, state.groups.size()),
+         n_items}));
+    WorkerPool pool(threads_used, cellTimeoutMs_);
+    state.pool = &pool;
+    const std::uint64_t collections_before = profiles_.collections();
+    const std::uint64_t hits_before = profiles_.hits();
+    const auto t0 = std::chrono::steady_clock::now();
 
-    WorkerPool &pool = ensurePool();
-    state->pool = &pool;
-    state->phasesRemaining.store(n_builds > 0 ? 2 : 1);
-
-    // Both phases ride the persistent pool.  The build batch is
-    // submitted first so idle workers pre-build workloads in
-    // parallel, but cells do not wait for it: a cell arriving ahead
-    // of the build batch builds its own workloads through the same
-    // per-proxy mutexes.
-    if (n_builds > 0) {
-        state->buildBatch = pool.submit(
-            n_builds,
-            [state](std::size_t proxy, WorkerContext &wc) {
-                state->ensureWorkload(proxy, wc);
-            },
-            state->threadsUsed,
-            [state] { state->finishPhase(); });
+    const WorkerPool::Failures escaped = pool.run(
+        n_items, [&](std::size_t item, WorkerContext &wc) {
+            if (item < n_builds)
+                state.ensureWorkload(item);
+            else
+                state.runGroupGuarded(item - n_builds, wc);
+        });
+    for (const auto &[item, error] : escaped) {
+        // A failed build item leaves its workload's slot empty: the
+        // first row that needs the workload builds it again under its
+        // own cell scope, and fails there if the build fails again.
+        if (item < n_builds)
+            continue;
+        // A row turns every throw into error rows, so one that
+        // reaches the pool is a broken invariant, not a cell outcome.
+        const CellRecord &rec =
+            state.records[state.groups[item - n_builds].front()];
+        panic("experiment '", spec.name, "': the row of workload ",
+              rec.workload,
+              rec.config.empty() ? std::string()
+                                 : ", config " + rec.config,
+              " let an exception escape: ", error.what());
     }
-    state->cellBatch = pool.submit(
-        state->groups.size(),
-        [state](std::size_t group, WorkerContext &wc) {
-            state->runGroupGuarded(group, wc);
-        },
-        state->threadsUsed, [state] { state->finishPhase(); });
-
-    return PendingRun(std::move(state));
-}
-
-bool
-PendingRun::done() const
-{
-    panic_if(!state_, "done() on an empty PendingRun");
-    return state_->cellBatch->done() &&
-           (!state_->buildBatch || state_->buildBatch->done());
-}
-
-ExperimentResults
-PendingRun::wait()
-{
-    panic_if(!state_, "wait() on an empty PendingRun");
-    const std::shared_ptr<detail::RunState> state = std::move(state_);
-    state->cellBatch->wait();
-    if (state->buildBatch)
-        state->buildBatch->wait();
+    state.workloads.clear();
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count();
 
     // Abort mode: a failed cell poisons the whole grid.  Rethrow the
     // deterministically-first error without feeding the sinks -- no
-    // partial BENCH files -- but recycle the arenas first (both
-    // batches are complete, so the pool may well be quiescent).
-    if (state->firstError) {
-        state->pool->resetArenasIfIdle();
-        throw *state->firstError;
-    }
+    // partial BENCH files.
+    if (state.firstError)
+        throw *state.firstError;
 
-    ExperimentResults results(state->spec, std::move(state->records));
-    results.wallSeconds = state->wallSeconds;
-    results.threadsUsed = state->threadsUsed;
-    results.profileCollections = state->collectionsDelta;
-    results.profileHits = state->hitsDelta;
+    ExperimentResults results(spec, std::move(state.records));
+    results.wallSeconds = wall_seconds;
+    results.threadsUsed = threads_used;
+    results.profileCollections =
+        profiles_.collections() - collections_before;
+    results.profileHits = profiles_.hits() - hits_before;
     results.cellsFailed =
-        state->cellsFailed.load(std::memory_order_relaxed);
+        state.cellsFailed.load(std::memory_order_relaxed);
     results.cellsRetried =
-        state->cellsRetried.load(std::memory_order_relaxed);
-    results.cellsResumed = state->cellsResumed;
+        state.cellsRetried.load(std::memory_order_relaxed);
+    results.cellsResumed = state.cellsResumed;
     results.failedAttempts =
-        state->failedAttempts.load(std::memory_order_relaxed);
+        state.failedAttempts.load(std::memory_order_relaxed);
 
-    // Sinks observe cells in deterministic index order on the waiting
-    // thread, independent of the schedule the pool actually executed.
-    for (ResultSink *sink : state->sinks) {
+    // Sinks observe cells in deterministic index order on the calling
+    // thread, independent of the schedule the workers executed.
+    for (ResultSink *sink : sinks) {
         if (!sink)
             continue;
         sink->begin(results.spec());
@@ -770,10 +703,6 @@ PendingRun::wait()
                 sink->cell(rec);
         sink->end(results);
     }
-
-    // Opportunistically recycle the worker arenas (no-op while any
-    // other spec is still in flight).
-    state->pool->resetArenasIfIdle();
     return results;
 }
 

@@ -5,29 +5,28 @@
  * The runner expands an ExperimentSpec into cells, builds each proxy
  * workload (bundle cores included) exactly once, resolves training
  * profiles and trace indexes through a shared ProfileCache, and
- * executes the grid on a persistent work-stealing WorkerPool that is
- * reused across run() calls (no thread is spawned or joined per
- * run).  One pool item is one row -- the live cells sharing a
- * workload and a config -- run as the policy lanes of one engine:
- * every row, whether a proxy, a `trace:` or an `mc:` bundle, is a
- * list of cores driven by runBundle() (sim/multicore.hh), so each
- * core's event stream, MMU and branch unit are simulated once per row
- * (custom-runCell specs keep one cell per item).  A grid with fewer
- * rows than workers therefore runs fewer items in parallel.  submit()
- * enqueues a grid without blocking, so several specs can be in flight
- * at once with row-granularity stealing across them.  Results are
- * stored by deterministic cell index and fed to the sinks in that
- * order, so the output is bit-identical regardless of thread count or
- * scheduling.
+ * executes the grid as one queue of items on a WorkerPool whose
+ * threads each run() starts and joins, so no thread outlives a call.
+ * The queue holds the workload builds first, so idle workers build
+ * ahead of the rows, then the rows in grid order.  A row -- the live
+ * cells sharing a workload and a config -- runs as the policy lanes
+ * of one engine: every row, whether a proxy, a `trace:` or an `mc:`
+ * bundle, is a list of cores driven by runBundle()
+ * (sim/multicore.hh), so each core's event stream, MMU and branch
+ * unit are simulated once per row (custom-runCell specs keep one cell
+ * per item).  A grid with fewer rows than workers therefore starts
+ * fewer workers.  Results are stored by deterministic cell index and
+ * fed to the sinks in that order, so the output is bit-identical
+ * regardless of thread count or scheduling.
  *
- * Failure semantics (see exp/spec.hh): a cell that throws SimError is
- * a contained outcome, not a crash.  The runner retries or skips it
+ * Failure semantics (see exp/spec.hh): a cell that throws is a
+ * contained outcome, not a crash.  The runner retries or skips it
  * per ExperimentSpec::onError, records the final error on the
  * CellRecord (the sinks' schema-stable error rows), enforces
  * deadlines through the pool watchdog (TRRIP_CELL_TIMEOUT_MS /
  * setCellTimeout, per cell: a row gets one timeout per pending
  * lane), and streams completed cells to an optional JSONL run
- * journal from which a resubmitted spec resumes byte-identically
+ * journal from which a rerun spec resumes byte-identically
  * (exp/journal.hh).  All of it stays per cell when a row runs as
  * lanes: a retry re-runs only the row's failed cells.
  */
@@ -36,11 +35,8 @@
 #define TRRIP_EXP_RUNNER_HH
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "exp/pool.hh"
 #include "exp/profile_cache.hh"
 #include "exp/spec.hh"
 
@@ -109,53 +105,11 @@ class ExperimentResults
     std::vector<CellRecord> cells_;
 };
 
-namespace detail {
-struct RunState;
-} // namespace detail
-
 /**
- * Handle to a submitted-but-possibly-unfinished grid.  wait()
- * blocks until every cell ran, feeds the sinks (on the waiting
- * thread, in deterministic cell order) and yields the results;
- * it consumes the handle and must be called exactly once.  The
- * owning ExperimentRunner must outlive the handle.
- */
-class PendingRun
-{
-  public:
-    PendingRun() = default;
-    PendingRun(PendingRun &&) = default;
-    PendingRun &operator=(PendingRun &&) = default;
-
-    /**
-     * Block until the grid completed, then finalize.  Under
-     * OnError::Mode::Abort (the default), a failed cell makes wait()
-     * throw that cell's SimError -- of the failed cells, the one
-     * with the lowest deterministic index -- without feeding the
-     * sinks (no partial BENCH files).  Skip/Retry modes return
-     * normally with error rows instead.
-     */
-    ExperimentResults wait();
-
-    /** Whether every cell (and workload build) has finished. */
-    bool done() const;
-
-    bool valid() const { return state_ != nullptr; }
-
-  private:
-    friend class ExperimentRunner;
-    explicit PendingRun(std::shared_ptr<detail::RunState> state) :
-        state_(std::move(state))
-    {}
-
-    std::shared_ptr<detail::RunState> state_;
-};
-
-/**
- * Executor for experiment grids on a persistent worker pool.  The
- * pool (threads() workers) is created on first use and reused by
- * every subsequent submit()/run(); workload builds and cells both
- * ride it.
+ * Executor for experiment grids.  Each run() starts its own workers
+ * (at most threads(), and no more than the grid has rows) and joins
+ * them before it returns; workload builds and rows share its one
+ * queue.
  */
 class ExperimentRunner
 {
@@ -163,23 +117,18 @@ class ExperimentRunner
     /** @p threads = 0 means TRRIP_JOBS from the environment, else the
      *  hardware concurrency. */
     explicit ExperimentRunner(unsigned threads = 0);
-    ~ExperimentRunner();
 
     /**
-     * Enqueue @p spec on the pool and return without blocking, so
-     * multiple specs can be in flight at once (rows steal across
-     * them at pool-item granularity).  The sinks are fed by wait().
+     * Run @p spec to completion, then feed the sinks (on the calling
+     * thread, in deterministic cell order) and return the results.
+     * Under OnError::Mode::Abort (the default), a failed cell makes
+     * run() throw that cell's SimError -- of the failed cells, the
+     * one with the lowest deterministic index -- without feeding the
+     * sinks (no partial BENCH files).  Skip/Retry modes return
+     * normally with error rows instead.
      */
-    PendingRun submit(const ExperimentSpec &spec,
-                      const std::vector<ResultSink *> &sinks = {});
-
-    /** Run @p spec to completion; sinks are fed in cell order. */
-    ExperimentResults
-    run(const ExperimentSpec &spec,
-        const std::vector<ResultSink *> &sinks = {})
-    {
-        return submit(spec, sinks).wait();
-    }
+    ExperimentResults run(const ExperimentSpec &spec,
+                          const std::vector<ResultSink *> &sinks = {});
 
     /** The shared profile cache (persists across run() calls). */
     ProfileCache &profiles() { return profiles_; }
@@ -187,15 +136,14 @@ class ExperimentRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Per-cell deadline in milliseconds (0 disables).  Defaults to
-     * defaultCellTimeoutMs().  A row running K
-     * lanes gets K times the deadline; an overrunning row is
-     * cooperatively cancelled and each of its lanes fails with
-     * SimError(Timeout), subject to the spec's OnError policy like
-     * any other contained failure.
+     * Per-cell deadline in milliseconds (0 disables) for later runs.
+     * Defaults to defaultCellTimeoutMs().  A row running K lanes gets
+     * K times the deadline; an overrunning row is cooperatively
+     * cancelled and each of its lanes fails with SimError(Timeout),
+     * subject to the spec's OnError policy like any other contained
+     * failure.
      */
-    void setCellTimeout(std::uint64_t ms)
-    { ensurePool().setItemTimeout(ms); }
+    void setCellTimeout(std::uint64_t ms) { cellTimeoutMs_ = ms; }
 
     /**
      * TRRIP_JOBS from the environment when it is a whole positive
@@ -212,14 +160,9 @@ class ExperimentRunner
     static std::uint64_t defaultCellTimeoutMs();
 
   private:
-    WorkerPool &ensurePool();
-
     unsigned threads_;
+    std::uint64_t cellTimeoutMs_;
     ProfileCache profiles_;
-    std::once_flag poolOnce_;
-    // Last member: its destructor drains the workers while every
-    // other member (the profile cache in particular) is still alive.
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 } // namespace trrip::exp

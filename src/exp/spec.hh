@@ -24,10 +24,6 @@
 #include "util/error.hh"
 #include "workloads/proxies.hh"
 
-namespace trrip {
-class Arena;
-} // namespace trrip
-
 namespace trrip::exp {
 
 class ProfileCache;
@@ -36,8 +32,9 @@ class ProfileCache;
  * What the runner does when a cell fails with a contained SimError.
  *
  *  - Abort: record the error, skip every not-yet-started cell, and
- *    make PendingRun::wait() rethrow it without feeding the sinks --
- *    no partial BENCH files (the strict mode, and the default).
+ *    make ExperimentRunner::run() rethrow it without feeding the
+ *    sinks -- no partial BENCH files (the strict mode, and the
+ *    default).
  *  - Skip: the cell becomes a schema-stable error row; the rest of
  *    the grid is unaffected.
  *  - Retry: re-run the failed cell (with its deadline re-armed and a
@@ -88,9 +85,6 @@ struct CellContext
     ProfileCache *profiles = nullptr;
     /** Stable id of the pool worker executing this cell. */
     unsigned worker = 0;
-    /** That worker's private arena (see exp/pool.hh); objects carved
-     *  from it must be destroyed before the cell returns. */
-    Arena *arena = nullptr;
 };
 
 /** One experiment grid. */

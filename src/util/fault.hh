@@ -29,10 +29,10 @@
  * faults regardless of which worker runs it or what else is in
  * flight, while a *retry* of the cell (attempt+1) re-rolls -- so
  * finite fault rates converge under OnError retry.  Evaluations
- * outside any scope (e.g. the shared build batch) key off a
- * scope-independent per-site global counter; those are deterministic
- * for a serial order but are only used where a retry path re-rolls
- * anyway.
+ * outside any scope (the runner's build items, which come first in
+ * its queue) key off a scope-independent per-site global counter;
+ * those are deterministic for a serial order but are only used where
+ * a retry path re-rolls anyway.
  */
 
 #ifndef TRRIP_UTIL_FAULT_HH
@@ -51,7 +51,7 @@ enum class FaultSite : std::uint8_t
 {
     TraceRead,  //!< TraceReader chunk load.
     Build,      //!< Workload construction (RunState::ensureWorkload).
-    Cell,       //!< Cell compute entry (runCellGuarded).
+    Cell,       //!< Cell compute entry (runGroupGuarded).
     SinkWrite,  //!< Run-journal line append.
     NumSites,
 };

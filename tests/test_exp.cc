@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -36,17 +36,6 @@ tinySpec()
     spec.workloads = {"python", "deepsjeng"};
     spec.policies = {"SRRIP", "TRRIP-1", "CLIP"};
     spec.options.maxInstructions = 200000;
-    return spec;
-}
-
-exp::ExperimentSpec
-secondSpec()
-{
-    exp::ExperimentSpec spec;
-    spec.name = "test_grid_b";
-    spec.workloads = {"gcc"};
-    spec.policies = {"LRU", "SRRIP"};
-    spec.options.maxInstructions = 150000;
     return spec;
 }
 
@@ -135,43 +124,42 @@ TEST(ExperimentRunner, RowLanesMatchSoloRuns)
     }
 }
 
-TEST(ExperimentRunner, SubmittedSpecsBitIdenticalAcrossJobCounts)
-{
-    // Several specs in flight on one pool, with cell-granularity
-    // stealing across them, must still give bit-identical results at
-    // every thread count -- including waits in reverse order.
-    exp::ExperimentRunner serial(1);
-    const auto base_a = serial.run(tinySpec());
-    const auto base_b = serial.run(secondSpec());
-    for (unsigned jobs : {1u, 2u, 8u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        exp::ExperimentRunner runner(jobs);
-        auto pending_a = runner.submit(tinySpec());
-        auto pending_b = runner.submit(secondSpec());
-        const auto b = pending_b.wait();
-        const auto a = pending_a.wait();
-        expectIdentical(a, base_a);
-        expectIdentical(b, base_b);
-    }
-}
-
-TEST(ExperimentRunner, PoolPersistsAcrossRunsWithoutThreadLeak)
+TEST(ExperimentRunner, RunJoinsEveryThreadItStarts)
 {
     const int before = processThreadCount();
     if (before < 0)
         GTEST_SKIP() << "/proc/self/status not available";
-    {
-        exp::ExperimentRunner runner(4);
-        const auto first = runner.run(tinySpec());
-        const int after_first = processThreadCount();
-        // The pool is spawned once, lazily, at the first run.
-        EXPECT_EQ(after_first, before + 4);
-        const auto second = runner.run(tinySpec());
-        // ... and reused: the second run spawns nothing.
-        EXPECT_EQ(processThreadCount(), after_first);
-        expectIdentical(first, second);
-    }
-    // Destroying the runner joins every worker.
+    exp::ExperimentRunner runner(4);
+    const auto first = runner.run(tinySpec());
+    // run() joins every worker it started before it returns...
+    EXPECT_EQ(processThreadCount(), before);
+    const auto second = runner.run(tinySpec());
+    EXPECT_EQ(processThreadCount(), before);
+    // ... and a later run on the same runner gives the same results.
+    expectIdentical(first, second);
+
+    // Under a deadline the watchdog is the one thread beyond the
+    // workers.  The first four cells wait for each other, so all four
+    // workers are alive when they count.
+    runner.setCellTimeout(60'000);
+    exp::ExperimentSpec spec;
+    spec.name = "thread_count";
+    spec.workloads = {"w"};
+    spec.policies = {"a", "b", "c", "d", "e", "f"};
+    std::latch first_four(4);
+    std::mutex mu;
+    int peak = 0;
+    spec.runCell = [&](const exp::CellContext &ctx) {
+        if (ctx.id.policy < 4)
+            first_four.arrive_and_wait();
+        const int now = processThreadCount();
+        std::lock_guard<std::mutex> lock(mu);
+        peak = std::max(peak, now);
+        return exp::CellOutcome{};
+    };
+    const auto timed = runner.run(spec);
+    EXPECT_EQ(timed.threadsUsed, 4u);
+    EXPECT_EQ(peak, before + static_cast<int>(timed.threadsUsed) + 1);
     EXPECT_EQ(processThreadCount(), before);
 }
 
@@ -217,7 +205,7 @@ TEST(ExperimentRunner, DefaultCellTimeoutRespectsEnv)
     EXPECT_EQ(ExperimentRunner::defaultCellTimeoutMs(), 0u);
 }
 
-TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)
+TEST(ExperimentRunner, CellsSeeWorkerIds)
 {
     exp::ExperimentSpec spec;
     spec.name = "worker_ids";
@@ -225,55 +213,50 @@ TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)
     spec.policies = {"a", "b", "c", "d", "e", "f"};
     std::mutex mu;
     std::set<unsigned> workers;
-    std::atomic<int> arena_cells{0};
+    std::atomic<int> cells{0};
     spec.runCell = [&](const exp::CellContext &ctx) {
         {
             std::lock_guard<std::mutex> lock(mu);
             workers.insert(ctx.worker);
         }
-        if (ctx.arena != nullptr &&
-            *ctx.arena->make<int>(42) == 42)
-            arena_cells.fetch_add(1);
+        cells.fetch_add(1);
         return exp::CellOutcome{};
     };
     exp::ExperimentRunner runner(2);
     runner.run(spec);
-    EXPECT_EQ(arena_cells.load(), 6);
+    EXPECT_EQ(cells.load(), 6);
     for (unsigned w : workers)
         EXPECT_LT(w, 2u);
 }
 
-TEST(WorkerPool, RunsEveryItemAndGatesArenaReset)
+TEST(WorkerPool, RunsEveryItemOnConcurrentWorkers)
 {
-    exp::WorkerPool pool(3);
-    EXPECT_EQ(pool.threads(), 3u);
+    exp::WorkerPool pool(3, 0);
     std::atomic<int> sum{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    bool release = false;
-    auto batch = pool.submit(
+    // The first three items wait for each other: they can only all
+    // arrive if three workers run at once.
+    std::latch first_three(3);
+    const exp::WorkerPool::Failures failures = pool.run(
         16, [&](std::size_t item, exp::WorkerContext &wc) {
             EXPECT_LT(wc.worker, 3u);
-            EXPECT_NE(wc.arena, nullptr);
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                cv.wait(lock, [&] { return release; });
-            }
+            EXPECT_NE(wc.cancel, nullptr);
+            if (item < 3)
+                first_three.arrive_and_wait();
             sum.fetch_add(static_cast<int>(item));
         });
-    // Workers are parked inside items: the batch is live, so arena
-    // memory must not be recycled underneath them.
-    EXPECT_FALSE(batch->done());
-    EXPECT_FALSE(pool.resetArenasIfIdle());
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        release = true;
-    }
-    cv.notify_all();
-    batch->wait();
-    EXPECT_TRUE(batch->done());
+    EXPECT_TRUE(failures.empty());
     EXPECT_EQ(sum.load(), 120); // 0 + 1 + ... + 15.
-    EXPECT_TRUE(pool.resetArenasIfIdle());
+}
+
+TEST(WorkerPool, ClaimsItemsInIndexOrder)
+{
+    // One worker runs the items in the order they are claimed.
+    exp::WorkerPool pool(1, 0);
+    std::vector<std::size_t> order;
+    pool.run(5, [&](std::size_t item, exp::WorkerContext &) {
+        order.push_back(item);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ExperimentRunner, GridCollectsEachWorkloadProfileOnce)

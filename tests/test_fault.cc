@@ -3,8 +3,8 @@
  * Tests for the failure-containment layer: the SimError taxonomy, the
  * deterministic fault injector, the success-or-error cell contract
  * under every OnError mode, watchdog timeout cancellation, trace
- * corruption context, pool shutdown with failed batches in flight,
- * and journal write/load/resume byte-identity.
+ * corruption context, the pool's item-boundary catch, and journal
+ * write/load/resume byte-identity.
  */
 
 #include <gtest/gtest.h>
@@ -378,6 +378,35 @@ TEST_F(FaultTest, WatchdogCancelsOverrunningTrainingRun)
     EXPECT_EQ(runner.profiles().collections(), 0u);
 }
 
+TEST_F(FaultTest, TimedOutRowDoesNotCancelTheNextRowOnItsWorker)
+{
+    // One worker runs the long row, whose deadline fires, and then the
+    // short row, which must start with a fresh deadline and token.
+    exp::ExperimentRunner runner(1);
+    runner.setCellTimeout(150);
+    exp::ExperimentSpec spec;
+    spec.name = "timeout_then_short";
+    spec.workloads = {"python"};
+    spec.policies = {"SRRIP", "TRRIP-1"};
+    spec.configs = {
+        {"long", [](SimOptions &o) { o.maxInstructions = 2'000'000'000; }},
+        {"short", [](SimOptions &o) { o.maxInstructions = 50'000; }},
+    };
+    spec.options.profileInstructions = 10'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    const exp::ExperimentResults results = runner.run(spec, {});
+    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+        const exp::CellRecord &slow = results.at(0, p, 0);
+        EXPECT_TRUE(slow.failed) << slow.policy;
+        EXPECT_EQ(slow.errorCategory, "timeout") << slow.policy;
+        const exp::CellRecord &fast = results.at(0, p, 1);
+        EXPECT_FALSE(fast.failed) << fast.policy << ": "
+                                  << fast.errorMessage;
+        EXPECT_GE(fast.result().instructions, 50'000u) << fast.policy;
+    }
+    EXPECT_EQ(results.cellsFailed, 2u);
+}
+
 // ------------------------------------------------ trace error context
 
 TEST_F(FaultTest, ReaderCorruptionCarriesOffsetContext)
@@ -415,61 +444,87 @@ TEST_F(FaultTest, MissingTraceWorkloadFailsAsContainedCell)
         << rec.errorMessage;
 }
 
-// ------------------------------------------------------ pool shutdown
+// ---------------------------------------------- item-boundary catch
 
-TEST_F(FaultTest, PoolSurvivesFailedBatchesAndShutdownMidFailure)
+TEST_F(FaultTest, PoolReturnsItemFailuresInItemOrder)
 {
-    auto pool = std::make_unique<exp::WorkerPool>(2);
-    auto batch = pool->submit(8, [](std::size_t item,
-                                    exp::WorkerContext &) {
-        if (item % 2 == 0)
-            throw SimError(ErrorCategory::Internal,
-                           "item " + std::to_string(item));
-    });
-    batch->wait();
-    const auto failures = batch->failures();
-    EXPECT_EQ(failures.size(), 4u);
-    std::set<std::size_t> items;
-    for (const auto &[item, error] : failures) {
-        items.insert(item);
-        EXPECT_EQ(error.category(), ErrorCategory::Internal);
+    exp::WorkerPool pool(2, 0);
+    const exp::WorkerPool::Failures failures = pool.run(
+        8, [](std::size_t item, exp::WorkerContext &) {
+            if (item % 2 == 0)
+                throw SimError(ErrorCategory::Internal,
+                               "item " + std::to_string(item));
+        });
+    ASSERT_EQ(failures.size(), 4u);
+    for (std::size_t k = 0; k < failures.size(); ++k) {
+        EXPECT_EQ(failures[k].first, 2 * k);
+        EXPECT_EQ(failures[k].second.category(), ErrorCategory::Internal);
+        EXPECT_EQ(failures[k].second.message(),
+                  "item " + std::to_string(2 * k));
     }
-    EXPECT_EQ(items, (std::set<std::size_t>{0, 2, 4, 6}));
 
-    // Non-SimError exceptions are wrapped, not fatal.
-    auto batch2 = pool->submit(2, [](std::size_t,
-                                     exp::WorkerContext &) {
-        throw std::runtime_error("plain exception");
-    });
-    batch2->wait();
-    EXPECT_EQ(batch2->failures().size(), 2u);
-    EXPECT_EQ(batch2->failures()[0].second.category(),
-              ErrorCategory::Internal);
-
-    // Destroy the pool with failure records still held by batches --
-    // the destructor must drain and join without std::terminate.
-    auto batch3 = pool->submit(4, [](std::size_t,
-                                     exp::WorkerContext &) {
-        throw SimError(ErrorCategory::Injected, "boom");
-    });
-    (void)batch3; // Deliberately not waited on.
-    pool.reset();
-    SUCCEED();
+    // Other throws are wrapped, not fatal, and the same pool runs
+    // again.
+    const exp::WorkerPool::Failures wrapped = pool.run(
+        2, [](std::size_t item, exp::WorkerContext &) {
+            if (item == 0)
+                throw std::runtime_error("plain exception");
+            throw 42;
+        });
+    ASSERT_EQ(wrapped.size(), 2u);
+    EXPECT_EQ(wrapped[0].second.category(), ErrorCategory::Internal);
+    EXPECT_EQ(wrapped[0].second.message(), "plain exception");
+    EXPECT_EQ(wrapped[1].second.category(), ErrorCategory::Internal);
+    EXPECT_EQ(wrapped[1].second.message(), "unknown exception");
 }
 
-TEST_F(FaultTest, RunnerShutdownWithFailedGridInFlight)
+/** A custom-executor grid whose cell @p thrower throws a non-exception. */
+exp::ExperimentSpec
+throwingSpec(std::size_t cells, std::size_t thrower)
 {
-    // A PendingRun dropped without wait() while its cells fail must
-    // not terminate on runner destruction.
-    FaultInjector::instance().configure("cell:1/1,seed=4");
-    {
-        exp::ExperimentRunner runner(2);
-        auto spec = tinySpec();
-        spec.onError.mode = exp::OnError::Mode::Skip;
-        exp::PendingRun pending = runner.submit(spec, {});
-        (void)pending;
+    exp::ExperimentSpec spec;
+    spec.name = "non_std_throw";
+    spec.workloads = {"w"};
+    for (std::size_t p = 0; p < cells; ++p)
+        spec.policies.push_back(std::string(1, static_cast<char>('a' + p)));
+    spec.runCell = [thrower](const exp::CellContext &ctx) {
+        if (ctx.id.policy == thrower)
+            throw 42;
+        return exp::CellOutcome{{}, {{"ok", 1.0}}};
+    };
+    return spec;
+}
+
+TEST_F(FaultTest, NonStdThrowFailsItsCellUnderSkip)
+{
+    exp::ExperimentRunner runner(2);
+    exp::ExperimentSpec spec = throwingSpec(2, 1);
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    const exp::ExperimentResults results = runner.run(spec, {});
+    ASSERT_EQ(results.cells().size(), 2u);
+    EXPECT_FALSE(results.cells()[0].failed);
+    EXPECT_EQ(results.cells()[0].metrics.at("ok"), 1.0);
+    const exp::CellRecord &rec = results.cells()[1];
+    EXPECT_TRUE(rec.failed);
+    EXPECT_EQ(rec.errorCategory, "internal");
+    EXPECT_EQ(rec.errorMessage,
+              "unknown exception; cell 1: workload w, policy b");
+    EXPECT_TRUE(rec.metrics.empty());
+    EXPECT_EQ(results.cellsFailed, 1u);
+}
+
+TEST_F(FaultTest, NonStdThrowAbortsTheGrid)
+{
+    exp::ExperimentRunner runner(1);
+    exp::ExperimentSpec spec = throwingSpec(1, 0);
+    spec.onError.mode = exp::OnError::Mode::Abort;
+    try {
+        runner.run(spec, {});
+        ADD_FAILURE() << "an aborted grid returned normally";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Internal);
+        EXPECT_EQ(e.message(), "unknown exception");
     }
-    SUCCEED();
 }
 
 // ------------------------------------------------------------ journal

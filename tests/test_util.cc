@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util library: RNG determinism, Zipf sampling,
- * saturating counters, statistics helpers, the arena allocator.
+ * saturating counters, statistics helpers.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/arena.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
 #include "util/stats.hh"
@@ -245,83 +244,6 @@ TEST(Temperature, Names)
 {
     EXPECT_STREQ(temperatureName(Temperature::Hot), "hot");
     EXPECT_STREQ(temperatureName(Temperature::None), "none");
-}
-
-TEST(Arena, RespectsAlignment)
-{
-    Arena arena;
-    arena.allocate(1, 1); // Skew the cursor.
-    for (std::size_t align : {2u, 8u, 16u, 64u}) {
-        const auto p = reinterpret_cast<std::uintptr_t>(
-            arena.allocate(3, align));
-        EXPECT_EQ(p % align, 0u) << "align " << align;
-    }
-}
-
-TEST(Arena, GrowsAcrossChunksAndHandlesOversized)
-{
-    Arena arena(128);
-    arena.allocate(100, 8);
-    EXPECT_EQ(arena.chunkCount(), 1u);
-    arena.allocate(100, 8); // Does not fit the first chunk.
-    EXPECT_EQ(arena.chunkCount(), 2u);
-    // Larger than the chunk size: a dedicated chunk, no crash.
-    void *big = arena.allocate(4096, 8);
-    ASSERT_NE(big, nullptr);
-    EXPECT_EQ(arena.chunkCount(), 3u);
-    EXPECT_EQ(arena.bytesUsed(), 100u + 100u + 4096u);
-    EXPECT_GE(arena.bytesReserved(), arena.bytesUsed());
-}
-
-TEST(Arena, ResetRecyclesTheFirstChunk)
-{
-    Arena arena(256);
-    void *first = arena.allocate(16, 16);
-    arena.allocate(300, 16); // Forces a second chunk.
-    EXPECT_EQ(arena.chunkCount(), 2u);
-    arena.reset();
-    EXPECT_EQ(arena.bytesUsed(), 0u);
-    EXPECT_EQ(arena.chunkCount(), 1u);
-    // The first chunk is re-bumped from its start: same address, no
-    // call into the system allocator.
-    EXPECT_EQ(arena.allocate(16, 16), first);
-}
-
-TEST(Arena, MakeUniqueRunsTheDestructor)
-{
-    struct Probe
-    {
-        explicit Probe(int *count) : count_(count) {}
-        ~Probe() { ++*count_; }
-        int *count_;
-    };
-    int destroyed = 0;
-    Arena arena;
-    {
-        auto p = arena.makeUnique<Probe>(&destroyed);
-        ASSERT_NE(p.get(), nullptr);
-        EXPECT_EQ(destroyed, 0);
-    }
-    EXPECT_EQ(destroyed, 1);
-    // The memory itself is still the arena's (no per-object free).
-    EXPECT_GE(arena.bytesUsed(), sizeof(Probe));
-}
-
-TEST(Arena, BacksStandardContainers)
-{
-    Arena arena;
-    std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(arena)};
-    for (int i = 0; i < 1000; ++i)
-        v.push_back(i);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-    EXPECT_GE(arena.bytesUsed(), 1000 * sizeof(int));
-    // Allocators compare equal iff they share the arena.
-    Arena other;
-    EXPECT_TRUE(ArenaAllocator<int>(arena) ==
-                ArenaAllocator<long>(arena));
-    EXPECT_TRUE(ArenaAllocator<int>(arena) !=
-                ArenaAllocator<int>(other));
 }
 
 } // namespace
