@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "analysis/reuse_distance.hh"
 #include "harness.hh"
 
 int
@@ -25,11 +26,8 @@ main()
     spec.workloads = proxyNames();
     spec.policies = {"SRRIP"};
     spec.options = defaultOptions();
-    spec.hooks = [](SimOptions &opts, const CellId &) {
-        auto profiler =
-            std::make_shared<ReuseDistanceProfiler>(opts.hier.l2);
-        opts.reuse = profiler.get();
-        return profiler;
+    spec.probes = [](const SimOptions &opts, const CellId &) {
+        return std::make_shared<ReuseDistanceProfiler>(opts.hier.l2);
     };
     const auto results = runExperiment(spec);
 
@@ -38,7 +36,7 @@ main()
     for (const auto &name : spec.workloads) {
         const auto *profiler =
             results.at(name, "SRRIP")
-                .hookAs<ReuseDistanceProfiler>();
+                .probeAs<ReuseDistanceProfiler>();
         printRow(name, {profiler->base().fraction(0),
                         profiler->base().fraction(1),
                         profiler->base().fraction(2),

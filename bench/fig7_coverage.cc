@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 
+#include "analysis/costly_miss.hh"
 #include "harness.hh"
 
 int
@@ -29,10 +30,8 @@ main()
     spec.workloads = proxyNames();
     spec.policies = {"TRRIP-1"};
     spec.options = defaultOptions();
-    spec.hooks = [](SimOptions &opts, const CellId &) {
-        auto tracker = std::make_shared<CostlyMissTracker>();
-        opts.costly = tracker.get();
-        return tracker;
+    spec.probes = [](const SimOptions &, const CellId &) {
+        return std::make_shared<CostlyMissTracker>();
     };
     const auto results = runExperiment(spec);
 
@@ -42,7 +41,7 @@ main()
     printHeader("benchmark", cols);
     for (const auto &name : spec.workloads) {
         const auto &rec = results.at(name, "TRRIP-1");
-        const auto *tracker = rec.hookAs<CostlyMissTracker>();
+        const auto *tracker = rec.probeAs<CostlyMissTracker>();
         std::vector<double> incl, excl;
         for (double p : percentiles) {
             incl.push_back(100.0 * tracker->hotCoverage(

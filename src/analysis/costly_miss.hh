@@ -2,10 +2,11 @@
  * @file
  * Costly-instruction-miss tracking for paper Fig. 7 and the Emissary
  * baseline: an instruction miss is costly when it starved the decode
- * stage (exposed stall beyond a threshold).  The tracker records every
- * such miss with its cost; coverage asks what fraction of the top-Nth-
- * percentile costly misses land inside TRRIP's .text.hot section,
- * optionally excluding external (PLT / shared-library) code.
+ * stage (exposed stall beyond a threshold).  The tracker is a lane
+ * probe that records every such miss with its cost; coverage asks
+ * what fraction of the top-Nth-percentile costly misses land inside
+ * TRRIP's .text.hot section, optionally excluding external (PLT /
+ * shared-library) code.
  */
 
 #ifndef TRRIP_ANALYSIS_COSTLY_MISS_HH
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "sw/elf_image.hh"
 #include "util/types.hh"
 
@@ -26,13 +28,13 @@ struct CostlyMiss
     double cost = 0.0;  //!< Exposed stall cycles.
 };
 
-/** Collects costly-miss samples during one simulation. */
-class CostlyMissTracker
+/** Collects one lane's costly-miss samples during one simulation. */
+class CostlyMissTracker : public LaneProbe
 {
   public:
     /** Record one costly miss. */
     void
-    record(Addr line, double cost)
+    onCostlyMiss(Addr line, double cost) override
     {
         misses_.push_back(CostlyMiss{line, cost});
     }

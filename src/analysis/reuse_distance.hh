@@ -21,8 +21,11 @@
 
 namespace trrip {
 
-/** Stack-based per-set reuse distance profiler over the L2 stream. */
-class ReuseDistanceProfiler : public L2AccessObserver
+/**
+ * Stack-based per-set reuse distance profiler over one lane's L2
+ * demand stream.
+ */
+class ReuseDistanceProfiler : public LaneProbe
 {
   public:
     /**

@@ -20,8 +20,6 @@ Cache::Cache(const CacheGeometry &geom,
     setMask_ = geom_.numSets() - 1;
     tagShift_ = lineShift_ + static_cast<std::uint32_t>(
         std::countr_zero(static_cast<std::uint64_t>(geom_.numSets())));
-    policy_->bindTags(TagView(tags_.data(), meta_.data(), assoc_,
-                              lineShift_, tagShift_));
 }
 
 Cache::Cache(const CacheGeometry &geom, const PolicySpec &policy) :
@@ -69,16 +67,14 @@ Cache::lineAt(std::uint32_t set, std::uint32_t way) const
                        static_cast<std::size_t>(set) * assoc_ + way);
 }
 
-bool
+void
 Cache::markDirty(Addr paddr)
 {
     const std::uint32_t set = setOf(paddr);
     const int way = findWay(set, tagOf(paddr));
-    if (way < 0)
-        return false;
-    meta_[static_cast<std::size_t>(set) * assoc_ +
-          static_cast<std::uint32_t>(way)] |= kLineMetaDirty;
-    return true;
+    if (way >= 0)
+        meta_[static_cast<std::size_t>(set) * assoc_ +
+              static_cast<std::uint32_t>(way)] |= kLineMetaDirty;
 }
 
 void
@@ -205,18 +201,6 @@ Cache::residentLines() const
     for (const std::uint64_t word : tags_)
         n += word & 1;
     return n;
-}
-
-void
-Cache::reset()
-{
-    tags_.assign(tags_.size(), 0);
-    meta_.assign(meta_.size(), 0);
-    if (!owners_.empty())
-        owners_.assign(owners_.size(), 0);
-    freeWays_.assign(freeWays_.size(), assoc_);
-    policy_->resetState();
-    stats_ = CacheStats();
 }
 
 } // namespace trrip

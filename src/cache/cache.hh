@@ -247,11 +247,8 @@ class Cache
     /** Materialized copy of (set, way) -- inclusion checks, tests. */
     CacheLine lineAt(std::uint32_t set, std::uint32_t way) const;
 
-    /**
-     * Mark the line holding @p paddr dirty (store hit).
-     * @return true when the line was present (one tag probe).
-     */
-    bool markDirty(Addr paddr);
+    /** Mark the line holding @p paddr dirty; no-op when absent. */
+    void markDirty(Addr paddr);
 
     /**
      * Forward a fetch-criticality hint for the line holding @p paddr
@@ -366,9 +363,6 @@ class Cache
 
     /** Number of valid lines currently resident. */
     std::uint64_t residentLines() const;
-
-    /** Reset contents, statistics and the policy's per-line state. */
-    void reset();
 
   private:
     /**

@@ -46,8 +46,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
 {
     panic_if(core_id >= 32,
              "shared-SLC owner masks carry at most 32 cores");
-    panic_if(!params.slcInclusive,
-             "a shared SLC requires the inclusive protocol");
     params_.l1i.check();
     params_.l1d.check();
     params_.l2.check();
@@ -93,8 +91,8 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
     AccessOutcome out;
     out.l1Miss = true;
 
-    if (l2Observer_ && !req.isPrefetch())
-        l2Observer_->onL2Access(req);
+    if (probe_ && !req.isPrefetch())
+        probe_->onL2Access(req);
 
     // ONE in-flight probe per access.  The slot handle is stable
     // across the L2 lookup (tombstone erasure, no inserts in
@@ -114,7 +112,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         fill.vaddr = fill.paddr = line;
         fill.type = req.isInst() ? AccessType::InstPrefetch
                                  : AccessType::DataPrefetch;
-        if (params_.slcInclusive)
+        if (sharedSlc())
             ensureSlcInclusion(fill, now);
         else
             slc_->invalidateRaw(line);
@@ -153,7 +151,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         // Data arrives via the prefetch; consume any SLC copy
         // (exclusive) or take ownership of it (inclusive) and
         // install without charging DRAM again.
-        if (params_.slcInclusive)
+        if (sharedSlc())
             ensureSlcInclusion(req, now);
         else
             slc_->invalidateRaw(line);
@@ -179,7 +177,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
     }
 
     bool slc_hit;
-    if (params_.slcInclusive) {
+    if (sharedSlc()) {
         // Inclusive: the copy stays below; the hit slot gains this
         // core's owner bit in the same probe.
         const Cache::Probe sp = slc_->accessProbe(req);
@@ -187,8 +185,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (sp.hit)
             slc_->orOwner(sp.set, sp.way, slcOwnerBit_);
     } else {
-        slc_hit = params_.slcExclusive ? slc_->accessInvalidate(req)
-                                       : slc_->access(req);
+        slc_hit = slc_->accessInvalidate(req);
     }
     if (slc_hit) {
         out.servedBy = ServedBy::Slc;
@@ -204,7 +201,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
                   dram_->read(now);
     // Inclusive SLC: the DRAM fill installs below on its way up, so
     // the private L2 copy is covered before fillL2 can even evict.
-    if (params_.slcInclusive)
+    if (sharedSlc())
         ensureSlcInclusion(req, now);
     fillL2(req, now, l1bit);
     fillL1(l1, req);
@@ -266,18 +263,16 @@ CacheHierarchy::fillL2(const MemRequest &req, Cycles now,
         return;
 
     bool dirty = (victim.meta & kLineMetaDirty) != 0;
-    if (params_.l2Inclusive) {
-        // Back-invalidate only the L1s whose residency bit is set on
-        // the victim (a clear bit proves absence; a stale set bit
-        // costs the same no-op probe as the unconditional pre-fusion
-        // walk).  A dirty L1D copy folds its data into the victim on
-        // the way out (an absent line comes back with meta 0).
-        if (victim.meta & kLineMetaInL1I)
-            l1i_.invalidateRaw(victim.addr);
-        if ((victim.meta & kLineMetaInL1D) &&
-            (l1d_.invalidateRaw(victim.addr).meta & kLineMetaDirty))
-            dirty = true;
-    }
+    // Back-invalidate only the L1s whose residency bit is set on the
+    // victim (a clear bit proves absence; a stale set bit costs the
+    // same no-op probe as the unconditional pre-fusion walk).  A dirty
+    // L1D copy folds its data into the victim on the way out (an
+    // absent line comes back with meta 0).
+    if (victim.meta & kLineMetaInL1I)
+        l1i_.invalidateRaw(victim.addr);
+    if ((victim.meta & kLineMetaInL1D) &&
+        (l1d_.invalidateRaw(victim.addr).meta & kLineMetaDirty))
+        dirty = true;
     victimToSlc(victim.addr, dirty, victim.meta, now);
 }
 
@@ -285,24 +280,14 @@ void
 CacheHierarchy::victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
                             Cycles now)
 {
-    if (params_.slcInclusive) {
-        // Inclusive: the data already lives below.  The L2 victim
-        // only releases this core's ownership of the SLC copy; a
-        // dirty victim folds its writeback into that copy.  Falling
-        // through (copy absent) means inclusion was broken -- only
-        // possible with no owner directory wired -- and the victim
-        // re-installs like the non-exclusive path.
-        if (slc_->releaseOwner(addr, slcOwnerBit_, dirty))
-            return;
-    } else if (!params_.slcExclusive) {
-        // One probe: a dirty victim merges into a present copy via
-        // markDirty (which reports presence); a clean one only needs
-        // the presence check.
-        const bool present = dirty ? slc_->markDirty(addr)
-                                   : slc_->contains(addr);
-        if (present)
-            return;
-    }
+    // Inclusive: the data already lives below.  The L2 victim only
+    // releases this core's ownership of the SLC copy; a dirty victim
+    // folds its writeback into that copy.  Falling through (copy
+    // absent) means inclusion was broken -- only possible with no
+    // owner directory wired -- and the victim re-installs like an
+    // exclusive SLC's.
+    if (sharedSlc() && slc_->releaseOwner(addr, slcOwnerBit_, dirty))
+        return;
     // Synthetic downstream re-insert built straight from the victim's
     // (addr, meta) identity -- dirty victims write back as stores.
     MemRequest req;
@@ -350,18 +335,13 @@ CacheHierarchy::dropLine(Addr addr)
 {
     const Cache::Victim v = l2_.invalidateRaw(addr);
     bool dirty = v.valid && (v.meta & kLineMetaDirty) != 0;
-    // Inclusive L2: the victim's residency bits bound where private
-    // copies can live (same contract as fillL2's cascade).  A
-    // non-inclusive L2 gives no such proof, so both L1s are probed.
-    const bool probe_i =
-        params_.l2Inclusive ? (v.valid && (v.meta & kLineMetaInL1I))
-                            : true;
-    const bool probe_d =
-        params_.l2Inclusive ? (v.valid && (v.meta & kLineMetaInL1D))
-                            : true;
-    if (probe_i)
+    // The inclusive L2's residency bits bound where private copies
+    // can live (same contract as fillL2's cascade); an absent line
+    // comes back with meta 0 and implicates neither L1.
+    if (v.meta & kLineMetaInL1I)
         l1i_.invalidateRaw(addr);
-    if (probe_d && (l1d_.invalidateRaw(addr).meta & kLineMetaDirty))
+    if ((v.meta & kLineMetaInL1D) &&
+        (l1d_.invalidateRaw(addr).meta & kLineMetaDirty))
         dirty = true;
     return dirty;
 }
@@ -398,17 +378,7 @@ MultiCoreHierarchy::dropFromOwners(Addr addr, std::uint32_t owners)
 }
 
 MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreParams &params) :
-    params_([&] {
-        MultiCoreParams p = params;
-        // The shared-SLC protocol needs private inclusion end to end:
-        // an L1 copy implies an L2 copy implies an SLC copy carrying
-        // the owner bit, which is what makes the masked back-
-        // invalidation sound.
-        p.hier.l2Inclusive = true;
-        p.hier.slcExclusive = false;
-        p.hier.slcInclusive = true;
-        return p;
-    }()),
+    params_(params),
     slc_(params_.hier.slc, params_.hier.slcPolicy),
     dram_(params_.hier.dram)
 {
@@ -483,8 +453,6 @@ CacheHierarchy::inflightSnapshot() const
 bool
 CacheHierarchy::checkInclusion() const
 {
-    if (!params_.l2Inclusive)
-        return true;
     // Every valid L1 line must be present in the L2.
     const auto check = [this](const Cache &l1) {
         for (std::uint32_t s = 0; s < l1.geometry().numSets(); ++s) {

@@ -4,7 +4,8 @@
  * and L1-D, a unified inclusive L2 running the replacement policy under
  * test, an exclusive system-level cache (SLC), and DRAM, with stride /
  * next-line prefetchers and an in-flight (MSHR-like) tracker so
- * prefetch timeliness is modeled.
+ * prefetch timeliness is modeled.  The multi-core form shares one
+ * inclusive SLC and one DRAM channel between per-core stacks.
  */
 
 #ifndef TRRIP_CACHE_HIERARCHY_HH
@@ -70,18 +71,6 @@ struct HierarchyParams
     Cycles slcTagLat = 10, slcDataLat = 30;
     DramParams dram{};
 
-    bool l2Inclusive = true;    //!< L2 back-invalidates the L1s.
-    bool slcExclusive = true;   //!< SLC is an L2 victim cache.
-    /**
-     * Multi-core shared-SLC mode: the SLC holds a superset of every
-     * private L2's contents (wins over slcExclusive when set).  Demand
-     * hits keep their SLC copy, DRAM-served fills install into the SLC
-     * on the way up, L2 victims only release ownership (the data is
-     * already below), and an SLC eviction back-invalidates the owning
-     * cores' private levels through the owner directory.
-     */
-    bool slcInclusive = false;
-
     bool enablePrefetch = true;
     unsigned l1dStrideDegree = 4;
     unsigned l2StrideDegree = 4;
@@ -105,15 +94,26 @@ struct PrefetchStats
 };
 
 /**
- * Observer of the L2 demand access stream (instruction + data), used
- * by the reuse-distance profiler of paper Fig. 3.
+ * The instrumentation of one policy lane: every event the lane
+ * reports, each a no-op unless overridden.  Fig. 3's
+ * ReuseDistanceProfiler and Fig. 7's CostlyMissTracker are probes.
+ * runBundle() attaches a lane's probe (LaneSpec, sim/multicore.hh) to
+ * every core's hierarchy of that lane, so one probe sees one policy's
+ * streams and no other.
  */
-class L2AccessObserver
+class LaneProbe
 {
   public:
-    virtual ~L2AccessObserver() = default;
-    /** Called for every demand request reaching the L2 lookup. */
-    virtual void onL2Access(const MemRequest &req) = 0;
+    virtual ~LaneProbe() = default;
+    /** A demand request (instruction or data) reached the L2 lookup. */
+    virtual void onL2Access(const MemRequest &) {}
+    /**
+     * An L2 instruction demand miss at virtual line address `line`
+     * stalled fetch for at least the core's starvation threshold
+     * (CoreModel); `exposed` is its stall beyond the fetch queue's
+     * slack, in cycles.
+     */
+    virtual void onCostlyMiss(Addr /*line*/, double /*exposed*/) {}
 };
 
 /**
@@ -155,8 +155,11 @@ class CacheHierarchy
 
     /**
      * Private per-core stack over an externally owned shared SLC and
-     * DRAM (the multi-core form; requires params.slcInclusive).  The
-     * stack stamps (1u << core_id) into the SLC owner masks and routes
+     * DRAM (the multi-core form), which runs the inclusive protocol:
+     * the SLC holds a superset of every private L2's contents, demand
+     * hits keep their SLC copy, DRAM-served fills install into the SLC
+     * on the way up, and L2 victims only release ownership.  The stack
+     * stamps (1u << core_id) into the SLC owner masks and routes
      * SLC-eviction back-invalidations through @p directory.
      */
     CacheHierarchy(const HierarchyParams &params, Cache &shared_slc,
@@ -175,9 +178,9 @@ class CacheHierarchy
      */
     void instPrefetch(const MemRequest &req, Cycles now);
 
-    /** Register an L2 demand-stream observer (may be nullptr). */
-    void setL2Observer(L2AccessObserver *observer)
-    { l2Observer_ = observer; }
+    /** Attach the lane's probe (nullptr detaches). */
+    void setProbe(LaneProbe *probe) { probe_ = probe; }
+    LaneProbe *probe() const { return probe_; }
 
     /**
      * Set the Emissary priority bit on the L2 line holding @p paddr
@@ -247,7 +250,7 @@ class CacheHierarchy
     void victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
                      Cycles now);
     /**
-     * Inclusive-SLC mode: guarantee the line for @p req is resident
+     * Shared-SLC form: guarantee the line for @p req is resident
      * in the shared SLC with this core's owner bit set, installing it
      * (and back-invalidating the displaced line's owners) when absent.
      * Runs before every fillL2 on a path where the data bypassed the
@@ -262,6 +265,9 @@ class CacheHierarchy
     /** Shared post-L1 path for demand requests. */
     AccessOutcome beyondL1(const MemRequest &req, Cycles now,
                            bool is_inst);
+
+    /** The multi-core form: a shared SLC under the inclusive protocol. */
+    bool sharedSlc() const { return slcOwnerBit_ != 0; }
 
     HierarchyParams params_;
     Cache l1i_;
@@ -281,16 +287,16 @@ class CacheHierarchy
     FlatMap<Inflight> inflight_;
     PrefetchStats pfStats_;
     std::vector<Addr> pfScratch_;
-    L2AccessObserver *l2Observer_ = nullptr;
+    LaneProbe *probe_ = nullptr;
 };
 
 /** Configuration of a multi-core hierarchy. */
 struct MultiCoreParams
 {
     /**
-     * Per-core private geometry + the shared SLC/DRAM.  slcExclusive
-     * and slcInclusive are overridden: N>0 cores over one SLC always
-     * run the inclusive shared-SLC protocol.
+     * Per-core private geometry + the shared SLC/DRAM.  The cores run
+     * the inclusive shared-SLC protocol over it (see the per-core
+     * CacheHierarchy constructor).
      */
     HierarchyParams hier;
     unsigned numCores = 2;

@@ -56,9 +56,8 @@ static_assert(sizeof(CacheLine) <= 24,
  * The cache's SoA storage keeps each way's residual state (dirty,
  * isInst, instrumentation temperature) in one byte; validity and tag
  * live in the packed (tag << 1) | valid word, and the line address is
- * derivable from (set, tag).  These helpers are shared by the Cache
- * and the read-only TagView so both materialize identical CacheLine
- * values.
+ * derivable from (set, tag).  The Cache packs and materializes
+ * lines with these helpers.
  */
 /** @{ */
 constexpr std::uint8_t kLineMetaDirty = 0x1;

@@ -118,13 +118,6 @@ class EmissaryPolicy final : public ReplacementPolicy
         priority_[idx(set, way)] = 1;
     }
 
-    void
-    resetState() override
-    {
-        stamps_.assign(stamps_.size(), 0);
-        priority_.assign(priority_.size(), 0);
-    }
-
     /** Priority bit of (set, way) -- tests and analysis. */
     bool
     priorityOf(std::uint32_t set, std::uint32_t way) const

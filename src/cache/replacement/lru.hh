@@ -45,7 +45,15 @@ class LruPolicy final : public ReplacementPolicy
         // every modeled cache is far below this.
         fatal_if(ways_ > 127, "LRU: associativity above 127 ways "
                  "is not supported by the rank encoding");
-        resetState();
+        // Identity permutation; SWAR padding lanes hold 127 so they
+        // never age (every real rank is below 127).
+        for (std::size_t base = 0; base < ranks_.size();
+             base += stride_) {
+            for (std::uint32_t w = 0; w < stride_; ++w) {
+                ranks_[base + w] = static_cast<std::uint8_t>(
+                    w < ways_ ? w : 127);
+            }
+        }
     }
 
     std::string name() const override { return "LRU"; }
@@ -89,20 +97,6 @@ class LruPolicy final : public ReplacementPolicy
            const MemRequest &) override
     {
         promote(set, way);
-    }
-
-    void
-    resetState() override
-    {
-        // Identity permutation; SWAR padding lanes hold 127 so they
-        // never age (every real rank is below 127).
-        for (std::size_t base = 0; base < ranks_.size();
-             base += stride_) {
-            for (std::uint32_t w = 0; w < stride_; ++w) {
-                ranks_[base + w] = static_cast<std::uint8_t>(
-                    w < ways_ ? w : 127);
-            }
-        }
     }
 
   private:

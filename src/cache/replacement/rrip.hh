@@ -83,12 +83,6 @@ class RripBase : public ReplacementPolicy
         return best;
     }
 
-    void
-    resetState() override
-    {
-        rrpv_.assign(rrpv_.size(), 0);
-    }
-
   protected:
     /** Set the RRPV of (set, way) -- the insertion/promotion hooks. */
     void

@@ -96,15 +96,6 @@ class ShipPolicy final : public RripBase
             shct_[signature_[i] % shct_.size()].decrement();
     }
 
-    void
-    resetState() override
-    {
-        RripBase::resetState();
-        signature_.assign(signature_.size(), 0);
-        outcome_.assign(outcome_.size(), 0);
-        inst_.assign(inst_.size(), 0);
-    }
-
     /** 14-bit folded PC signature. */
     static std::uint16_t
     signatureOf(Addr pc)

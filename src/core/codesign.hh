@@ -40,8 +40,8 @@ class CoDesignPipeline
     /**
      * Run the full pipeline once for every lane: @p lanes name the L2
      * policies under test ("SRRIP", "TRRIP-2(bits=3)", ...) and their
-     * observers; the other levels follow the per-level specs already
-     * in options.hier.  One prepare step and one event stream serve
+     * probes; the other levels follow the per-level specs already in
+     * options.hier.  One prepare step and one event stream serve
      * every lane (a one-core runBundle()).  The training profile is
      * options.precomputedProfile when set (e.g. from
      * exp::ProfileCache), else this pipeline's own cached one.
@@ -63,14 +63,11 @@ class CoDesignPipeline
         return out;
     }
 
-    /** The one-lane form: @p policy_spec with options' observers. */
+    /** The one-lane form: @p policy_spec with no probe. */
     RunArtifacts
     run(const std::string &policy_spec, const SimOptions &options) const
     {
-        SimOptions opts = options;
-        opts.hier.l2Policy = PolicySpec(policy_spec);
-        const LaneSpec lane = soloLane(opts);
-        return std::move(run({lane}, opts).front());
+        return std::move(run({{PolicySpec(policy_spec)}}, options).front());
     }
 
     /**

@@ -246,12 +246,6 @@ struct RunState
         SimOptions options = spec.options;
         if (!spec.configs.empty() && spec.configs[row.config].apply)
             spec.configs[row.config].apply(options);
-        // Config mutators must not smuggle in a shared observer
-        // either (see the guard on the base options in run()).
-        panic_if(options.reuse || options.costly, "experiment '",
-                 spec.name,
-                 "': attach observers via ExperimentSpec::hooks, not "
-                 "a config mutator");
         // Deadline enforcement: the simulation polls the worker's
         // token at event-ring refills (CoreModel::refill).
         options.cancel = wc.cancel;
@@ -271,8 +265,6 @@ struct RunState
         ctx.options = rowOptions(rec.id, wc);
         ctx.worker = wc.worker;
         ctx.profiles = profiles;
-        if (spec.hooks)
-            rec.hook = spec.hooks(ctx.options, ctx.id);
         CellOutcome outcome = spec.runCell(ctx);
         rec.artifacts = std::move(outcome.artifacts);
         rec.metrics = std::move(outcome.metrics);
@@ -317,16 +309,12 @@ struct RunState
         MultiCoreOptions mo;
         mo.base = rowOptions(row, wc);
 
-        // A lane takes only the observers from its hooked options
-        // (the ExperimentSpec::hooks contract).
         std::vector<LaneSpec> specs;
         for (std::size_t index : lanes) {
             CellRecord &rec = records[index];
-            SimOptions hooked = mo.base;
-            if (spec.hooks)
-                rec.hook = spec.hooks(hooked, rec.id);
-            specs.push_back(
-                {PolicySpec(rec.policy), hooked.reuse, hooked.costly});
+            if (spec.probes)
+                rec.probe = spec.probes(mo.base, rec.id);
+            specs.push_back({PolicySpec(rec.policy), rec.probe.get()});
         }
 
         std::vector<MultiCoreResult> out = runBundle(
@@ -362,7 +350,7 @@ struct RunState
     {
         failedAttempts.fetch_add(1, std::memory_order_relaxed);
         CellRecord &rec = records[index];
-        rec.hook = nullptr;
+        rec.probe = nullptr;
         rec.artifacts = RunArtifacts{};
         rec.metrics.clear();
         errors.insert_or_assign(index, error);
@@ -510,14 +498,6 @@ ExperimentResults
 ExperimentRunner::run(const ExperimentSpec &spec,
                       const std::vector<ResultSink *> &sinks)
 {
-    // A single observer shared by every cell would be mutated from
-    // all worker threads at once (and would aggregate across cells
-    // even serially); per-cell instrumentation must come from hooks.
-    panic_if(spec.options.reuse || spec.options.costly,
-             "experiment '", spec.name,
-             "': attach observers via ExperimentSpec::hooks, not the "
-             "base options");
-
     // Reject policy-axis entries that are the same policy in
     // different spellings ("SRRIP" vs "SRRIP(bits=2)"): the sinks
     // canonicalize labels, so their rows would be indistinguishable.

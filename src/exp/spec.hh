@@ -125,19 +125,16 @@ struct ExperimentSpec
     std::function<WorkloadParams(const std::string &)> paramsFor;
 
     /**
-     * Optional per-cell instrumentation factory: attach caller-owned
-     * observers (ReuseDistanceProfiler, CostlyMissTracker) to the
-     * cell's options and return the owning handle, which the runner
-     * keeps alive in the CellRecord for post-run inspection.
-     *
-     * Contract: hooks may only attach observers.  The cells of a row
-     * run as the lanes of one engine over one shared SimOptions, so a
-     * lane takes only `reuse` and `costly` from its hooked options;
-     * any other change a hook makes is ignored.  (A custom runCell
-     * receives its cell's hooked options whole.)
+     * Optional per-cell probe factory (ReuseDistanceProfiler,
+     * CostlyMissTracker, ...): called once per attempt of each
+     * simulated cell with its row's options, it returns the probe of
+     * the cell's lane, or null.  The runner keeps the probe in the
+     * CellRecord for post-run inspection.  Custom runCell cells take
+     * no probe.
      */
-    std::function<std::shared_ptr<void>(SimOptions &, const CellId &)>
-        hooks;
+    std::function<std::shared_ptr<LaneProbe>(const SimOptions &,
+                                             const CellId &)>
+        probes;
 
     /** Optional predicate: return false to skip a cell entirely. */
     std::function<bool(const CellId &)> filter;
@@ -211,8 +208,8 @@ struct CellRecord
     std::string config;
     RunArtifacts artifacts;
     std::map<std::string, double> metrics;
-    /** Instrumentation handle from ExperimentSpec::hooks, if any. */
-    std::shared_ptr<void> hook;
+    /** The cell's probe from ExperimentSpec::probes, if any. */
+    std::shared_ptr<LaneProbe> probe;
 
     /**
      * @name Failure outcome (the success-or-error cell contract)
@@ -231,12 +228,12 @@ struct CellRecord
 
     const SimResult &result() const { return artifacts.result; }
 
-    /** The hook, downcast to the type the spec installed. */
+    /** The probe as a @p T; null when it is absent or not a @p T. */
     template <typename T>
     T *
-    hookAs() const
+    probeAs() const
     {
-        return static_cast<T *>(hook.get());
+        return dynamic_cast<T *>(probe.get());
     }
 };
 

@@ -58,15 +58,6 @@ class Dram
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
 
-    /** Drop all statistics and queue state. */
-    void
-    reset()
-    {
-        reads_ = writes_ = 0;
-        nextFree_ = 0;
-        fraction_ = 0.0;
-    }
-
   private:
     /** Advance the controller busy window; return request latency. */
     Cycles

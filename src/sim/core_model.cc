@@ -272,12 +272,13 @@ CoreModel::consumeBatch(Lane &lane) const
                 const bool burst = now - lane.lastInstL2Miss <=
                                    params_.starvationBurstWindow;
                 lane.lastInstL2Miss = now;
-                // Every exposed miss is recorded for the costly-miss
-                // analysis (Fig. 7); only clustered misses starve
-                // decode hard enough to set Emissary's priority bit.
+                // Every exposed miss goes to the lane's probe (the
+                // costly-miss analysis of Fig. 7); only clustered
+                // misses starve decode hard enough to set Emissary's
+                // priority bit.
                 if (out.latency >= params_.starvationThreshold &&
-                    lane.costly) {
-                    lane.costly->record(line->vaddr, exposed);
+                    hier.probe()) {
+                    hier.probe()->onCostlyMiss(line->vaddr, exposed);
                 }
                 if (burst &&
                     out.latency >= params_.starvationThreshold &&

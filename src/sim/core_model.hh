@@ -23,13 +23,14 @@
  * one model runs K policies over one event stream.  The frontend
  * turns a batch of events into a batch record -- translated fetch
  * and FDIP lines, branch-penalty indices and translated data
- * accesses, in engine order -- and each lane (one CacheHierarchy plus
- * its own clock, Top-Down buckets, miss shadow, Emissary alternator
- * and costly-miss tracker) then consumes the whole batch before the
- * next lane starts.  Every lane issues exactly the hierarchy calls,
- * with exactly the arguments, that a solo model would, so each lane's
- * result is bit-identical to running its policy alone.  A one-lane
- * model is the single-policy engine; there is no other path.
+ * accesses, in engine order -- and each lane (one CacheHierarchy,
+ * which carries the lane's probe, plus its own clock, Top-Down
+ * buckets, miss shadow and Emissary alternator) then consumes the
+ * whole batch before the next lane starts.  Every lane issues
+ * exactly the hierarchy calls, with exactly the arguments, that a solo
+ * model would, so each lane's result is bit-identical to running its
+ * policy alone.  A one-lane model is the single-policy engine; there
+ * is no other path.
  *
  * Event flow is batched (see BBEventSource in workloads/executor.hh):
  * the source fills a frontend-owned power-of-two ring tens of events
@@ -55,7 +56,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "analysis/costly_miss.hh"
 #include "branch/predictors.hh"
 #include "cache/hierarchy.hh"
 #include "sim/topdown.hh"
@@ -213,11 +213,6 @@ class CoreModel
               BranchUnit &branch, const CoreParams &params,
               const BackendParams &backend);
 
-    /** Optional costly-miss recorder of lane @p lane (paper Fig. 7). */
-    void
-    setCostlyTracker(CostlyMissTracker *tracker, std::size_t lane = 0)
-    { lanes_.at(lane).costly = tracker; }
-
     /**
      * Optional cooperative cancellation (the watchdog's deadline
      * path).  Polled at event-ring refills -- every few dozen
@@ -306,7 +301,6 @@ class CoreModel
          *  probability. */
         std::uint64_t starvationEvents = 0;
         double lastInstL2Miss = -1e18;
-        CostlyMissTracker *costly = nullptr;
     };
 
     /** The batched outer loop, instantiated per stub mask. */

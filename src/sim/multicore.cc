@@ -39,15 +39,6 @@ multiCoreWorkloadsOf(const std::string &name)
     return out;
 }
 
-LaneSpec
-soloLane(SimOptions &options)
-{
-    LaneSpec lane{options.hier.l2Policy, options.reuse, options.costly};
-    options.reuse = nullptr;
-    options.costly = nullptr;
-    return lane;
-}
-
 namespace {
 
 /**
@@ -129,11 +120,6 @@ runBundle(const std::vector<CoreInput> &inputs,
              "runBundle: ", options.coreBudgets.size(), " budgets for ",
              n, " cores");
     const SimOptions &opts = options.base;
-    // Observers ride the lanes: one shared by every lane would
-    // aggregate several policies' streams.
-    panic_if(opts.reuse || opts.costly,
-             "runs take observers per lane (LaneSpec), not from the "
-             "shared options");
 
     // Every core is prepared before any hierarchy exists, so the
     // prepare steps' temporaries never pile onto the lanes'
@@ -177,15 +163,12 @@ runBundle(const std::vector<CoreInput> &inputs,
         std::vector<CacheHierarchy *> hiers;
         for (std::size_t k = 0; k < lanes.size(); ++k) {
             hiers.push_back(&stack(k, c));
-            if (lanes[k].reuse)
-                hiers[k]->setL2Observer(lanes[k].reuse);
+            hiers[k]->setProbe(lanes[k].probe);
         }
         core.mmu.emplace(*core.pageTable);
         core.branch.emplace(opts.branch);
         core.model.emplace(*core.source, hiers, *core.mmu, *core.branch,
                            opts.core, core.backend);
-        for (std::size_t k = 0; k < lanes.size(); ++k)
-            core.model->setCostlyTracker(lanes[k].costly, k);
         core.model->setCancelToken(opts.cancel);
     }
 
@@ -265,11 +248,9 @@ runMultiCore(const std::vector<std::string> &core_workloads,
              const std::string &policy_spec,
              const MultiCoreOptions &options)
 {
-    MultiCoreOptions shared = options;
-    shared.base.hier.l2Policy = PolicySpec(policy_spec);
-    const LaneSpec lane = soloLane(shared.base);
     return std::move(
-        runMultiCore(core_workloads, {lane}, shared).front());
+        runMultiCore(core_workloads, {{PolicySpec(policy_spec)}}, options)
+            .front());
 }
 
 SimResult

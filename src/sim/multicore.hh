@@ -47,18 +47,14 @@ std::vector<std::string> multiCoreWorkloadsOf(const std::string &name);
 
 /**
  * One policy lane of a run: the L2 policy under test and the lane's
- * own optional observers (the per-lane counterparts of
- * SimOptions::reuse / SimOptions::costly).
+ * optional probe (caller-owned; a probe given to two lanes would mix
+ * their streams).
  */
 struct LaneSpec
 {
     PolicySpec l2Policy;
-    ReuseDistanceProfiler *reuse = nullptr;
-    CostlyMissTracker *costly = nullptr;
+    LaneProbe *probe = nullptr;
 };
-
-/** The one lane @p options describe, and @p options without it. */
-LaneSpec soloLane(SimOptions &options);
 
 /**
  * What one core runs: a proxy -- a caller-owned workload, which must
@@ -144,8 +140,8 @@ struct MultiCoreResult
  * running its lane alone.  One core runs over a plain
  * CacheHierarchy per lane (the single-core exclusive SLC); N > 1
  * cores share one MultiCoreHierarchy per lane (an inclusive SLC with
- * owner masks).  Observers come from the lanes, so
- * options.base.reuse / costly must be null.
+ * owner masks).  A lane's probe is attached to every core's
+ * hierarchy of that lane.
  */
 std::vector<MultiCoreResult>
 runBundle(const std::vector<CoreInput> &cores,

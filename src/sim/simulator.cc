@@ -121,10 +121,11 @@ runWorkload(const SyntheticWorkload &workload, const SimOptions &options)
 {
     MultiCoreOptions mo;
     mo.base = options;
-    const LaneSpec lane = soloLane(mo.base);
     const CoreInput core{.workload = &workload,
                          .profile = options.precomputedProfile};
-    return std::move(runBundle({core}, {lane}, mo).front().cores.front());
+    return std::move(runBundle({core}, {{options.hier.l2Policy}}, mo)
+                         .front()
+                         .cores.front());
 }
 
 } // namespace trrip

@@ -10,8 +10,6 @@
 
 #include <memory>
 
-#include "analysis/costly_miss.hh"
-#include "analysis/reuse_distance.hh"
 #include "branch/predictors.hh"
 #include "cache/hierarchy.hh"
 #include "sim/core_model.hh"
@@ -38,10 +36,6 @@ struct SimOptions
     LayoutOptions layout;
     MixedPagePolicy pagePolicy = MixedPagePolicy::DisableMark;
     std::uint32_t pageSize = 4096;
-
-    /** Optional caller-owned instrumentation hooks. */
-    ReuseDistanceProfiler *reuse = nullptr;
-    CostlyMissTracker *costly = nullptr;
 
     /**
      * Optional cooperative-cancellation token (deadline enforcement:
@@ -128,8 +122,8 @@ WorkloadRuntime prepareWorkload(const SyntheticWorkload &workload,
                                 const SimOptions &options);
 
 /**
- * Run the whole pipeline for one workload with options.hier.l2Policy
- * and options' observers: a one-core runBundle() (sim/multicore.hh).
+ * Run the whole pipeline for one workload with options.hier.l2Policy:
+ * a one-core, one-lane runBundle() (sim/multicore.hh) with no probe.
  */
 RunArtifacts runWorkload(const SyntheticWorkload &workload,
                          const SimOptions &options);

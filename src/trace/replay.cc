@@ -216,10 +216,10 @@ runTrace(const std::string &path, const std::string &policy_spec,
 {
     MultiCoreOptions mo;
     mo.base = options;
-    mo.base.hier.l2Policy = PolicySpec(policy_spec);
-    const LaneSpec lane = soloLane(mo.base);
     const CoreInput core{.tracePath = path, .traceIndex = std::move(index)};
-    return std::move(runBundle({core}, {lane}, mo).front().cores.front());
+    return std::move(runBundle({core}, {{PolicySpec(policy_spec)}}, mo)
+                         .front()
+                         .cores.front());
 }
 
 } // namespace trrip::trace

@@ -91,8 +91,8 @@ TraceRuntime prepareTrace(const std::string &path,
                           std::shared_ptr<const TraceIndex> index = {});
 
 /**
- * Replay @p path against @p policy_spec with options' observers: a
- * one-core runBundle() (sim/multicore.hh).  @p index may be shared
+ * Replay @p path against @p policy_spec: a one-core, one-lane
+ * runBundle() (sim/multicore.hh) with no probe.  @p index may be shared
  * across calls (exp::ProfileCache); pass nullptr to build a private
  * one.  SimOptions fields that describe proxy synthesis (layout
  * options, profile budget) are ignored: the trace IS the program.

@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the analysis library: reuse-distance profiler (Fig. 3
- * methodology), costly-miss coverage (Fig. 7), page accounting
- * (Table 5), and the Belady oracle.
+ * methodology), costly-miss coverage (Fig. 7), both as lane probes,
+ * page accounting (Table 5), and the Belady oracle.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "analysis/belady.hh"
 #include "analysis/costly_miss.hh"
 #include "analysis/page_accounting.hh"
 #include "analysis/reuse_distance.hh"
+#include "core/codesign.hh"
+#include "workloads/proxies.hh"
 
 namespace trrip {
 namespace {
@@ -159,8 +165,8 @@ TEST(CostlyMiss, CoverageCountsHotSectionMisses)
 {
     const auto img = imageWithHotSection();
     CostlyMissTracker t;
-    t.record(0x400040, 100.0); // Hot.
-    t.record(0x408040, 100.0); // Cold.
+    t.onCostlyMiss(0x400040, 100.0); // Hot.
+    t.onCostlyMiss(0x408040, 100.0); // Cold.
     EXPECT_DOUBLE_EQ(t.hotCoverage(img, 0.0, false), 0.5);
 }
 
@@ -170,8 +176,8 @@ TEST(CostlyMiss, PercentileFiltersCheapMisses)
     CostlyMissTracker t;
     // 9 cheap cold misses, 1 expensive hot miss.
     for (int i = 0; i < 9; ++i)
-        t.record(0x408000 + i * 64, 10.0);
-    t.record(0x400040, 500.0);
+        t.onCostlyMiss(0x408000 + i * 64, 10.0);
+    t.onCostlyMiss(0x400040, 500.0);
     // At the 90th percentile only the expensive miss qualifies.
     EXPECT_DOUBLE_EQ(t.hotCoverage(img, 90.0, false), 1.0);
     // Unfiltered, coverage is 10%.
@@ -184,8 +190,8 @@ TEST(CostlyMiss, ExternalExclusionRaisesCoverage)
     // excluding them shows TRRIP covers nearly all remaining cost.
     const auto img = imageWithHotSection();
     CostlyMissTracker t;
-    t.record(0x400040, 100.0);                // Hot.
-    t.record(img.externalBase + 0x40, 100.0); // External.
+    t.onCostlyMiss(0x400040, 100.0);                // Hot.
+    t.onCostlyMiss(img.externalBase + 0x40, 100.0); // External.
     EXPECT_DOUBLE_EQ(t.hotCoverage(img, 0.0, false), 0.5);
     EXPECT_DOUBLE_EQ(t.hotCoverage(img, 0.0, true), 1.0);
 }
@@ -196,6 +202,81 @@ TEST(CostlyMiss, EmptyTrackerIsSafe)
     CostlyMissTracker t;
     EXPECT_DOUBLE_EQ(t.hotCoverage(img, 50.0, false), 0.0);
     EXPECT_EQ(t.size(), 0u);
+}
+
+// ---------------------------- Lane probe ----------------------------
+
+/** Fig. 3's and Fig. 7's instruments behind one lane probe. */
+struct ReuseAndCostlyProbe : LaneProbe
+{
+    explicit ReuseAndCostlyProbe(const CacheGeometry &l2) : reuse(l2) {}
+
+    void
+    onL2Access(const MemRequest &req) override
+    {
+        reuse.onL2Access(req);
+    }
+
+    void
+    onCostlyMiss(Addr line, double exposed) override
+    {
+        costly.onCostlyMiss(line, exposed);
+    }
+
+    ReuseDistanceProfiler reuse;
+    CostlyMissTracker costly;
+};
+
+/** Bucket counts of @p h, overflow bucket last. */
+std::vector<std::uint64_t>
+bucketCounts(const BucketHistogram &h)
+{
+    std::vector<std::uint64_t> counts;
+    for (std::size_t i = 0; i < h.numBuckets(); ++i)
+        counts.push_back(h.count(i));
+    return counts;
+}
+
+TEST(LaneProbe, MiddleLaneMatchesSoloAndPinnedCounts)
+{
+    // A probe sees its own lane's streams only: TRRIP-1's probe reads
+    // the same counts as the middle of three lanes and alone.  The
+    // pinned values are what fig3's and fig7's instruments recorded
+    // for these runs before they became probes.
+    struct Pinned
+    {
+        const char *workload;
+        std::vector<std::uint64_t> base;
+        std::vector<std::uint64_t> hotOnly;
+        std::size_t costlyMisses;
+        double exposedCycles;
+    };
+    const Pinned pinned[] = {
+        {"python", {51, 216, 218, 0}, {396, 89, 0, 0}, 1047, 389461.0},
+        {"gcc", {88, 280, 185, 0}, {458, 95, 0, 0}, 1040, 395622.0},
+    };
+    SimOptions opts;
+    opts.maxInstructions = 200'000;
+    for (const Pinned &p : pinned) {
+        const CoDesignPipeline pipeline(proxyParams(p.workload));
+        ReuseAndCostlyProbe middle(opts.hier.l2);
+        ReuseAndCostlyProbe solo(opts.hier.l2);
+        pipeline.run({{"SRRIP"}, {"TRRIP-1", &middle}, {"LRU"}}, opts);
+        pipeline.run({{"TRRIP-1", &solo}}, opts);
+        for (const ReuseAndCostlyProbe *probe : {&middle, &solo}) {
+            const std::string lane = std::string(p.workload) +
+                                     (probe == &middle ? " middle lane"
+                                                       : " solo");
+            EXPECT_EQ(bucketCounts(probe->reuse.base()), p.base) << lane;
+            EXPECT_EQ(bucketCounts(probe->reuse.hotOnly()), p.hotOnly)
+                << lane;
+            EXPECT_EQ(probe->costly.size(), p.costlyMisses) << lane;
+            double exposed = 0.0;
+            for (const CostlyMiss &miss : probe->costly.misses())
+                exposed += miss.cost;
+            EXPECT_EQ(exposed, p.exposedCycles) << lane;
+        }
+    }
 }
 
 // ------------------------- Page accounting --------------------------

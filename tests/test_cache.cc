@@ -177,17 +177,6 @@ TEST(CacheBasic, InvalidateRemovesLine)
     EXPECT_FALSE(c.invalidate(0x100).has_value());
 }
 
-TEST(CacheBasic, ResetClearsEverything)
-{
-    CacheGeometry g{"c", 1024, 2, 64};
-    Cache c(g, std::make_unique<LruPolicy>(g));
-    c.fill(inst(0x100));
-    c.access(inst(0x100));
-    c.reset();
-    EXPECT_EQ(c.residentLines(), 0u);
-    EXPECT_EQ(c.stats().demandAccesses, 0u);
-}
-
 #ifndef NDEBUG
 // The duplicate-present re-scan in fill() is a debug assert: Release
 // builds skip it on the hot path, Debug (and the sanitizer CI job)
@@ -461,16 +450,16 @@ TEST(Hierarchy, MpkiMath)
     EXPECT_DOUBLE_EQ(h->l2InstMpki(0), 0.0);
 }
 
-TEST(Hierarchy, ObserverSeesDemandL2Stream)
+TEST(Hierarchy, ProbeSeesDemandL2Stream)
 {
-    struct Counter : L2AccessObserver
+    struct Counter : LaneProbe
     {
         int n = 0;
         void onL2Access(const MemRequest &) override { ++n; }
     } counter;
     auto hp = tinyParams();
     auto h = makeHier(hp);
-    h->setL2Observer(&counter);
+    h->setProbe(&counter);
     h->instFetch(inst(0x1000), 0);  // L1 miss -> observed.
     h->instFetch(inst(0x1000), 10); // L1 hit -> not observed.
     h->dataAccess(load(0x2000), 20);
@@ -484,17 +473,6 @@ TEST(Hierarchy, DramBandwidthQueuesBackToBackReads)
     const Cycles second = dram.read(0);
     EXPECT_EQ(first, 400u);
     EXPECT_GT(second, 400u); // Queued behind the first transfer.
-}
-
-TEST(Hierarchy, DramResetClearsState)
-{
-    Dram dram;
-    dram.read(0);
-    dram.write(0);
-    dram.reset();
-    EXPECT_EQ(dram.reads(), 0u);
-    EXPECT_EQ(dram.writes(), 0u);
-    EXPECT_EQ(dram.read(0), 400u);
 }
 
 // ---------- Randomized cascade / prefetch differential suite ----------
@@ -636,10 +614,7 @@ class ReferenceHierarchy
             }
         }
 
-        const bool slc_hit = params_.slcExclusive
-                                 ? slc_.accessInvalidate(req)
-                                 : slc_.access(req);
-        if (slc_hit) {
+        if (slc_.accessInvalidate(req)) {
             out.servedBy = ServedBy::Slc;
             out.latency = params_.l2TagLat + params_.slcTagLat +
                           params_.slcDataLat;
@@ -709,12 +684,10 @@ class ReferenceHierarchy
         if (!evicted)
             return;
         CacheLine victim = *evicted;
-        if (params_.l2Inclusive) {
-            l1i_.invalidate(victim.addr);
-            if (auto l1line = l1d_.invalidate(victim.addr);
-                l1line && l1line->dirty) {
-                victim.dirty = true;
-            }
+        l1i_.invalidate(victim.addr);
+        if (auto l1line = l1d_.invalidate(victim.addr);
+            l1line && l1line->dirty) {
+            victim.dirty = true;
         }
         victimToSlc(victim, now);
     }
@@ -722,13 +695,6 @@ class ReferenceHierarchy
     void
     victimToSlc(const CacheLine &line, Cycles now)
     {
-        if (!params_.slcExclusive) {
-            const bool present = line.dirty
-                                     ? slc_.markDirty(line.addr)
-                                     : slc_.contains(line.addr);
-            if (present)
-                return;
-        }
         MemRequest req;
         req.vaddr = req.paddr = line.addr;
         req.pc = 0;
@@ -939,21 +905,6 @@ TEST(HierarchyDifferential, FusedCascadesMatchReferenceTrrip)
     runHierarchyDifferential(hp, 31, 20000);
 }
 
-TEST(HierarchyDifferential, FusedCascadesMatchReferenceNonExclusive)
-{
-    HierarchyParams hp = diffParams();
-    hp.slcExclusive = false;
-    hp.l2Policy = PolicySpec("LRU");
-    runHierarchyDifferential(hp, 41, 20000);
-}
-
-TEST(HierarchyDifferential, FusedCascadesMatchReferenceNonInclusive)
-{
-    HierarchyParams hp = diffParams();
-    hp.l2Inclusive = false;
-    runHierarchyDifferential(hp, 51, 20000);
-}
-
 TEST(HierarchyDifferential, FusedCascadesMatchReferenceTinyPrune)
 {
     // A prune threshold small enough that the sweep actually runs,
@@ -1155,46 +1106,35 @@ class GenericForwarder final : public ReplacementPolicy
     onHit(std::uint32_t set, std::uint32_t way,
           const MemRequest &req) override
     {
-        inner().onHit(set, way, req);
+        inner_->onHit(set, way, req);
     }
 
     std::uint32_t
     victim(std::uint32_t set, const MemRequest &req) override
     {
-        return inner().victim(set, req);
+        return inner_->victim(set, req);
     }
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
            const MemRequest &req) override
     {
-        inner().onFill(set, way, req);
+        inner_->onFill(set, way, req);
     }
 
     void
     onEvict(std::uint32_t set, std::uint32_t way) override
     {
-        inner().onEvict(set, way);
+        inner_->onEvict(set, way);
     }
 
     void
     onPriorityHint(std::uint32_t set, std::uint32_t way) override
     {
-        inner().onPriorityHint(set, way);
+        inner_->onPriorityHint(set, way);
     }
-
-    void resetState() override { inner().resetState(); }
 
   private:
-    /** The wrapped policy, bound to the cache's tag view first
-     *  (bindTags is not virtual, so the cache binds only this one). */
-    ReplacementPolicy &
-    inner()
-    {
-        inner_->bindTags(tags_);
-        return *inner_;
-    }
-
     std::unique_ptr<ReplacementPolicy> inner_;
 };
 

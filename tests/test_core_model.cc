@@ -306,7 +306,7 @@ TEST(CoreModel, CostlyTrackerRecordsExposedMisses)
     CoreParams core = noFdip();
     Rig rig(conflictStream(hp, 16), hp, core);
     CostlyMissTracker tracker;
-    rig.model.setCostlyTracker(&tracker);
+    rig.hier.setProbe(&tracker);
     rig.model.run(5 * 16);
 
     // Every one of the five cold misses is exposed far beyond the

@@ -116,40 +116,6 @@ TEST(EdgeHierarchy, PrefetchEnabledChurnKeepsInvariants)
     EXPECT_GT(h.prefetchStats().issued, 0u);
 }
 
-TEST(EdgeHierarchy, NonInclusiveL2Supported)
-{
-    HierarchyParams hp;
-    hp.l1i = CacheGeometry{"L1I", 2 * 1024, 2, 64};
-    hp.l1d = CacheGeometry{"L1D", 2 * 1024, 2, 64};
-    hp.l2 = CacheGeometry{"L2", 4 * 1024, 4, 64};
-    hp.slc = CacheGeometry{"SLC", 16 * 1024, 4, 64};
-    hp.l2Inclusive = false;
-    hp.enablePrefetch = false;
-    CacheHierarchy h(hp); // hp.l2Policy defaults to SRRIP.
-    // Exceed L2 capacity; with inclusion off, L1 lines survive L2
-    // evictions.
-    for (int i = 0; i < 128; ++i)
-        h.instFetch(inst(i * 4096), i * 100);
-    std::uint64_t l1_resident = h.l1i().residentLines();
-    EXPECT_GT(l1_resident, 0u);
-}
-
-TEST(EdgeHierarchy, NonExclusiveSlcMode)
-{
-    HierarchyParams hp;
-    hp.l1i = CacheGeometry{"L1I", 2 * 1024, 2, 64};
-    hp.l1d = CacheGeometry{"L1D", 2 * 1024, 2, 64};
-    hp.l2 = CacheGeometry{"L2", 4 * 1024, 4, 64};
-    hp.slc = CacheGeometry{"SLC", 16 * 1024, 4, 64};
-    hp.slcExclusive = false;
-    hp.enablePrefetch = false;
-    CacheHierarchy h(hp); // hp.l2Policy defaults to SRRIP.
-    for (int i = 0; i < 64; ++i)
-        h.instFetch(inst(i * 4096), i * 100);
-    // No crash and the SLC holds victims; duplicates are allowed.
-    EXPECT_GT(h.slc().residentLines(), 0u);
-}
-
 // ------------------ In-flight tracker prune boundary ----------------
 
 HierarchyParams

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/costly_miss.hh"
+#include "analysis/reuse_distance.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
@@ -351,22 +353,21 @@ TEST(ExperimentRunner, CustomRunCellBypassesSimulation)
     EXPECT_EQ(results.at(0, 1).metrics.at("policy_index"), 1.0);
 }
 
-TEST(ExperimentRunner, HooksAreKeptPerCell)
+TEST(ExperimentRunner, ProbesAreKeptPerCell)
 {
     auto spec = tinySpec();
     spec.workloads = {"python"};
     spec.policies = {"SRRIP"};
-    spec.hooks = [](SimOptions &opts, const exp::CellId &) {
-        auto prof =
-            std::make_shared<ReuseDistanceProfiler>(opts.hier.l2);
-        opts.reuse = prof.get();
-        return prof;
+    spec.probes = [](const SimOptions &opts, const exp::CellId &) {
+        return std::make_shared<ReuseDistanceProfiler>(opts.hier.l2);
     };
     exp::ExperimentRunner runner(1);
     const auto results = runner.run(spec);
     const auto *prof =
-        results.at(0, 0).hookAs<ReuseDistanceProfiler>();
+        results.at(0, 0).probeAs<ReuseDistanceProfiler>();
     ASSERT_NE(prof, nullptr);
+    EXPECT_GT(prof->base().total(), 0u);
+    EXPECT_EQ(results.at(0, 0).probeAs<CostlyMissTracker>(), nullptr);
 }
 
 TEST(ProfileCache, OneCollectionPerDistinctKey)

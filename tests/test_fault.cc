@@ -666,17 +666,18 @@ TEST_F(FaultTest, ResumeFromHalfARowRunsOnlyTheMissingLanes)
         };
         runner.run(half, {});
     }
-    // Resume: the hook sees exactly the lanes that execute.
+    // Resume: the probe factory sees exactly the lanes that execute.
     std::mutex mutex;
     std::set<std::size_t> executed;
     {
         exp::ExperimentRunner runner(2);
         exp::ExperimentSpec resumed = spec;
         resumed.journal = journal;
-        resumed.hooks = [&](SimOptions &, const exp::CellId &id) {
+        resumed.probes = [&](const SimOptions &,
+                             const exp::CellId &id) {
             std::lock_guard<std::mutex> lock(mutex);
             executed.insert(id.policy);
-            return std::shared_ptr<void>();
+            return std::shared_ptr<LaneProbe>();
         };
         exp::JsonSink sink(resumed_json);
         const exp::ExperimentResults results =

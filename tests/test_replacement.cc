@@ -163,15 +163,6 @@ TEST(Srrip, WiderRrpvRespected)
     EXPECT_EQ(p.intermediate(), 6);
 }
 
-TEST(Srrip, ResetStateClearsRrpvs)
-{
-    SrripPolicy p(geom4w());
-    p.onFill(0, 1, inst(64));
-    EXPECT_EQ(p.rrpvOf(0, 1), 2);
-    p.resetState();
-    EXPECT_EQ(p.rrpvOf(0, 1), 0);
-}
-
 // ----------------------------- BRRIP -------------------------------
 
 TEST(Brrip, MostFillsDistantSomeIntermediate)

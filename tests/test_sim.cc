@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "workloads/proxies.hh"
 
@@ -229,9 +230,9 @@ TEST(Simulator, TemperatureReachesL2Requests)
 {
     // End-to-end plumbing check (compiler -> ELF -> PTE -> MMU ->
     // request): the L2 must observe hot-tagged instruction traffic.
-    struct TempCounter : L2AccessObserver
+    struct TempCounter : LaneProbe
     {
-        std::uint64_t hot = 0, none = 0, data = 0;
+        std::uint64_t hot = 0, data = 0;
         void
         onL2Access(const MemRequest &req) override
         {
@@ -239,21 +240,15 @@ TEST(Simulator, TemperatureReachesL2Requests)
                 ++data;
             else if (req.temp == Temperature::Hot)
                 ++hot;
-            else if (req.temp == Temperature::None)
-                ++none;
         }
-    };
-    // The observer hooks into the hierarchy created inside
-    // runWorkload via SimOptions::reuse; use a profiler subclass
-    // trick instead: run with the reuse profiler interface.
+    } counter;
     const auto wl = buildWorkload(tinyParams());
-    SimOptions opts = fastOpts();
-    ReuseDistanceProfiler profiler(opts.hier.l2);
-    opts.reuse = &profiler;
-    runWorkload(wl, withL2(opts, "TRRIP-1"));
-    // Hot instruction accesses were observed at the L2 (the profiler
-    // only records hot-line reuses).
-    EXPECT_GT(profiler.base().total(), 0u);
+    MultiCoreOptions mo;
+    mo.base = fastOpts();
+    runBundle({CoreInput{.workload = &wl}},
+              {{PolicySpec("TRRIP-1"), &counter}}, mo);
+    EXPECT_GT(counter.hot, 0u);
+    EXPECT_GT(counter.data, 0u);
 }
 
 TEST(Simulator, HotEvictionsDropUnderTrrip)
