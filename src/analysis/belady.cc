@@ -48,7 +48,7 @@ beladyMisses(const std::vector<Addr> &accesses,
             continue;
         ++misses;
 
-        // Victim: invalid way, else the line re-used farthest away.
+        // The victim: invalid way, else the line re-used farthest away.
         Way *victim = nullptr;
         for (Way &w : set) {
             if (!w.valid) {

@@ -42,29 +42,35 @@ Cache::accessInvalidateSwitch(const MemRequest &req)
     });
 }
 
-Cache::Victim
-Cache::fillProbeSwitch(const MemRequest &req, std::uint8_t extra_meta,
-                       std::uint32_t owner_bits)
+CacheLine
+Cache::fillSwitch(const MemRequest &req, std::uint8_t extra_meta,
+                  std::uint32_t owner_bits)
 {
-    return fillProbeInline(req, extra_meta, owner_bits);
+    return fillInline(req, extra_meta, owner_bits);
 }
 
-std::optional<CacheLine>
+CacheLine
 Cache::peek(Addr paddr) const
 {
     const std::uint32_t set = setOf(paddr);
     const int way = findWay(set, tagOf(paddr));
     if (way < 0)
-        return std::nullopt;
-    return materialize(set, static_cast<std::size_t>(set) * assoc_ +
-                                static_cast<std::uint32_t>(way));
+        return CacheLine{};
+    return lineAt(set, static_cast<std::uint32_t>(way));
 }
 
 CacheLine
 Cache::lineAt(std::uint32_t set, std::uint32_t way) const
 {
-    return materialize(set,
-                       static_cast<std::size_t>(set) * assoc_ + way);
+    const std::size_t idx = static_cast<std::size_t>(set) * assoc_ + way;
+    CacheLine line;
+    line.valid = (tags_[idx] & 1) != 0;
+    line.addr = ((tags_[idx] >> 1) << tagShift_) |
+                (static_cast<Addr>(set) << lineShift_);
+    line.meta = meta_[idx];
+    if (!owners_.empty())
+        line.owner = owners_[idx];
+    return line;
 }
 
 void
@@ -86,52 +92,16 @@ Cache::markPriority(Addr paddr)
         policy_->onPriorityHint(set, static_cast<std::uint32_t>(way));
 }
 
-std::optional<CacheLine>
-Cache::fill(const MemRequest &req)
-{
-    const Victim v = fillProbe(req, 0);
-    if (!v.valid)
-        return std::nullopt;
-    CacheLine line;
-    line.addr = v.addr;
-    line.tag = v.addr >> tagShift_;
-    line.temp = decodeTemperature(
-        static_cast<std::uint8_t>(v.meta >> kLineMetaTempShift));
-    line.valid = true;
-    line.dirty = (v.meta & kLineMetaDirty) != 0;
-    line.isInst = (v.meta & kLineMetaInst) != 0;
-    return line;
-}
-
-std::optional<CacheLine>
+CacheLine
 Cache::invalidate(Addr paddr)
 {
     const std::uint32_t set = setOf(paddr);
     const int way = findWay(set, tagOf(paddr));
     if (way < 0)
-        return std::nullopt;
+        return CacheLine{};
     const std::size_t idx = static_cast<std::size_t>(set) * assoc_ +
                             static_cast<std::uint32_t>(way);
-    const CacheLine copy = materialize(set, idx);
-    tags_[idx] = 0;
-    meta_[idx] = 0;
-    if (!owners_.empty())
-        owners_[idx] = 0;
-    ++freeWays_[set];
-    ++stats_.invalidations;
-    return copy;
-}
-
-Cache::Victim
-Cache::invalidateRaw(Addr paddr)
-{
-    const std::uint32_t set = setOf(paddr);
-    const int way = findWay(set, tagOf(paddr));
-    if (way < 0)
-        return Victim{};
-    const std::size_t idx = static_cast<std::size_t>(set) * assoc_ +
-                            static_cast<std::uint32_t>(way);
-    Victim v;
+    CacheLine v;
     v.valid = true;
     v.addr = ((tags_[idx] >> 1) << tagShift_) |
              (static_cast<Addr>(set) << lineShift_);

@@ -11,11 +11,11 @@
  * the set is full.  Replacement state is SoA too, owned by the policy
  * (see replacement/policy.hh).  There is no array of CacheLine
  * structs at all: the full line address is derivable from (set, tag),
- * so CacheLine exists only as the *value type* of the query/eviction
- * API, materialized on demand.  A 1 MB 16-way SLC thus costs ~160 kB
- * of host memory instead of ~650 kB, which keeps the whole simulated
- * hierarchy's metadata resident in the host cache during the miss /
- * eviction cascades.
+ * so CacheLine (line.hh) exists only as the *value type* of the
+ * query/eviction API -- address, meta byte and owner mask as stored.
+ * A 1 MB 16-way SLC thus costs ~160 kB of host memory instead of
+ * ~650 kB, which keeps the whole simulated hierarchy's metadata
+ * resident in the host cache during the miss / eviction cascades.
  *
  * The access/fill/accessInvalidate bodies are member templates
  * defined in this header and instantiated once per concrete policy
@@ -23,10 +23,10 @@
  * concrete classes are final).  The constructor reads
  * ReplacementPolicy::kind(), and each level's policy is resolved where
  * its kind is known.  The default entry points (access, accessProbe,
- * accessInvalidate, fillProbe) carry an inline LRU arm, since the
+ * accessInvalidate, fill) carry an inline LRU arm, since the
  * L1I, L1D and SLC run LRU in every paper configuration; any other
  * kind takes one out-of-line switch (cache.cc).  accessProbeInline
- * and fillProbeInline inline the whole switch into the caller: the
+ * and fillInline inline the whole switch into the caller: the
  * L2's demand probe and fill, where every policy lane runs a
  * different policy.  Policies registered outside the built-in set
  * report PolicyKind::Generic and take the virtual-dispatch arm of
@@ -41,7 +41,6 @@
 #include <concepts>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -152,23 +151,6 @@ class Cache
     };
 
     /**
-     * Raw view of a line displaced by fill(): the full line address
-     * plus the packed kLineMeta* byte (dirty/isInst/temperature and
-     * the hierarchy's residency hints).  The eviction-cascade form of
-     * the eviction result -- no CacheLine materialization on the hot
-     * path.  When owner masks are enabled (the shared-SLC role), the
-     * victim also carries the per-core owner mask so a back-
-     * invalidation cascade targets exactly the owning cores.
-     */
-    struct Victim
-    {
-        bool valid = false;
-        Addr addr = 0;
-        std::uint8_t meta = 0;
-        std::uint32_t owner = 0;
-    };
-
-    /**
      * Look up @p req; on hit run the policy hit handler and return
      * true.  Never fills.  Demand accesses update the counters.
      * @p mark_dirty_on_write_hit folds the store-hit markDirty()
@@ -210,9 +192,8 @@ class Cache
 
     /**
      * OR @p bits into the packed metadata byte of (set, way) -- the
-     * follow-up write on a slot bound by accessProbe()/fillProbe()
-     * (the hierarchy's residency hints).  No tag walk, no policy
-     * effect.
+     * follow-up write on a slot bound by accessProbe() (the
+     * hierarchy's residency hints).  No tag walk, no policy effect.
      */
     void
     orMeta(std::uint32_t set, std::uint32_t way, std::uint8_t bits)
@@ -241,10 +222,10 @@ class Cache
         return findWay(setOf(paddr), tagOf(paddr)) >= 0;
     }
 
-    /** Materialized copy of the line holding @p paddr, if present. */
-    std::optional<CacheLine> peek(Addr paddr) const;
+    /** The line holding @p paddr; CacheLine{} when absent. */
+    CacheLine peek(Addr paddr) const;
 
-    /** Materialized copy of (set, way) -- inclusion checks, tests. */
+    /** The line in (set, way), valid or not -- inclusion checks, tests. */
     CacheLine lineAt(std::uint32_t set, std::uint32_t way) const;
 
     /** Mark the line holding @p paddr dirty; no-op when absent. */
@@ -258,38 +239,32 @@ class Cache
     void markPriority(Addr paddr);
 
     /**
-     * Install the line for @p req, evicting if necessary.
-     * @return The evicted line if a valid line was displaced.
-     */
-    std::optional<CacheLine> fill(const MemRequest &req);
-
-    /**
-     * fill() in the fused eviction-cascade form: the new line's
-     * metadata is OR-ed with @p extra_meta (residency hints stamped
-     * in the same probe that installs the line), and the displaced
-     * line comes back as a raw Victim -- address plus packed meta --
-     * so the cascade can reuse the already-computed identity of the
-     * evicted line without materializing a CacheLine.  @p owner_bits
-     * seeds the new line's per-core owner mask when owner tracking is
-     * enabled (ignored otherwise).  LRU runs inline; any other kind
+     * Install the line for @p req, evicting if necessary, and return
+     * the displaced line (CacheLine{} when a free way took it).  The
+     * new line's metadata is OR-ed with @p extra_meta (residency hints
+     * stamped in the same probe that installs the line), and
+     * @p owner_bits seeds its per-core owner mask when owner tracking
+     * is enabled (ignored otherwise).  The displaced line carries its
+     * meta byte and owner mask, so the eviction cascade reuses its
+     * identity with no second probe.  LRU runs inline; any other kind
      * takes the out-of-line switch.
      */
-    [[gnu::always_inline]] Victim
-    fillProbe(const MemRequest &req, std::uint8_t extra_meta,
-              std::uint32_t owner_bits = 0)
+    [[gnu::always_inline]] CacheLine
+    fill(const MemRequest &req, std::uint8_t extra_meta = 0,
+         std::uint32_t owner_bits = 0)
     {
         if (kind_ == PolicyKind::Lru) [[likely]]
             return fillWith(lru(), req, extra_meta, owner_bits);
-        return fillProbeSwitch(req, extra_meta, owner_bits);
+        return fillSwitch(req, extra_meta, owner_bits);
     }
 
     /**
-     * fillProbe() with the switch over every policy kind inlined into
-     * the caller, for a level whose policy is not known to be LRU.
+     * fill() with the switch over every policy kind inlined into the
+     * caller, for a level whose policy is not known to be LRU.
      */
-    [[gnu::always_inline]] Victim
-    fillProbeInline(const MemRequest &req, std::uint8_t extra_meta,
-                    std::uint32_t owner_bits = 0)
+    [[gnu::always_inline]] CacheLine
+    fillInline(const MemRequest &req, std::uint8_t extra_meta = 0,
+               std::uint32_t owner_bits = 0)
     {
         return dispatch([&](auto &pol) __attribute__((always_inline)) {
             return fillWith(pol, req, extra_meta, owner_bits);
@@ -297,20 +272,14 @@ class Cache
     }
 
     /**
-     * Remove the line holding @p paddr (inclusive back-invalidation).
-     * @return The invalidated line if it was present.
+     * Remove the line holding @p paddr (inclusive back-invalidation)
+     * and return it: its meta byte keeps the residency hints and its
+     * owner mask names the owning cores, so a multi-core back-
+     * invalidation cascade walks the private levels of exactly those
+     * cores.  CacheLine{} when the line was absent (absent lines bump
+     * no counters).
      */
-    std::optional<CacheLine> invalidate(Addr paddr);
-
-    /**
-     * invalidate() in raw Victim form: the removed line's address,
-     * packed meta byte (residency hints intact -- CacheLine has no
-     * field for them) and owner mask, so a multi-core back-
-     * invalidation cascade can walk the private levels of exactly the
-     * owning core.  Victim.valid is false when the line was absent
-     * (absent lines bump no counters).
-     */
-    Victim invalidateRaw(Addr paddr);
+    CacheLine invalidate(Addr paddr);
 
     /**
      * @name Per-core owner masks (the shared-SLC role)
@@ -414,14 +383,6 @@ class Cache
     }
     Addr tagOf(Addr paddr) const { return paddr >> tagShift_; }
 
-    /** Materialize the CacheLine value of slot @p idx in @p set. */
-    CacheLine
-    materialize(std::uint32_t set, std::size_t idx) const
-    {
-        return materializeLine(tags_[idx], meta_[idx], set, lineShift_,
-                               tagShift_);
-    }
-
     /**
      * @name Policy-specialized hot paths
      * One instantiation per concrete policy class (plus the
@@ -438,7 +399,7 @@ class Cache
     [[gnu::always_inline]] bool
     accessInvalidateWith(Policy &pol, const MemRequest &req);
     template <class Policy>
-    [[gnu::always_inline]] Victim
+    [[gnu::always_inline]] CacheLine
     fillWith(Policy &pol, const MemRequest &req, std::uint8_t extra_meta,
              std::uint32_t owner_bits);
 
@@ -464,9 +425,9 @@ class Cache
     accessProbeSwitch(const MemRequest &req,
                       bool mark_dirty_on_write_hit);
     [[gnu::noinline]] bool accessInvalidateSwitch(const MemRequest &req);
-    [[gnu::noinline]] Victim
-    fillProbeSwitch(const MemRequest &req, std::uint8_t extra_meta,
-                    std::uint32_t owner_bits);
+    [[gnu::noinline]] CacheLine
+    fillSwitch(const MemRequest &req, std::uint8_t extra_meta,
+               std::uint32_t owner_bits);
     /** @} */
 
     CacheGeometry geom_;
@@ -575,7 +536,7 @@ Cache::accessInvalidateWith(Policy &pol, const MemRequest &req)
 }
 
 template <class Policy>
-inline Cache::Victim
+inline CacheLine
 Cache::fillWith(Policy &pol, const MemRequest &req,
                 std::uint8_t extra_meta, std::uint32_t owner_bits)
 {
@@ -590,7 +551,7 @@ Cache::fillWith(Policy &pol, const MemRequest &req,
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
 
     std::uint32_t way;
-    Victim evicted;
+    CacheLine evicted;
     if (freeWays_[set] > 0) {
         // First invalid way, in way order (one bit test per word).
         way = 0;

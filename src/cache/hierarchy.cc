@@ -115,7 +115,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (sharedSlc())
             ensureSlcInclusion(fill, now);
         else
-            slc_->invalidateRaw(line);
+            slc_->invalidate(line);
         fillL2(fill, now, 0);
     }
 
@@ -154,7 +154,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (sharedSlc())
             ensureSlcInclusion(req, now);
         else
-            slc_->invalidateRaw(line);
+            slc_->invalidate(line);
         fillL2(req, now, l1bit);
         fillL1(l1, req);
         return out;
@@ -258,20 +258,20 @@ void
 CacheHierarchy::fillL2(const MemRequest &req, Cycles now,
                        std::uint8_t l1_residency)
 {
-    const Cache::Victim victim = l2_.fillProbeInline(req, l1_residency);
+    const CacheLine victim = l2_.fillInline(req, l1_residency);
     if (!victim.valid)
         return;
 
-    bool dirty = (victim.meta & kLineMetaDirty) != 0;
+    bool dirty = victim.dirty();
     // Back-invalidate only the L1s whose residency bit is set on the
     // victim (a clear bit proves absence; a stale set bit costs the
     // same no-op probe as the unconditional pre-fusion walk).  A dirty
     // L1D copy folds its data into the victim on the way out (an
     // absent line comes back with meta 0).
     if (victim.meta & kLineMetaInL1I)
-        l1i_.invalidateRaw(victim.addr);
+        l1i_.invalidate(victim.addr);
     if ((victim.meta & kLineMetaInL1D) &&
-        (l1d_.invalidateRaw(victim.addr).meta & kLineMetaDirty))
+        l1d_.invalidate(victim.addr).dirty())
         dirty = true;
     victimToSlc(victim.addr, dirty, victim.meta, now);
 }
@@ -298,9 +298,8 @@ CacheHierarchy::victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
                                                : AccessType::Load);
     req.temp = decodeTemperature(
         static_cast<std::uint8_t>(meta >> kLineMetaTempShift));
-    const Cache::Victim evicted = slc_->fillProbe(req, 0);
-    bool ev_dirty = evicted.valid &&
-                    (evicted.meta & kLineMetaDirty) != 0;
+    const CacheLine evicted = slc_->fill(req);
+    bool ev_dirty = evicted.valid && evicted.dirty();
     if (evicted.valid && directory_ &&
         directory_->dropFromOwners(evicted.addr, evicted.owner)) {
         ev_dirty = true;
@@ -317,11 +316,10 @@ CacheHierarchy::ensureSlcInclusion(const MemRequest &req, Cycles now)
         return;
     MemRequest fill = req;
     fill.vaddr = fill.paddr = line;
-    const Cache::Victim evicted =
-        slc_->fillProbe(fill, 0, slcOwnerBit_);
+    const CacheLine evicted = slc_->fill(fill, 0, slcOwnerBit_);
     if (!evicted.valid)
         return;
-    bool dirty = (evicted.meta & kLineMetaDirty) != 0;
+    bool dirty = evicted.dirty();
     if (directory_ &&
         directory_->dropFromOwners(evicted.addr, evicted.owner)) {
         dirty = true;
@@ -333,15 +331,14 @@ CacheHierarchy::ensureSlcInclusion(const MemRequest &req, Cycles now)
 bool
 CacheHierarchy::dropLine(Addr addr)
 {
-    const Cache::Victim v = l2_.invalidateRaw(addr);
-    bool dirty = v.valid && (v.meta & kLineMetaDirty) != 0;
+    const CacheLine v = l2_.invalidate(addr);
+    bool dirty = v.valid && v.dirty();
     // The inclusive L2's residency bits bound where private copies
     // can live (same contract as fillL2's cascade); an absent line
     // comes back with meta 0 and implicates neither L1.
     if (v.meta & kLineMetaInL1I)
-        l1i_.invalidateRaw(addr);
-    if ((v.meta & kLineMetaInL1D) &&
-        (l1d_.invalidateRaw(addr).meta & kLineMetaDirty))
+        l1i_.invalidate(addr);
+    if ((v.meta & kLineMetaInL1D) && l1d_.invalidate(addr).dirty())
         dirty = true;
     return dirty;
 }
@@ -349,8 +346,8 @@ CacheHierarchy::dropLine(Addr addr)
 void
 CacheHierarchy::fillL1(Cache &l1, const MemRequest &req)
 {
-    const Cache::Victim evicted = l1.fillProbe(req, 0);
-    if (evicted.valid && (evicted.meta & kLineMetaDirty)) {
+    const CacheLine evicted = l1.fill(req);
+    if (evicted.valid && evicted.dirty()) {
         // Inclusive L2 still holds the line; just mark it dirty.
         l2_.markDirty(evicted.addr);
     }

@@ -235,7 +235,7 @@ class CacheHierarchy
     /**
      * Fill L2 for @p req with the fused eviction cascade: the victim
      * comes back from the same probe that installed the new line
-     * (address + raw meta, no CacheLine materialization), the L1
+     * (address + meta byte, no second probe), the L1
      * back-invalidations run only when the victim's residency bits
      * say a copy can exist, and the surviving victim walks straight
      * into victimToSlc.  @p l1_residency is OR-ed into the new line's

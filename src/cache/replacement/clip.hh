@@ -28,16 +28,6 @@ class ClipPolicy final : public RripBase
         dueling_(geom.numSets(), leader_sets, psel_bits)
     {}
 
-    std::string name() const override { return "CLIP"; }
-
-    std::string
-    describe() const override
-    {
-        return "CLIP(bits=" + std::to_string(rrpvBits()) +
-               ",leader_sets=" + std::to_string(dueling_.leaderSets()) +
-               ",psel_bits=" + std::to_string(dueling_.pselBits()) + ")";
-    }
-
     PolicyKind kind() const override { return PolicyKind::Clip; }
 
     void

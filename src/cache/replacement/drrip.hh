@@ -27,17 +27,6 @@ class DrripPolicy final : public RripBase
         throttle_(brrip_throttle)
     {}
 
-    std::string name() const override { return "DRRIP"; }
-
-    std::string
-    describe() const override
-    {
-        return "DRRIP(bits=" + std::to_string(rrpvBits()) +
-               ",leader_sets=" + std::to_string(dueling_.leaderSets()) +
-               ",psel_bits=" + std::to_string(dueling_.pselBits()) +
-               ",throttle=" + std::to_string(throttle_) + ")";
-    }
-
     PolicyKind kind() const override { return PolicyKind::Drrip; }
 
     void

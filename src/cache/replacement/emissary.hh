@@ -9,7 +9,6 @@
 #ifndef TRRIP_CACHE_REPLACEMENT_EMISSARY_HH
 #define TRRIP_CACHE_REPLACEMENT_EMISSARY_HH
 
-#include <cstdio>
 #include <vector>
 
 #include "cache/replacement/policy.hh"
@@ -21,7 +20,7 @@ namespace trrip {
  * Priority-partitioned LRU.  Lines filled (or re-touched) by requests
  * with the starvation hint set their priority bit probabilistically
  * (the original work inserts with probability 1/2 to avoid priority
- * saturation).  Victim selection evicts the LRU line among
+ * saturation).  The victim is the LRU line among
  * non-priority ways while at most @c priorityWays priority lines
  * exist; beyond that the whole set competes.
  *
@@ -46,17 +45,6 @@ class EmissaryPolicy final : public ReplacementPolicy
         setProbability_(set_probability), rng_(0xe1155a47ull),
         stamps_(slots(), 0), priority_(slots(), 0)
     {}
-
-    std::string name() const override { return "Emissary"; }
-
-    std::string
-    describe() const override
-    {
-        char prob[24];
-        std::snprintf(prob, sizeof(prob), "%.17g", setProbability_);
-        return "Emissary(ways=" + std::to_string(priorityWays_) +
-               ",prob=" + prob + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Emissary; }
 

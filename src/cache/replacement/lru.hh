@@ -2,7 +2,7 @@
  * @file
  * Least-recently-used replacement (paper baseline for L1s, SLC, and the
  * LRU bar of Fig. 6).  Registered as "LRU" in the PolicyRegistry; it
- * has no tunable parameters, so name() and describe() coincide.
+ * has no tunable parameters.
  */
 
 #ifndef TRRIP_CACHE_REPLACEMENT_LRU_HH
@@ -55,8 +55,6 @@ class LruPolicy final : public ReplacementPolicy
             }
         }
     }
-
-    std::string name() const override { return "LRU"; }
 
     PolicyKind kind() const override { return PolicyKind::Lru; }
 

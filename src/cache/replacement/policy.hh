@@ -60,17 +60,15 @@ class ReplacementPolicy
     {}
     virtual ~ReplacementPolicy() = default;
 
-    /** Short policy name, e.g. "SRRIP". */
-    virtual std::string name() const = 0;
-
     /**
      * Canonical spec of this instance with every resolved parameter
      * spelled out, e.g. "SRRIP(bits=2)" -- what the result sinks
      * record so a row's label never under-reports the configuration
-     * that produced it.  Matches PolicyRegistry::canonical() for the
-     * spec the policy was built from.
+     * that produced it.  PolicyRegistry::instantiate() stores
+     * PolicyRegistry::canonical() of the spec it built the policy
+     * from; a policy constructed directly has an empty label.
      */
-    virtual std::string describe() const { return name(); }
+    const std::string &describe() const { return label_; }
 
     /** Concrete identity for the cache's compile-time dispatch. */
     virtual PolicyKind kind() const { return PolicyKind::Generic; }
@@ -125,6 +123,11 @@ class ReplacementPolicy
     CacheGeometry geom_;
     std::uint32_t ways_;
     std::size_t slots_;
+
+  private:
+    friend class PolicyRegistry;
+
+    std::string label_;
 };
 
 } // namespace trrip

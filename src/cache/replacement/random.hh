@@ -17,16 +17,8 @@ class RandomPolicy final : public ReplacementPolicy
   public:
     explicit RandomPolicy(const CacheGeometry &geom,
                           std::uint64_t seed = 0xdecafbadull) :
-        ReplacementPolicy(geom), seed_(seed), rng_(seed)
+        ReplacementPolicy(geom), rng_(seed)
     {}
-
-    std::string name() const override { return "Random"; }
-
-    std::string
-    describe() const override
-    {
-        return "Random(seed=" + std::to_string(seed_) + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Random; }
 
@@ -45,7 +37,6 @@ class RandomPolicy final : public ReplacementPolicy
     {}
 
   private:
-    std::uint64_t seed_;
     Rng rng_;
 };
 

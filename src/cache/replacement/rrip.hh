@@ -28,13 +28,10 @@ class RripBase : public ReplacementPolicy
 {
   public:
     RripBase(const CacheGeometry &geom, unsigned rrpv_bits = 2) :
-        ReplacementPolicy(geom), rrpvBits_(rrpv_bits),
+        ReplacementPolicy(geom),
         maxRrpv_(static_cast<std::uint8_t>((1u << rrpv_bits) - 1)),
         rrpv_(slots(), 0)
     {}
-
-    /** Configured RRPV width ("bits" in the registry schema). */
-    unsigned rrpvBits() const { return rrpvBits_; }
 
     /** RRPV meaning an immediate re-reference prediction. */
     std::uint8_t immediate() const { return 0; }
@@ -91,7 +88,6 @@ class RripBase : public ReplacementPolicy
         rrpv_[idx(set, way)] = value;
     }
 
-    unsigned rrpvBits_;
     std::uint8_t maxRrpv_;
     std::vector<std::uint8_t> rrpv_;    //!< One RRPV byte per way.
 };
@@ -107,14 +103,6 @@ class SrripPolicy final : public RripBase
                          unsigned rrpv_bits = 2) :
         RripBase(geom, rrpv_bits)
     {}
-
-    std::string name() const override { return "SRRIP"; }
-
-    std::string
-    describe() const override
-    {
-        return "SRRIP(bits=" + std::to_string(rrpvBits()) + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Srrip; }
 
@@ -145,15 +133,6 @@ class BrripPolicy final : public RripBase
                          unsigned throttle = 32) :
         RripBase(geom, rrpv_bits), throttle_(throttle)
     {}
-
-    std::string name() const override { return "BRRIP"; }
-
-    std::string
-    describe() const override
-    {
-        return "BRRIP(bits=" + std::to_string(rrpvBits()) +
-               ",throttle=" + std::to_string(throttle_) + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Brrip; }
 

@@ -33,8 +33,6 @@ class SetDueling
     SetDueling(std::uint32_t num_sets,
                std::uint32_t leaders_per_policy = 32,
                unsigned psel_bits = 10) :
-        numSets_(num_sets), leadersPerPolicy_(leaders_per_policy),
-        pselBits_(psel_bits),
         psel_(psel_bits, (1u << (psel_bits - 1)))
     {
         panic_if(num_sets == 0, "set dueling over an empty cache");
@@ -95,15 +93,7 @@ class SetDueling
 
     std::uint32_t pselValue() const { return psel_.value(); }
 
-    /** Configured leaders per policy (as requested, before scaling). */
-    std::uint32_t leaderSets() const { return leadersPerPolicy_; }
-    /** Configured PSEL counter width. */
-    unsigned pselBits() const { return pselBits_; }
-
   private:
-    std::uint32_t numSets_;
-    std::uint32_t leadersPerPolicy_;
-    unsigned pselBits_;
     std::uint32_t stride_;
     SatCounter psel_;
 };

@@ -40,19 +40,10 @@ class ShipPolicy final : public RripBase
     explicit ShipPolicy(const CacheGeometry &geom,
                         unsigned rrpv_bits = 2,
                         unsigned shct_bits = 18) :
-        RripBase(geom, rrpv_bits), shctBits_(shct_bits),
+        RripBase(geom, rrpv_bits),
         shct_(checkedShctEntries(shct_bits), SatCounter(2, 1)),
         signature_(slots(), 0), outcome_(slots(), 0), inst_(slots(), 0)
     {}
-
-    std::string name() const override { return "SHiP"; }
-
-    std::string
-    describe() const override
-    {
-        return "SHiP(bits=" + std::to_string(rrpvBits()) +
-               ",shct_bits=" + std::to_string(shctBits_) + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Ship; }
 
@@ -116,7 +107,6 @@ class ShipPolicy final : public RripBase
         return std::size_t(1) << shct_bits;
     }
 
-    unsigned shctBits_;
     std::vector<SatCounter> shct_;
     std::vector<std::uint16_t> signature_;  //!< Fill-time PC signature.
     std::vector<std::uint8_t> outcome_;     //!< Re-referenced since fill.

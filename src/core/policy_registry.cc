@@ -423,6 +423,7 @@ PolicyRegistry::instantiate(const PolicySpec &spec,
     auto policy = entry->factory(geom, resolved);
     panic_if(!policy, "policy '", spec.name(),
              "' factory returned null");
+    policy->label_ = canonical(spec);
     return policy;
 }
 

@@ -18,9 +18,8 @@
  * nearest-name suggestion for typos).  Specs round-trip:
  * parse(spec.print()) == spec, and canonical() spells out every
  * parameter so sink labels never under-report the configuration.
- *
- * This replaces the hard-coded if-chain of core/policy_factory
- * (retained only as a deprecated compatibility shim).
+ * canonical() is the one spelling of a policy's label: instantiate()
+ * stores it on the instance it builds (ReplacementPolicy::describe()).
  */
 
 #ifndef TRRIP_CORE_POLICY_REGISTRY_HH
@@ -121,10 +120,10 @@ class ResolvedParams
 
 /**
  * The process-wide policy registry.  Built-in policies register on
- * first use; additional policies may self-register at startup through
- * PolicyRegistrar (or add()) and become available to every spec
- * consumer -- per-level hierarchy assignment, the experiment layer's
- * policy axis, and the bench binaries -- with no further plumbing.
+ * first use; a policy added with add() becomes available to every
+ * spec consumer -- per-level hierarchy assignment, the experiment
+ * layer's policy axis, and the bench binaries -- with no further
+ * plumbing.
  */
 class PolicyRegistry
 {
@@ -165,9 +164,10 @@ class PolicyRegistry
     std::string canonicalLabel(const std::string &label) const;
 
     /**
-     * Instantiate @p spec for @p geom.  PolicySpec converts
-     * implicitly from spec strings, so instantiate("SRRIP(bits=3)",
-     * geom) parses and constructs in one call.
+     * Instantiate @p spec for @p geom, labeled canonical(@p spec) (the
+     * instance's describe()).  PolicySpec converts implicitly from
+     * spec strings, so instantiate("SRRIP(bits=3)", geom) parses and
+     * constructs in one call.
      */
     std::unique_ptr<ReplacementPolicy>
     instantiate(const PolicySpec &spec, const CacheGeometry &geom) const;
@@ -195,16 +195,6 @@ class PolicyRegistry
 
     std::vector<Entry> entries_;                 //!< Registration order.
     std::map<std::string, std::size_t> byName_;
-};
-
-/** RAII helper: register a policy from a static initializer. */
-struct PolicyRegistrar
-{
-    PolicyRegistrar(PolicySchema schema, PolicyRegistry::Factory factory)
-    {
-        PolicyRegistry::instance().add(std::move(schema),
-                                       std::move(factory));
-    }
 };
 
 /** Canonical text of one parameter value (ints without a decimal). */

@@ -44,29 +44,6 @@ class TrripPolicy final : public RripBase
         RripBase(geom, rrpv_bits), variant_(variant)
     {}
 
-    /**
-     * Registered variant name, with non-default parameters appended
-     * ("TRRIP-1(bits=3)") so labels derived from name() never claim a
-     * configuration the instance is not actually running.
-     */
-    std::string
-    name() const override
-    {
-        std::string base =
-            variant_ == TrripVariant::V1 ? "TRRIP-1" : "TRRIP-2";
-        if (rrpvBits() != 2)
-            base += "(bits=" + std::to_string(rrpvBits()) + ")";
-        return base;
-    }
-
-    std::string
-    describe() const override
-    {
-        const std::string base =
-            variant_ == TrripVariant::V1 ? "TRRIP-1" : "TRRIP-2";
-        return base + "(bits=" + std::to_string(rrpvBits()) + ")";
-    }
-
     PolicyKind kind() const override { return PolicyKind::Trrip; }
 
     TrripVariant variant() const { return variant_; }

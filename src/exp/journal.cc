@@ -1,5 +1,6 @@
 #include "exp/journal.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -116,6 +117,28 @@ struct Parser
         pos = static_cast<std::size_t>(end - s.c_str());
         return v;
     }
+
+    /**
+     * A whole decimal count that fits @p T: a sign, a fraction, an
+     * exponent or an overflow fails the line (a fraction or exponent
+     * stops the parse short of the next delimiter).
+     */
+    template <typename T>
+    T
+    count()
+    {
+        ws();
+        const char *begin = s.data() + pos;
+        T n = 0;
+        const auto [ptr, ec] =
+            std::from_chars(begin, s.data() + s.size(), n);
+        if (ec != std::errc()) {
+            ok = false;
+            return 0;
+        }
+        pos = static_cast<std::size_t>(ptr - s.data());
+        return n;
+    }
 };
 
 /** Parse one journal line; also yields its "status" and stored
@@ -135,7 +158,7 @@ parseLine(const std::string &line, JournalEntry &entry,
         if (!p.expect(':'))
             return false;
         if (key == "cell") {
-            entry.cell = static_cast<std::size_t>(p.number());
+            entry.cell = p.count<std::size_t>();
         } else if (key == "status") {
             status = p.string();
         } else if (key == "workload") {
@@ -145,7 +168,7 @@ parseLine(const std::string &line, JournalEntry &entry,
         } else if (key == "config") {
             entry.config = p.string();
         } else if (key == "attempts") {
-            entry.attempts = static_cast<unsigned>(p.number());
+            entry.attempts = p.count<unsigned>();
         } else if (key == "error_category") {
             entry.errorCategory = p.string();
         } else if (key == "error_message") {

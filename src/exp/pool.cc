@@ -55,10 +55,13 @@ WorkerPool::run(std::size_t items, const ItemFn &fn)
             watch(stop);
         });
     {
+        // Worker 0 is the calling thread: a one-worker run starts no
+        // thread.
         std::vector<std::jthread> workers;
-        workers.reserve(width);
-        for (unsigned id = 0; id < width; ++id)
+        for (unsigned id = 1; id < width; ++id)
             workers.emplace_back(work, id);
+        if (width > 0)
+            work(0);
     }
     std::ranges::sort(failures, {}, &Failures::value_type::first);
     return failures;

@@ -2,13 +2,14 @@
  * @file
  * The experiment layer's worker pool: one call runs one queue.
  *
- * WorkerPool::run() starts its workers, plus a deadline watchdog when
- * an item timeout is set, and joins every one of them before it
- * returns, so no thread outlives a call.  The workers claim the
- * queue's items from one atomic cursor, in index order.  Run order is
- * only scheduling: callers place results by item index, so output
- * stays deterministic and independent of thread count (the
- * bit-identical-across-TRRIP_JOBS contract of the runner).
+ * WorkerPool::run() runs worker 0 on the calling thread and starts
+ * the others, plus a deadline watchdog when an item timeout is set,
+ * and joins every one of them before it returns, so no thread
+ * outlives a call.  The workers claim the queue's items from one
+ * atomic cursor, in index order.  Run order is only scheduling:
+ * callers place results by item index, so output stays deterministic
+ * and independent of thread count (the bit-identical-across-
+ * TRRIP_JOBS contract of the runner).
  *
  * Failure containment: anything an item throws is caught at the item
  * boundary and the worker claims its next item -- one bad cell never
@@ -40,7 +41,7 @@ namespace trrip::exp {
 /** What a pool worker passes to every item it executes. */
 struct WorkerContext
 {
-    unsigned worker = 0;     //!< Stable id in [0, threads started).
+    unsigned worker = 0;     //!< Stable id in [0, workers run).
     /** The worker's deadline token; poll and throw to honor it. */
     const CancelToken *cancel = nullptr;
 };
@@ -63,8 +64,9 @@ class WorkerPool
 
     /**
      * Call @p fn for every item in [0, @p items) on min(threads,
-     * items) workers started by this call, plus the watchdog when
-     * there is a deadline, and join them all (the watchdog last, so
+     * items) workers: worker 0 is the calling thread, the others and
+     * the watchdog (when there is a deadline) are threads started by
+     * this call and joined before it returns (the watchdog last, so
      * deadlines hold while the workers drain).  Each worker claims the
      * next unclaimed item in index order.  Returns the throws caught
      * at the item boundary, in item order.

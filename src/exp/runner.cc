@@ -420,11 +420,6 @@ struct RunState
         std::map<std::size_t, SimError> errors;
         for (unsigned attempt = 1;
              attempt <= max_attempts && !pending.empty(); ++attempt) {
-            if (attempt > 1 && onError.backoffMs > 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    static_cast<std::uint64_t>(onError.backoffMs)
-                    << (attempt - 2)));
-            }
             // Every attempt gets a fresh deadline of one cell timeout
             // per pending lane: all attempts run inside ONE pool
             // item, so without this the first attempt's clock would

@@ -5,8 +5,9 @@
  * The runner expands an ExperimentSpec into cells, builds each proxy
  * workload (bundle cores included) exactly once, resolves training
  * profiles and trace indexes through a shared ProfileCache, and
- * executes the grid as one queue of items on a WorkerPool whose
- * threads each run() starts and joins, so no thread outlives a call.
+ * executes the grid as one queue of items on a WorkerPool: worker 0
+ * is the thread that called run(), and the threads of the others are
+ * started and joined by that run(), so no thread outlives a call.
  * The queue holds the workload builds first, so idle workers build
  * ahead of the rows, then the rows in grid order.  A row -- the live
  * cells sharing a workload and a config -- runs as the policy lanes
@@ -14,7 +15,7 @@
  * bundle, is a list of cores driven by runBundle()
  * (sim/multicore.hh), so each core's event stream, MMU and branch
  * unit are simulated once per row (custom-runCell specs keep one cell
- * per item).  A grid with fewer rows than workers therefore starts
+ * per item).  A grid with fewer rows than workers therefore runs
  * fewer workers.  Results are stored by deterministic cell index and
  * fed to the sinks in that order, so the output is bit-identical
  * regardless of thread count or scheduling.
@@ -106,10 +107,10 @@ class ExperimentResults
 };
 
 /**
- * Executor for experiment grids.  Each run() starts its own workers
- * (at most threads(), and no more than the grid has rows) and joins
- * them before it returns; workload builds and rows share its one
- * queue.
+ * Executor for experiment grids.  Each run() runs its own workers
+ * (at most threads(), and no more than the grid has rows): the first
+ * on the calling thread, the others on threads it starts and joins
+ * before it returns; workload builds and rows share its one queue.
  */
 class ExperimentRunner
 {

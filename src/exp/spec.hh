@@ -39,8 +39,8 @@ class ProfileCache;
  *    the grid is unaffected.
  *  - Retry: re-run the failed cell (with its deadline re-armed and a
  *    fresh fault-injection attempt number) up to maxAttempts total
- *    attempts, sleeping backoffMs << (attempt-1) between attempts;
- *    still-failing cells then degrade to Skip behavior.
+ *    attempts, back to back; still-failing cells then degrade to Skip
+ *    behavior.
  */
 struct OnError
 {
@@ -48,7 +48,6 @@ struct OnError
 
     Mode mode = Mode::Abort;
     unsigned maxAttempts = 3;  //!< Total attempts (Retry mode).
-    unsigned backoffMs = 0;    //!< Base of the exponential backoff.
 };
 
 /** Position of one cell in the (workload, policy, config) grid. */

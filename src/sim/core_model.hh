@@ -96,7 +96,6 @@ constexpr unsigned kStubExec = 8;
 struct CoreParams
 {
     unsigned dispatchWidth = 6;
-    unsigned robEntries = 128;
     Cycles mispredictPenalty = 8;
     Cycles btbRedirectPenalty = 3;
 

@@ -115,7 +115,7 @@ generateDispatch(TraceWriter &writer)
     constexpr std::uint64_t kTargetRecords = 30'000;
 
     Rng rng(0x7472646973ull);  // "trdis"
-    ZipfSampler pick(kHandlers, 1.2);
+    const WeightedSampler pick(zipfWeights(kHandlers, 1.2));
 
     while (writer.recordsWritten() < kTargetRecords) {
         const auto h = static_cast<std::uint64_t>(pick.sample(rng));

@@ -98,52 +98,20 @@ class Rng
 };
 
 /**
- * Zipf-distributed sampler over [0, n).  Used to pick interpreter
- * handlers / UI callbacks: a few functions dominate, with a long tail --
- * the access mix that gives hot code its high L2 reuse distance
- * (paper section 2.4).
+ * Zipf weights over [0, n): item i weighs 1 / (i + 1)^s, for a
+ * WeightedSampler.  Used to pick interpreter handlers / UI callbacks:
+ * a few functions dominate, with a long tail -- the access mix that
+ * gives hot code its high L2 reuse distance (paper section 2.4).
+ * @param s Skew exponent (s = 0 is uniform; ~0.8-1.2 is typical).
  */
-class ZipfSampler
+inline std::vector<double>
+zipfWeights(std::size_t n, double s)
 {
-  public:
-    /**
-     * @param n Number of items.
-     * @param s Skew exponent (s = 0 is uniform; ~0.8-1.2 is typical).
-     */
-    ZipfSampler(std::size_t n, double s) : cdf_(n)
-    {
-        panic_if(n == 0, "ZipfSampler over empty domain");
-        double sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-            cdf_[i] = sum;
-        }
-        for (auto &v : cdf_)
-            v /= sum;
-    }
-
-    /** Draw an index in [0, n). */
-    std::size_t
-    sample(Rng &rng) const
-    {
-        const double u = rng.uniform();
-        // Binary search in the CDF.
-        std::size_t lo = 0, hi = cdf_.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
-    }
-
-    std::size_t size() const { return cdf_.size(); }
-
-  private:
-    std::vector<double> cdf_;
-};
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i)
+        w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+    return w;
+}
 
 /** CDF-based sampler over arbitrary non-negative weights. */
 class WeightedSampler

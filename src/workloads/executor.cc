@@ -35,8 +35,9 @@ Executor::Executor(const SyntheticWorkload &workload,
     wl_(workload), elf_(image), rng_(options.seed),
     handlerSampler_(handlerWeights(workload,
                                    options.handlerZipfSkew)),
-    helperZipf_(std::max<std::size_t>(1, workload.helpers.size()),
-                workload.params.helperZipfSkew),
+    helperSampler_(zipfWeights(
+        std::max<std::size_t>(1, workload.helpers.size()),
+        workload.params.helperZipfSkew)),
     regionCursor_(workload.params.regions.size(), 0)
 {
     panic_if(elf_.blockAddr.size() != wl_.program.numBlocks(),
@@ -110,7 +111,7 @@ Executor::pickCallee(CalleeClass cls)
       case CalleeClass::Handler:
         return wl_.handlers[handlerSampler_.sample(rng_)];
       case CalleeClass::Helper:
-        return wl_.helpers[helperZipf_.sample(rng_)];
+        return wl_.helpers[helperSampler_.sample(rng_)];
       case CalleeClass::Cold:
         return wl_.coldFuncs[rng_.below(wl_.coldFuncs.size())];
       case CalleeClass::External:

@@ -210,7 +210,7 @@ class Executor final : public BBEventSource
     const ElfImage &elf_;
     Rng rng_;
     WeightedSampler handlerSampler_;
-    ZipfSampler helperZipf_;
+    WeightedSampler helperSampler_;
 
     /** @name Flat execution tables (see file comment) */
     /** @{ */

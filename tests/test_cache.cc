@@ -121,9 +121,9 @@ TEST(CacheBasic, EvictionReturnsVictim)
     const std::uint64_t stride = 8 * 64;
     c.fill(inst(0x0));
     c.fill(inst(0x0 + stride));
-    const auto evicted = c.fill(inst(0x0 + 2 * stride));
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->addr, 0x0u);
+    const CacheLine evicted = c.fill(inst(0x0 + 2 * stride));
+    ASSERT_TRUE(evicted.valid);
+    EXPECT_EQ(evicted.addr, 0x0u);
     EXPECT_EQ(c.stats().evictions, 1u);
 }
 
@@ -150,9 +150,9 @@ TEST(CacheBasic, DirtyLineWritebackCounted)
     const std::uint64_t stride = 8 * 64;
     c.fill(store(0x0));
     c.fill(load(stride));
-    const auto evicted = c.fill(load(2 * stride));
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_TRUE(evicted->dirty);
+    const CacheLine evicted = c.fill(load(2 * stride));
+    ASSERT_TRUE(evicted.valid);
+    EXPECT_TRUE(evicted.dirty());
     EXPECT_EQ(c.stats().writebacks, 1u);
 }
 
@@ -162,7 +162,7 @@ TEST(CacheBasic, MarkDirtyOnExistingLine)
     Cache c(g, std::make_unique<LruPolicy>(g));
     c.fill(load(0x100));
     c.markDirty(0x100);
-    EXPECT_TRUE(c.peek(0x100)->dirty);
+    EXPECT_TRUE(c.peek(0x100).dirty());
 }
 
 TEST(CacheBasic, InvalidateRemovesLine)
@@ -171,10 +171,11 @@ TEST(CacheBasic, InvalidateRemovesLine)
     Cache c(g, std::make_unique<LruPolicy>(g));
     c.fill(inst(0x100));
     EXPECT_TRUE(c.contains(0x100));
-    const auto line = c.invalidate(0x100);
-    ASSERT_TRUE(line.has_value());
+    const CacheLine line = c.invalidate(0x100);
+    ASSERT_TRUE(line.valid);
+    EXPECT_EQ(line.addr, 0x100u);
     EXPECT_FALSE(c.contains(0x100));
-    EXPECT_FALSE(c.invalidate(0x100).has_value());
+    EXPECT_FALSE(c.invalidate(0x100).valid);
 }
 
 #ifndef NDEBUG
@@ -356,7 +357,7 @@ TEST(Hierarchy, StoreMakesLineDirtyThroughLevels)
     auto hp = tinyParams();
     auto h = makeHier(hp);
     h->dataAccess(store(0x5000), 0);
-    EXPECT_TRUE(h->l1d().peek(0x5000)->dirty);
+    EXPECT_TRUE(h->l1d().peek(0x5000).dirty());
 }
 
 TEST(Hierarchy, DirtyDataWritesBackToDramEventually)
@@ -482,10 +483,10 @@ TEST(Hierarchy, DramBandwidthQueuesBackToBackReads)
  * eviction sequencing as separate probe-per-step calls on the public
  * Cache API -- the pre-fusion CacheHierarchy of PR 3/4 (two flat-map
  * probes per miss, materialize-then-access, back-invalidate both L1s
- * on every L2 eviction, optional<CacheLine> victims).  The fused
- * single-walk cascades in hierarchy.cc must stay behaviorally
- * identical to this straightforward form on any access stream: same
- * per-access outcome, same counter totals, same in-flight contents.
+ * on every L2 eviction).  The fused single-walk cascades in
+ * hierarchy.cc must stay behaviorally identical to this
+ * straightforward form on any access stream: same per-access outcome,
+ * same counter totals, same in-flight contents.
  */
 class ReferenceHierarchy
 {
@@ -680,14 +681,13 @@ class ReferenceHierarchy
     void
     fillL2(const MemRequest &req, Cycles now)
     {
-        auto evicted = l2_.fill(req);
-        if (!evicted)
+        CacheLine victim = l2_.fill(req);
+        if (!victim.valid)
             return;
-        CacheLine victim = *evicted;
         l1i_.invalidate(victim.addr);
-        if (auto l1line = l1d_.invalidate(victim.addr);
-            l1line && l1line->dirty) {
-            victim.dirty = true;
+        if (const CacheLine l1line = l1d_.invalidate(victim.addr);
+            l1line.valid && l1line.dirty()) {
+            victim.meta |= kLineMetaDirty;
         }
         victimToSlc(victim, now);
     }
@@ -698,22 +698,22 @@ class ReferenceHierarchy
         MemRequest req;
         req.vaddr = req.paddr = line.addr;
         req.pc = 0;
-        req.type = line.isInst ? AccessType::InstFetch
-                               : AccessType::Load;
-        req.temp = line.temp;
-        if (line.dirty)
+        req.type = line.isInst() ? AccessType::InstFetch
+                                 : AccessType::Load;
+        req.temp = line.temp();
+        if (line.dirty())
             req.type = AccessType::Store;
-        auto evicted = slc_.fill(req);
-        if (evicted && evicted->dirty)
+        const CacheLine evicted = slc_.fill(req);
+        if (evicted.valid && evicted.dirty())
             dram_.write(now);
     }
 
     void
     fillL1(Cache &l1, const MemRequest &req)
     {
-        auto evicted = l1.fill(req);
-        if (evicted && evicted->dirty)
-            l2_.markDirty(evicted->addr);
+        const CacheLine evicted = l1.fill(req);
+        if (evicted.valid && evicted.dirty())
+            l2_.markDirty(evicted.addr);
     }
 
     HierarchyParams params_;
@@ -1083,7 +1083,7 @@ TEST(MultiCoreDifferential, MaskedBackInvalidationMatchesNaiveTinySlc)
 //
 // The cache resolves its policy per call site: an inline LRU arm in
 // the default entry points, one out-of-line switch for every other
-// kind, and the inline switch of accessProbeInline/fillProbeInline.
+// kind, and the inline switch of accessProbeInline/fillInline.
 // The 24 goldens run LRU at the L1s and SLC, so these differentials
 // pin the other arms against the virtual-dispatch (Generic) path.
 
@@ -1098,9 +1098,6 @@ class GenericForwarder final : public ReplacementPolicy
     explicit GenericForwarder(std::unique_ptr<ReplacementPolicy> inner) :
         ReplacementPolicy(inner->geometry()), inner_(std::move(inner))
     {}
-
-    std::string name() const override { return inner_->name(); }
-    std::string describe() const override { return inner_->describe(); }
 
     void
     onHit(std::uint32_t set, std::uint32_t way,
@@ -1209,8 +1206,8 @@ randomRequest(Rng &rng)
 }
 
 /**
- * "" when @p a and @p b hold the same lines and stats, else where they
- * differ.  Owner masks and residency hints come back in the victims.
+ * "" when @p a and @p b hold the same lines (meta bytes and owner
+ * masks included) and stats, else where they differ.
  */
 std::string
 cacheDiff(const Cache &a, const Cache &b)
@@ -1227,8 +1224,7 @@ cacheDiff(const Cache &a, const Cache &b)
         for (std::uint32_t w = 0; w < g.assoc; ++w) {
             const CacheLine x = a.lineAt(s, w), y = b.lineAt(s, w);
             if (x.valid != y.valid || x.addr != y.addr ||
-                x.dirty != y.dirty || x.isInst != y.isInst ||
-                x.temp != y.temp)
+                x.meta != y.meta || x.owner != y.owner)
                 diff += " line " + std::to_string(s) + "/" +
                         std::to_string(w);
         }
@@ -1237,13 +1233,13 @@ cacheDiff(const Cache &a, const Cache &b)
 }
 
 ::testing::AssertionResult
-sameVictim(const Cache::Victim &a, const Cache::Victim &b)
+sameLine(const CacheLine &a, const CacheLine &b)
 {
     if (a.valid == b.valid && a.addr == b.addr && a.meta == b.meta &&
         a.owner == b.owner)
         return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure()
-           << "victims differ: " << a.valid << "/" << a.addr << "/"
+           << "lines differ: " << a.valid << "/" << a.addr << "/"
            << int(a.meta) << "/" << a.owner << " vs " << b.valid << "/"
            << b.addr << "/" << int(b.meta) << "/" << b.owner;
 }
@@ -1293,24 +1289,22 @@ TEST(CacheDispatch, EveryArmMatchesTheGenericPath)
                             rng.chance(0.5) ? kLineMetaInL1I : 0);
                         const auto owner =
                             static_cast<std::uint32_t>(rng.below(16));
-                        const Cache::Victim va =
-                            d_inline
-                                ? direct.fillProbeInline(req, meta, owner)
-                                : direct.fillProbe(req, meta, owner);
-                        const Cache::Victim vb =
-                            g_inline
-                                ? generic.fillProbeInline(req, meta, owner)
-                                : generic.fillProbe(req, meta, owner);
-                        ASSERT_TRUE(sameVictim(va, vb)) << "fill " << i;
+                        const CacheLine va =
+                            d_inline ? direct.fillInline(req, meta, owner)
+                                     : direct.fill(req, meta, owner);
+                        const CacheLine vb =
+                            g_inline ? generic.fillInline(req, meta, owner)
+                                     : generic.fill(req, meta, owner);
+                        ASSERT_TRUE(sameLine(va, vb)) << "fill " << i;
                     }
                 } else if (op < 8) {
                     ASSERT_EQ(direct.accessInvalidate(req),
                               generic.accessInvalidate(req))
                         << "accessInvalidate " << i;
                 } else if (op < 9) {
-                    ASSERT_TRUE(sameVictim(direct.invalidateRaw(req.paddr),
-                                           generic.invalidateRaw(req.paddr)))
-                        << "invalidateRaw " << i;
+                    ASSERT_TRUE(sameLine(direct.invalidate(req.paddr),
+                                         generic.invalidate(req.paddr)))
+                        << "invalidate " << i;
                 } else {
                     direct.markPriority(req.paddr);
                     generic.markPriority(req.paddr);
@@ -1352,7 +1346,12 @@ TEST(CacheDispatch, GenericLevelsReproduceProxyRuns)
         const RunArtifacts wrapped = runWorkload(wl, opts);
         EXPECT_EQ(goldenFingerprint(direct.result),
                   goldenFingerprint(wrapped.result));
-        EXPECT_EQ(direct.resolvedPolicies, wrapped.resolvedPolicies);
+        // The wrapped levels carry the registry's labels of their own
+        // specs: the direct level's label behind the prefix.
+        auto labels = direct.resolvedPolicies;
+        for (auto &[level, label] : labels)
+            label = kGenericPrefix + label;
+        EXPECT_EQ(wrapped.resolvedPolicies, labels);
         EXPECT_GT(direct.result.l2.evictions, 0u);
     }
 

@@ -324,7 +324,7 @@ TEST(EdgeWorkload, HugeColdBloatLaysOutCleanly)
 TEST(EdgeSampler, SingleItemDomain)
 {
     Rng rng(1);
-    ZipfSampler z(1, 1.2);
+    const WeightedSampler z(zipfWeights(1, 1.2));
     WeightedSampler w(std::vector<double>{5.0});
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(z.sample(rng), 0u);

@@ -141,8 +141,9 @@ TEST(ExperimentRunner, RunJoinsEveryThreadItStarts)
     expectIdentical(first, second);
 
     // Under a deadline the watchdog is the one thread beyond the
-    // workers.  The first four cells wait for each other, so all four
-    // workers are alive when they count.
+    // workers, and worker 0 is the calling thread, so the run starts
+    // threadsUsed threads in all.  The first four cells wait for each
+    // other, so all four workers are alive when they count.
     runner.setCellTimeout(60'000);
     exp::ExperimentSpec spec;
     spec.name = "thread_count";
@@ -161,7 +162,7 @@ TEST(ExperimentRunner, RunJoinsEveryThreadItStarts)
     };
     const auto timed = runner.run(spec);
     EXPECT_EQ(timed.threadsUsed, 4u);
-    EXPECT_EQ(peak, before + static_cast<int>(timed.threadsUsed) + 1);
+    EXPECT_EQ(peak, before + static_cast<int>(timed.threadsUsed));
     EXPECT_EQ(processThreadCount(), before);
 }
 
@@ -259,6 +260,26 @@ TEST(WorkerPool, ClaimsItemsInIndexOrder)
         order.push_back(item);
     });
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(WorkerPool, WorkerZeroIsTheCallingThread)
+{
+    // A one-worker run starts no thread; in a wider run, worker 0's
+    // items run on the caller and every other worker's do not.
+    for (const unsigned threads : {1u, 3u}) {
+        exp::WorkerPool pool(threads, 0);
+        std::vector<std::thread::id> ran_on(12);
+        std::vector<unsigned> worker(12);
+        pool.run(ran_on.size(),
+                 [&](std::size_t item, exp::WorkerContext &wc) {
+                     ran_on[item] = std::this_thread::get_id();
+                     worker[item] = wc.worker;
+                 });
+        for (std::size_t item = 0; item < ran_on.size(); ++item)
+            EXPECT_EQ(ran_on[item] == std::this_thread::get_id(),
+                      worker[item] == 0)
+                << threads << " workers, item " << item;
+    }
 }
 
 TEST(ExperimentRunner, GridCollectsEachWorkloadProfileOnce)

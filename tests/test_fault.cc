@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -579,6 +580,48 @@ TEST_F(FaultTest, JournalRoundTripSkipsErrorAndTornLines)
     text[pos] = '2';
     std::ofstream(path, std::ios::binary) << text;
     EXPECT_TRUE(exp::RunJournal::load(path).empty());
+    std::remove(path.c_str());
+}
+
+TEST_F(FaultTest, JournalSkipsLinesWhoseCountsAreNotWholeNumbers)
+{
+    const std::string path = "fault_journal_counts.jsonl";
+    std::remove(path.c_str());
+    {
+        exp::RunJournal journal(path);
+        ASSERT_TRUE(journal.valid());
+        exp::JournalEntry ok;
+        ok.cell = 2;
+        ok.workload = "python";
+        ok.policy = "SRRIP";
+        ok.attempts = 1;
+        ok.metrics = {{"ipc", 1.5}};
+        journal.append(ok);
+    }
+    const std::string line = slurp(path);
+    ASSERT_EQ(exp::RunJournal::load(path).count(2), 1u);
+
+    // The fingerprint covers the cell as the writer printed it, so a
+    // reader that truncated 2.5 to 2 would accept these as cell 2.
+    const std::pair<const char *, const char *> kEdits[] = {
+        {"\"cell\": 2,", "\"cell\": 2.5,"},
+        {"\"cell\": 2,", "\"cell\": -1,"},
+        {"\"cell\": 2,", "\"cell\": 2e0,"},
+        {"\"cell\": 2,", "\"cell\": 99999999999999999999,"},
+        {"\"attempts\": 1,", "\"attempts\": 1.5,"},
+        {"\"attempts\": 1,", "\"attempts\": -1,"},
+        {"\"attempts\": 1,", "\"attempts\": 1e300,"},
+        {"\"attempts\": 1,", "\"attempts\": nan,"},
+        {"\"attempts\": 1,", "\"attempts\": 4294967296,"},
+    };
+    for (const auto &[from, to] : kEdits) {
+        std::string text = line;
+        const auto pos = text.find(from);
+        ASSERT_NE(pos, std::string::npos) << from;
+        text.replace(pos, std::strlen(from), to);
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+        EXPECT_TRUE(exp::RunJournal::load(path).empty()) << to;
+    }
     std::remove(path.c_str());
 }
 

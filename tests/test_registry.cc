@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -94,7 +95,6 @@ TEST(PolicyRegistryCompleteness, EveryPolicyConstructsWithDefaults)
     for (const auto &name : reg().names()) {
         auto policy = reg().instantiate(name, geom());
         ASSERT_NE(policy, nullptr) << name;
-        EXPECT_FALSE(policy->name().empty()) << name;
         // describe() must be the canonical fully-resolved spec.
         EXPECT_EQ(policy->describe(),
                   reg().canonical(reg().parse(name)))
@@ -128,15 +128,55 @@ TEST(PolicyRegistryCompleteness, EvaluatedNamesAreRegistered)
 TEST(PolicyRegistryCompleteness, ParametersReachThePolicy)
 {
     // Spot checks that spec values actually land in the instances.
+    // The labels come from the registry, not from the instance, so
+    // the instance's own state is checked too.
     auto srrip = reg().instantiate("SRRIP(bits=4)", geom());
     EXPECT_EQ(srrip->describe(), "SRRIP(bits=4)");
+    EXPECT_EQ(dynamic_cast<const SrripPolicy &>(*srrip).distant(), 15);
     auto ship = reg().instantiate("SHiP(shct_bits=14)", geom());
     EXPECT_EQ(ship->describe(), "SHiP(bits=2,shct_bits=14)");
     auto trrip = reg().instantiate("TRRIP-2(bits=3)", geom());
     EXPECT_EQ(trrip->describe(), "TRRIP-2(bits=3)");
-    // name() must not claim the default configuration (satellite fix).
-    EXPECT_EQ(trrip->name(), "TRRIP-2(bits=3)");
-    EXPECT_EQ(reg().instantiate("TRRIP-2", geom())->name(), "TRRIP-2");
+    const auto &v2 = dynamic_cast<const TrripPolicy &>(*trrip);
+    EXPECT_EQ(v2.variant(), TrripVariant::V2);
+    EXPECT_EQ(v2.distant(), 7);
+    EXPECT_EQ(reg().instantiate("TRRIP-2", geom())->describe(),
+              "TRRIP-2(bits=2)");
+}
+
+TEST(PolicyRegistryCompleteness, LabelsPinnedAtNonDefaultParameters)
+{
+    // Every built-in policy, each parameter at a non-default in-range
+    // value, built the way the hierarchy builds its levels.  The
+    // labels are what the BENCH rows record as resolved_policies.
+    const std::pair<const char *, const char *> kCases[] = {
+        {"LRU", "LRU"},
+        {"Random(seed=9007199254740992)", "Random(seed=9007199254740992)"},
+        {"SRRIP(bits=5)", "SRRIP(bits=5)"},
+        {"BRRIP(bits=3,throttle=7)", "BRRIP(bits=3,throttle=7)"},
+        {"DRRIP(bits=4,leader_sets=4096,psel_bits=1,throttle=7)",
+         "DRRIP(bits=4,leader_sets=4096,psel_bits=1,throttle=7)"},
+        {"SHiP(shct_bits=4,bits=3)", "SHiP(bits=3,shct_bits=4)"},
+        {"CLIP(bits=1,leader_sets=1,psel_bits=16)",
+         "CLIP(bits=1,leader_sets=1,psel_bits=16)"},
+        {"Emissary(prob=0.333,ways=0)",
+         "Emissary(ways=0,prob=0.33300000000000002)"},
+        {"TRRIP-1(bits=3)", "TRRIP-1(bits=3)"},
+        {"TRRIP-2(bits=8)", "TRRIP-2(bits=8)"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[spec, label] : kCases) {
+        const Cache cache(geom(), PolicySpec(spec));
+        EXPECT_EQ(cache.policy().describe(), label) << spec;
+        covered.push_back(PolicySpec(spec).name());
+    }
+    for (const auto &name : reg().names()) {
+        if (reg().schema(name).doc.rfind("test-only", 0) == 0)
+            continue;
+        EXPECT_NE(std::find(covered.begin(), covered.end(), name),
+                  covered.end())
+            << name << " has no pinned label";
+    }
 }
 
 // ------------------------------ errors ------------------------------
@@ -222,7 +262,9 @@ TEST(PolicyRegistryExtension, UserPoliciesSelfRegister)
     }
     EXPECT_TRUE(reg().known("TestPseudoLRU"));
     Cache cache(geom(), PolicySpec("TestPseudoLRU(depth=3)"));
-    EXPECT_EQ(cache.policy().name(), "LRU");
+    // The label is the registry's spelling of the outer spec, not
+    // the LRU instance the factory wrapped.
+    EXPECT_EQ(cache.policy().describe(), "TestPseudoLRU(depth=3)");
 }
 
 // ------------------------- per-level specs --------------------------
@@ -240,7 +282,7 @@ TEST(PerLevelPolicies, HierarchyBuildsEveryLevelFromSpecs)
     hp.slcPolicy = "SRRIP";
     CacheHierarchy h(hp);
     EXPECT_EQ(h.l1i().policy().describe(), "TRRIP-1(bits=3)");
-    EXPECT_EQ(h.l1d().policy().name(), "Random");
+    EXPECT_EQ(h.l1d().policy().describe(), "Random(seed=3737844653)");
     EXPECT_EQ(h.l2().policy().describe(), "TRRIP-2(bits=2)");
     EXPECT_EQ(h.slc().policy().describe(), "SRRIP(bits=2)");
 }

@@ -391,7 +391,7 @@ TEST(PolicyRegistryCreation, CreatesEveryEvaluatedPolicy)
     for (const auto &name : evaluatedPolicyNames()) {
         auto p = make(name, geom4w());
         ASSERT_NE(p, nullptr);
-        EXPECT_EQ(p->name(), name);
+        EXPECT_EQ(p->describe(), PolicySpec(name).canonical());
         EXPECT_NE(p->kind(), PolicyKind::Generic)
             << name << " must take a specialized cache path";
     }
@@ -856,11 +856,11 @@ TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
         refValid[j] = 1;
         ref.onFill(set, fill_way, r);
 
-        const auto evicted = cache.fill(r);
-        ASSERT_EQ(evicted.has_value(), ref_evicted.has_value())
+        const CacheLine evicted = cache.fill(r);
+        ASSERT_EQ(evicted.valid, ref_evicted.has_value())
             << c.spec << ": eviction presence diverged at access " << i;
-        if (evicted) {
-            ASSERT_EQ(evicted->addr, *ref_evicted)
+        if (evicted.valid) {
+            ASSERT_EQ(evicted.addr, *ref_evicted)
                 << c.spec << ": victim diverged at access " << i;
         }
     }

@@ -54,12 +54,6 @@ class TrripPolicyTest : public ::testing::Test
     TrripPolicy v2_;
 };
 
-TEST_F(TrripPolicyTest, Names)
-{
-    EXPECT_EQ(v1_.name(), "TRRIP-1");
-    EXPECT_EQ(v2_.name(), "TRRIP-2");
-}
-
 TEST_F(TrripPolicyTest, HotFillInsertsImmediate)
 {
     // Algorithm 1 lines 16-18.

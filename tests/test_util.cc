@@ -89,7 +89,7 @@ TEST(Rng, ChanceMatchesProbability)
 TEST(Zipf, UniformWhenSkewZero)
 {
     Rng rng(9);
-    ZipfSampler zipf(4, 0.0);
+    const WeightedSampler zipf(zipfWeights(4, 0.0));
     std::vector<int> counts(4, 0);
     for (int i = 0; i < 40000; ++i)
         ++counts[zipf.sample(rng)];
@@ -100,7 +100,7 @@ TEST(Zipf, UniformWhenSkewZero)
 TEST(Zipf, SkewFavorsLowIndices)
 {
     Rng rng(9);
-    ZipfSampler zipf(100, 1.0);
+    const WeightedSampler zipf(zipfWeights(100, 1.0));
     std::vector<int> counts(100, 0);
     for (int i = 0; i < 100000; ++i)
         ++counts[zipf.sample(rng)];
@@ -111,7 +111,7 @@ TEST(Zipf, SkewFavorsLowIndices)
 TEST(Zipf, MonotoneCdfCoversDomain)
 {
     Rng rng(13);
-    ZipfSampler zipf(7, 0.8);
+    const WeightedSampler zipf(zipfWeights(7, 0.8));
     std::vector<bool> seen(7, false);
     for (int i = 0; i < 20000; ++i)
         seen[zipf.sample(rng)] = true;
