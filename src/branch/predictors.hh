@@ -224,7 +224,6 @@ struct BranchParams
     std::size_t globalEntries = 1024;
     unsigned historyBits = 10;
     std::size_t rasDepth = 16;
-    Cycles mispredictPenalty = 8;
     /**
      * Section 6 extension: replace the direct-mapped BTB with a
      * 2-way set-associative one whose replacement protects hot-code

@@ -293,7 +293,6 @@ RunJournal::append(const JournalEntry &entry)
             }
             return;
         }
-        ++writeRetries_;
     }
     warn("journal '", path_, "': dropped entry for cell ", entry.cell,
          " after repeated write faults");

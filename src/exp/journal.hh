@@ -77,9 +77,6 @@ class RunJournal
      */
     void append(const JournalEntry &entry);
 
-    /** sink_write faults absorbed by the internal retry so far. */
-    std::uint64_t writeRetries() const { return writeRetries_; }
-
     /**
      * Parse @p path into cell -> entry.  Only clean "ok" lines are
      * returned (last one per cell wins); error lines, unparseable
@@ -93,7 +90,6 @@ class RunJournal
     std::string path_;
     std::ofstream out_;
     std::mutex mutex_;
-    std::uint64_t writeRetries_ = 0;  //!< Guarded by mutex_.
 };
 
 } // namespace trrip::exp

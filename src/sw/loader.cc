@@ -4,6 +4,31 @@
 
 namespace trrip {
 
+void
+markPage(PageTable &pt, Addr page,
+         const std::array<std::uint64_t, 4> &bytes,
+         MixedPagePolicy policy, LoadStats &stats)
+{
+    ++stats.codePages;
+    unsigned temps_present = 0;
+    unsigned dominant = 0;
+    for (unsigned t = 0; t < 4; ++t) {
+        if (bytes[t] > 0)
+            ++temps_present;
+        if (bytes[t] > bytes[dominant])
+            dominant = t;
+    }
+    Temperature mark =
+        decodeTemperature(static_cast<std::uint8_t>(dominant));
+    if (temps_present > 1) {
+        ++stats.mixedPages;
+        if (policy == MixedPagePolicy::DisableMark)
+            mark = Temperature::None;
+    }
+    pt.map(page, mark);
+    ++stats.pagesByTemp[encodeTemperature(mark)];
+}
+
 namespace {
 
 /** Map one address range of pages, classifying each page. */
@@ -14,39 +39,18 @@ loadRange(const ElfImage &image, PageTable &pt, MixedPagePolicy policy,
     const std::uint64_t page = pt.pageSize();
     for (Addr p = begin & ~static_cast<Addr>(page - 1); p < end;
          p += page) {
-        ++stats.codePages;
-        if (external) {
-            pt.map(p, Temperature::None);
-            ++stats.pagesByTemp[encodeTemperature(Temperature::None)];
-            continue;
-        }
-        // Bytes of each temperature within this page.
+        // Bytes of each temperature within this page; external pages
+        // count none, so they stay untagged.
         std::array<std::uint64_t, 4> bytes{};
         for (const auto &s : image.sections) {
-            if (s.external)
+            if (external || s.external)
                 continue;
             const Addr lo = std::max(p, s.vaddr);
             const Addr hi = std::min(p + page, s.end());
             if (lo < hi)
                 bytes[encodeTemperature(s.temp)] += hi - lo;
         }
-        unsigned temps_present = 0;
-        unsigned dominant = 0;
-        for (unsigned t = 0; t < 4; ++t) {
-            if (bytes[t] > 0)
-                ++temps_present;
-            if (bytes[t] > bytes[dominant])
-                dominant = t;
-        }
-        Temperature mark = decodeTemperature(
-            static_cast<std::uint8_t>(dominant));
-        if (temps_present > 1) {
-            ++stats.mixedPages;
-            if (policy == MixedPagePolicy::DisableMark)
-                mark = Temperature::None;
-        }
-        pt.map(p, mark);
-        ++stats.pagesByTemp[encodeTemperature(mark)];
+        markPage(pt, p, bytes, policy, stats);
     }
 }
 

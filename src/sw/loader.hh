@@ -37,6 +37,17 @@ struct LoadStats
 };
 
 /**
+ * Map one code page and count it in @p stats, given its bytes of each
+ * temperature (indexed by encodeTemperature): the page takes the
+ * temperature owning the most bytes, or stays untagged when it mixes
+ * temperatures under MixedPagePolicy::DisableMark.  A page with no
+ * bytes stays untagged.
+ */
+void markPage(PageTable &pt, Addr page,
+              const std::array<std::uint64_t, 4> &bytes,
+              MixedPagePolicy policy, LoadStats &stats);
+
+/**
  * Populate @p pt for every code page of @p image.  External-region
  * pages are mapped but never temperature-tagged.
  */

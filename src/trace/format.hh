@@ -12,18 +12,11 @@
  * as ChampSim's tracereader does (see classifyBranch), and branch
  * targets are recovered from the next record's ip.
  *
- * The container wraps the records for streaming access:
- *
- *   [TraceHeader: 64 bytes]
- *   [chunk 0 payload][chunk 1 payload]...
- *   [chunk directory: TraceChunk x chunkCount, at header.dirOffset]
- *
- * Payloads are fixed-count groups of raw records (the last chunk may
- * be short): multiples of 64 bytes laid back to back after the 64-byte
- * header, so every chunk offset is record-aligned and the reader can
- * serve records straight out of the mmap with an aligned cast.
- * The directory lives at the end so the writer streams append-only
- * and seeks exactly once (to patch the header) at close.
+ * A trace file is the 64-byte TraceHeader followed by exactly
+ * header.recordCount records, so the file is 64 + 64 x recordCount
+ * bytes and every record is 64-byte aligned in a page-aligned mmap:
+ * the reader serves records straight out of the mapping, kChunkRecords
+ * at a time, and the writer flushes the same number per fwrite.
  */
 
 #ifndef TRRIP_TRACE_FORMAT_HH
@@ -108,31 +101,21 @@ classifyBranch(const TraceInstr &in)
 
 /** "trriptrc", little-endian. */
 constexpr std::uint64_t kTraceMagic = 0x6372747069727274ull;
-constexpr std::uint32_t kTraceVersion = 1;
-/** Records per chunk unless the writer overrides (256 KiB raw). */
-constexpr std::uint32_t kDefaultChunkRecords = 4096;
+/** Version 1 files carried a chunk directory; they stop at this field. */
+constexpr std::uint32_t kTraceVersion = 2;
+/** Records per writer flush and per reader load (256 KiB). */
+constexpr std::uint32_t kChunkRecords = 4096;
 
 /** File header (fixed 64 bytes at offset 0). */
 struct TraceHeader
 {
     std::uint64_t magic = kTraceMagic;
     std::uint32_t version = kTraceVersion;
-    std::uint32_t codec = 0;    //!< Payload encoding: 0 (raw) only.
+    std::uint32_t pad0 = 0;
     std::uint64_t recordCount = 0;
-    std::uint32_t chunkRecords = 0;
-    std::uint32_t chunkCount = 0;
-    std::uint64_t dirOffset = 0;
-    std::uint8_t pad[24] = {};
+    std::uint8_t pad[40] = {};
 };
 static_assert(sizeof(TraceHeader) == 64);
-
-/** One chunk-directory entry (at header.dirOffset, 16 bytes each). */
-struct TraceChunk
-{
-    std::uint64_t offset = 0;       //!< Payload file offset.
-    std::uint64_t payloadBytes = 0; //!< Records in the chunk x 64.
-};
-static_assert(sizeof(TraceChunk) == 16);
 
 } // namespace trrip::trace
 

@@ -2,31 +2,29 @@
  * @file
  * Streaming trace reader over an mmap'd file.
  *
- * The whole file is mapped read-only once; records are then served one
- * chunk at a time straight out of the mapping (zero copy; chunk
- * offsets are record-aligned by construction).  The full trace is
- * never materialized, so arbitrarily long traces stream in O(chunk)
- * memory.
+ * The whole file is mapped read-only once; records are then served
+ * kChunkRecords at a time straight out of the mapping (zero copy: a
+ * record starts every 64 bytes after the 64-byte header).  The full
+ * trace is never materialized, so arbitrarily long traces stream in
+ * O(chunk) memory.
  *
- * Constructors never abort: a missing, truncated or corrupt file
- * leaves the reader !valid() with a human-readable error().  Every
- * header field and every chunk-directory entry is bounds-checked
- * against the file size before anything is dereferenced, so hostile
- * inputs fail cleanly under ASan rather than walking off the map.
- *
- * Every reject path records uniform context -- the file path, the
- * chunk index where applicable, and the byte offset of the offending
- * field or payload -- both inside the error() string and as
- * structured accessors, and makeError() packages the failure as a
- * SimError(TraceCorrupt) for the containment layer.  Chunk loads are
- * also a fault-injection site (FaultSite::TraceRead), so a reader can
- * turn !valid() mid-stream; consumers must check, not assume.
+ * Every reject throws SimError(TraceCorrupt): a missing file, a short
+ * header, a bad magic or version, and a file that is not exactly
+ * 64 + 64 x recordCount bytes all fail in the constructor, before any
+ * record is dereferenced, so hostile inputs fail cleanly under ASan
+ * rather than walking off the map.  The message names the file path,
+ * the chunk index where applicable and the byte offset of the
+ * offending field or payload.  Chunk loads are also a fault-injection
+ * site (FaultSite::TraceRead): next() then throws SimError(Injected)
+ * with the same context.  The mapping is a member, so it is released
+ * on every throw.
  */
 
 #ifndef TRRIP_TRACE_READER_HH
 #define TRRIP_TRACE_READER_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 
 #include "trace/format.hh"
@@ -34,37 +32,21 @@
 
 namespace trrip::trace {
 
+/** TraceReader's mapping deleter: munmap()s @c bytes bytes. */
+struct Munmap
+{
+    std::size_t bytes = 0;
+    void operator()(const std::uint8_t *map) const;
+};
+
 /** mmap-backed, chunk-at-a-time reader of one trace file. */
 class TraceReader
 {
   public:
+    /** Opens and validates @p path; throws SimError on a reject. */
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
 
-    TraceReader(TraceReader &&other) noexcept;
-    TraceReader &operator=(TraceReader &&other) noexcept;
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
-
-    /** errorChunk() when the failure is not tied to one chunk. */
-    static constexpr std::uint32_t kNoChunk = ~0u;
-
-    bool valid() const { return error_.empty(); }
-    const std::string &error() const { return error_; }
-    const std::string &path() const { return path_; }
-
-    /** Failure taxonomy bucket; meaningful only when !valid(). */
-    ErrorCategory errorCategory() const { return errorCategory_; }
-    /** Chunk index of the failure, or kNoChunk; only when !valid(). */
-    std::uint32_t errorChunk() const { return errorChunk_; }
-    /** File byte offset of the failure; only when !valid(). */
-    std::uint64_t errorOffset() const { return errorOffset_; }
-
-    /** The recorded failure as a throwable SimError (!valid() only). */
-    SimError makeError() const;
-
-    std::uint64_t recordCount() const { return header_.recordCount; }
-    std::uint32_t chunkCount() const { return header_.chunkCount; }
+    std::uint64_t recordCount() const { return recordCount_; }
 
     /** Rewind the streaming cursor to the first record. */
     void reset();
@@ -72,7 +54,7 @@ class TraceReader
     /**
      * The next record, or nullptr at end of trace.  The pointer stays
      * valid until the next chunk boundary is crossed (consumers copy
-     * the fields they keep).  Undefined on an invalid reader.
+     * the fields they keep).
      */
     const TraceInstr *
     next()
@@ -82,38 +64,31 @@ class TraceReader
         return cursor_++;
     }
 
-    /** Records in chunk @p index (the last chunk may be short). */
-    std::uint64_t chunkRecordCount(std::uint32_t index) const;
-
   private:
-    void open(const std::string &path);
-    /**
-     * Record a failure with uniform context: @p offset is the file
-     * byte offset of the offending field or payload, @p chunk the
-     * chunk index when the failure is chunk-scoped.  First failure
-     * wins; the mapping is released either way.
-     */
-    void fail(std::string message, std::uint64_t offset,
-              std::uint32_t chunk = kNoChunk,
-              ErrorCategory category = ErrorCategory::TraceCorrupt);
+    /** No chunk: fail()'s chunk when the failure is not tied to one,
+     *  and the cursor's before the first (~0 + 1 wraps to 0). */
+    static constexpr std::uint64_t kNoChunk = ~0ull;
+
+    /** Throw the reject as SimError with the uniform context suffix:
+     *  @p offset is the file byte offset of the offending field or
+     *  payload, @p chunk the chunk index when the failure is
+     *  chunk-scoped. */
+    [[noreturn]] void fail(const std::string &message,
+                           std::uint64_t offset,
+                           std::uint64_t chunk = kNoChunk,
+                           ErrorCategory category =
+                               ErrorCategory::TraceCorrupt) const;
     /** Point the cursor at chunk @p index; false past the end. */
-    bool loadChunk(std::uint32_t index);
-    void unmap();
+    bool loadChunk(std::uint64_t index);
 
     std::string path_;
-    std::string error_;
-    ErrorCategory errorCategory_ = ErrorCategory::TraceCorrupt;
-    std::uint32_t errorChunk_ = kNoChunk;
-    std::uint64_t errorOffset_ = 0;
-    const std::uint8_t *map_ = nullptr;
-    std::size_t mapBytes_ = 0;
-    TraceHeader header_;
-    const TraceChunk *dir_ = nullptr;
+    std::unique_ptr<const std::uint8_t, Munmap> map_;
+    std::uint64_t recordCount_ = 0;
 
     /** Streaming cursor: [cursor_, chunkEnd_) of chunk chunkIndex_. */
     const TraceInstr *cursor_ = nullptr;
     const TraceInstr *chunkEnd_ = nullptr;
-    std::uint32_t chunkIndex_ = 0;
+    std::uint64_t chunkIndex_ = 0;
 };
 
 } // namespace trrip::trace

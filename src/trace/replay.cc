@@ -122,8 +122,7 @@ traceImage(const TraceIndex &index, const Classification *cls)
 
 /**
  * Stamp PTE temperature bits for every code page a block touches.
- * Same per-page accounting as sw/loader.cc (dominant temperature,
- * MixedPagePolicy on pages mixing temperatures), but pages are
+ * Same per-page rule as sw/loader.cc (markPage), but pages are
  * enumerated from the blocks, not from the image span: a sparse
  * trace address space (shared libraries gigabytes apart) must not
  * turn loading into a walk over every page in between.
@@ -149,26 +148,8 @@ mapTracePages(const TraceIndex &index, const Classification *cls,
     }
 
     LoadStats stats;
-    for (const auto &[p, bytes] : byPage) {
-        ++stats.codePages;
-        unsigned temps_present = 0;
-        unsigned dominant = 0;
-        for (unsigned t = 0; t < 4; ++t) {
-            if (bytes[t] > 0)
-                ++temps_present;
-            if (bytes[t] > bytes[dominant])
-                dominant = t;
-        }
-        Temperature mark = decodeTemperature(
-            static_cast<std::uint8_t>(dominant));
-        if (temps_present > 1) {
-            ++stats.mixedPages;
-            if (policy == MixedPagePolicy::DisableMark)
-                mark = Temperature::None;
-        }
-        pt.map(p, mark);
-        ++stats.pagesByTemp[encodeTemperature(mark)];
-    }
+    for (const auto &[p, bytes] : byPage)
+        markPage(pt, p, bytes, policy, stats);
     return stats;
 }
 

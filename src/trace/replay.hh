@@ -62,8 +62,7 @@ struct TraceIndex
  * Stream the trace once and build its index.  Throws
  * SimError(TraceCorrupt) on a missing, corrupt or empty file -- a
  * contained per-cell failure the experiment layer's OnError policy
- * handles (probe untrusted files with TraceReader to avoid the
- * throw).
+ * handles.
  */
 TraceIndex buildTraceIndex(const std::string &path);
 

@@ -5,17 +5,12 @@ namespace trrip::trace {
 TraceEventSource::TraceEventSource(const std::string &path) :
     reader_(path)
 {
-    if (!reader_.valid())
-        throw reader_.makeError();
     if (reader_.recordCount() == 0) {
         throw SimError(ErrorCategory::TraceCorrupt,
                        "trace '" + path + "': empty; an event source "
                        "needs at least one record");
     }
-    const TraceInstr *first = reader_.next();
-    if (!first)  // First chunk load failed (corruption or injection).
-        throw reader_.makeError();
-    cur_ = *first;
+    cur_ = *reader_.next();
     firstIp_ = cur_.ip;
 }
 

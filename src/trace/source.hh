@@ -62,7 +62,8 @@ class TraceEventSource final : public BBEventSource
   public:
     /** Opens the trace; throws SimError(TraceCorrupt) on a missing,
      *  corrupt or empty file -- a contained per-cell failure, not a
-     *  process abort. */
+     *  process abort -- and SimError(Injected) on a trace_read
+     *  fault. */
     explicit TraceEventSource(const std::string &path);
 
     /** Reconstruct the next block event (the stream never ends). */
@@ -83,25 +84,19 @@ class TraceEventSource final : public BBEventSource
 
   private:
     /**
-     * Advance the reader, wrapping at end of trace.  A reader can
-     * turn !valid() mid-stream (chunk corruption, trace_read fault
-     * injection); that surfaces here as a thrown SimError rather
-     * than a dereference of the null end-of-trace sentinel.
+     * Advance the reader, wrapping at end of trace.  A chunk load
+     * that fails (trace_read fault injection) throws out of next(),
+     * so on a non-empty trace this never returns null.
      */
     const TraceInstr *
     advance(bool &wrapped)
     {
         if (const TraceInstr *rec = reader_.next())
             return rec;
-        if (!reader_.valid())
-            throw reader_.makeError();
         wrapped = true;
         ++passes_;
         reader_.reset();
-        const TraceInstr *rec = reader_.next();
-        if (!rec)  // Non-empty trace: only a mid-stream failure.
-            throw reader_.makeError();
-        return rec;
+        return reader_.next();
     }
 
     std::uint32_t idFor(Addr addr);

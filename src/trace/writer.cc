@@ -9,16 +9,10 @@
 
 namespace trrip::trace {
 
-TraceWriter::TraceWriter(const std::string &path,
-                         std::uint32_t chunk_records) :
+TraceWriter::TraceWriter(const std::string &path) :
     path_(path), tmpPath_(path + ".XXXXXX")
 {
-    if (chunk_records == 0) {
-        setError("chunk size must be at least one record");
-        return;
-    }
-    header_.chunkRecords = chunk_records;
-    pending_.reserve(chunk_records);
+    pending_.reserve(kChunkRecords);
 
     const int fd = ::mkstemp(tmpPath_.data());
     if (fd < 0) {
@@ -33,12 +27,9 @@ TraceWriter::TraceWriter(const std::string &path,
         setError("cannot open '" + path + "' for writing");
         return;
     }
-    // Placeholder header; finish() patches the final counts in.
-    if (std::fwrite(&header_, sizeof(header_), 1, file_) != 1) {
+    // Placeholder header; finish() patches the record count in.
+    if (std::fwrite(&header_, sizeof(header_), 1, file_) != 1)
         setError("cannot write header to '" + path + "'");
-        return;
-    }
-    writeOffset_ = sizeof(header_);
 }
 
 TraceWriter::~TraceWriter()
@@ -60,25 +51,20 @@ TraceWriter::append(const TraceInstr &instr)
         return;
     pending_.push_back(instr);
     ++header_.recordCount;
-    if (pending_.size() == header_.chunkRecords)
-        flushChunk();
+    if (pending_.size() == kChunkRecords)
+        flush();
 }
 
 void
-TraceWriter::flushChunk()
+TraceWriter::flush()
 {
     if (pending_.empty() || !ok())
         return;
-    const std::size_t payload_bytes =
-        pending_.size() * sizeof(TraceInstr);
-    if (std::fwrite(pending_.data(), 1, payload_bytes, file_) !=
-        payload_bytes) {
-        setError("short write flushing a trace chunk");
+    if (std::fwrite(pending_.data(), sizeof(TraceInstr),
+                    pending_.size(), file_) != pending_.size()) {
+        setError("short write flushing trace records");
         return;
     }
-    dir_.push_back(TraceChunk{writeOffset_, payload_bytes});
-    writeOffset_ += payload_bytes;
-    ++header_.chunkCount;
     pending_.clear();
 }
 
@@ -87,16 +73,7 @@ TraceWriter::finish()
 {
     if (finished_ || !file_)
         return ok();
-    flushChunk();
-    if (ok()) {
-        header_.dirOffset = writeOffset_;
-        const std::size_t n = dir_.size();
-        if (n > 0 &&
-            std::fwrite(dir_.data(), sizeof(TraceChunk), n, file_) !=
-                n) {
-            setError("short write on the chunk directory");
-        }
-    }
+    flush();
     if (ok()) {
         if (std::fseek(file_, 0, SEEK_SET) != 0 ||
             std::fwrite(&header_, sizeof(header_), 1, file_) != 1 ||

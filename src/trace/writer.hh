@@ -1,9 +1,9 @@
 /**
  * @file
- * Streaming trace writer: append records, close, done.  Chunks are
- * buffered one at a time (never the whole trace) and flushed raw, and
- * the chunk directory + patched header are written by finish().  Used by the deterministic
- * mini-trace generator (trace/generate.hh) and by tests; the output
+ * Streaming trace writer: append records, close, done.  Records are
+ * buffered kChunkRecords at a time (never the whole trace) and flushed
+ * with one fwrite per buffer, and finish() patches the record count
+ * into the header.  Used by the deterministic mini-trace generator (trace/generate.hh) and by tests; the output
  * is a pure function of the appended records, so regenerated packs
  * are byte-identical.
  *
@@ -33,21 +33,19 @@ namespace trrip::trace {
 class TraceWriter
 {
   public:
-    explicit TraceWriter(const std::string &path,
-                         std::uint32_t chunk_records =
-                             kDefaultChunkRecords);
+    explicit TraceWriter(const std::string &path);
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** Buffer one record (flushes a chunk when full). */
+    /** Buffer one record (flushes the buffer when full). */
     void append(const TraceInstr &instr);
 
     /**
-     * Flush the tail chunk, write the directory, patch the header,
-     * close and rename the temporary file onto the target path.
-     * Idempotent; also invoked by the destructor.  Returns ok().
+     * Flush the buffer, patch the header, close and rename the
+     * temporary file onto the target path.  Idempotent; also invoked
+     * by the destructor.  Returns ok().
      */
     bool finish();
 
@@ -56,16 +54,14 @@ class TraceWriter
     std::uint64_t recordsWritten() const { return header_.recordCount; }
 
   private:
-    void flushChunk();
+    void flush();
     void setError(std::string message);
 
     std::string path_;
     std::string tmpPath_;   //!< Unique sibling of path_ being written.
     std::FILE *file_ = nullptr;
     TraceHeader header_;
-    std::vector<TraceInstr> pending_;   //!< Current chunk only.
-    std::vector<TraceChunk> dir_;
-    std::uint64_t writeOffset_ = 0;
+    std::vector<TraceInstr> pending_;   //!< Unflushed records only.
     bool finished_ = false;
     std::string error_;
 };

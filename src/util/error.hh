@@ -4,7 +4,7 @@
  *
  * SimError is the one exception type the engine throws for *contained*
  * failures: conditions caused by a particular input or cell (a corrupt
- * trace chunk, a pipeline build that failed, a cell past its deadline,
+ * trace file, a pipeline build that failed, a cell past its deadline,
  * an injected chaos fault) that must fail that unit of work without
  * taking down the grid.  WorkerPool catches at the item boundary and
  * ExperimentRunner turns the error into a per-cell outcome governed by
@@ -13,9 +13,9 @@
  *
  * Every SimError carries a category (machine-readable, stable names
  * for the sinks' error rows) and a context chain: short frames pushed
- * while the error unwinds ("chunk 3, byte offset 4160", "cell 17:
- * workload trace:a.trrtrc, policy SRRIP"), oldest first, so the
- * surfaced message reads innermost-failure-first like a backtrace.
+ * while the error unwinds ("cell 17: workload trace:a.trrtrc, policy
+ * SRRIP"), oldest first, so the surfaced message reads
+ * innermost-failure-first like a backtrace.
  * Messages must stay deterministic for a given outcome (no pointers,
  * wall times or retry-dependent text): error rows are part of the
  * byte-reproducible BENCH contract.

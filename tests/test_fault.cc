@@ -24,6 +24,7 @@
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
+#include "trace/generate.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "util/error.hh"
@@ -414,15 +415,35 @@ TEST_F(FaultTest, ReaderCorruptionCarriesOffsetContext)
 {
     const std::string file = "fault_corrupt.trrtrc";
     std::ofstream(file, std::ios::binary) << "trriptrc";
-    trace::TraceReader reader(file);
-    ASSERT_FALSE(reader.valid());
-    EXPECT_NE(reader.error().find("byte offset"), std::string::npos)
-        << reader.error();
-    EXPECT_EQ(reader.errorCategory(), ErrorCategory::TraceCorrupt);
-    const SimError e = reader.makeError();
-    EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
-    EXPECT_NE(std::string(e.what()).find(file), std::string::npos)
-        << e.what();
+    try {
+        trace::TraceReader reader(file);
+        ADD_FAILURE() << "a truncated header was accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+        EXPECT_NE(e.message().find("(byte offset 8)"), std::string::npos)
+            << e.message();
+        EXPECT_NE(std::string(e.what()).find(file), std::string::npos)
+            << e.what();
+    }
+    std::remove(file.c_str());
+}
+
+TEST_F(FaultTest, InjectedTraceReadNamesTheChunkAndOffset)
+{
+    // The first chunk load is the injection site's first draw: the
+    // source's constructor throws it with the chunk's context, the
+    // text the chaos bench's error rows carry.
+    const std::string file = "fault_trace_read.trrtrc";
+    trace::generateMiniTrace("dispatch", file);
+    FaultInjector::instance().configure("trace_read:1/1");
+    try {
+        trace::TraceEventSource source(file);
+        ADD_FAILURE() << "trace_read:1/1 did not fire";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::Injected);
+        EXPECT_TRUE(e.message().ends_with("(chunk 0, byte offset 64)"))
+            << e.message();
+    }
     std::remove(file.c_str());
 }
 

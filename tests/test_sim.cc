@@ -74,9 +74,11 @@ TEST(Simulator, DefaultBudgetRespectsEnv)
 {
     setenv("TRRIP_INSTR_MILLIONS", "2.5", 1);
     EXPECT_EQ(defaultInstrBudget(), 2'500'000u);
-    // Values that are not a finite count of at least one instruction
-    // that fits InstCount fall back to the default.
-    for (const char *bad : {"1e-7", "inf", "1e30", "nan", "-1", "abc"}) {
+    // Values that are not one decimal number spanning the whole
+    // string, or not a finite count of at least one instruction that
+    // fits InstCount, fall back to the default.
+    for (const char *bad : {"1e-7", "inf", "1e30", "nan", "-1", "abc",
+                            "2x", "6M", "0x10", " 2"}) {
         setenv("TRRIP_INSTR_MILLIONS", bad, 1);
         EXPECT_EQ(defaultInstrBudget(), 6'000'000u) << bad;
     }

@@ -1,10 +1,11 @@
 /**
  * @file
  * Trace subsystem tests: container writer/reader round trips,
- * corrupt-file rejection, the BBEvent data-slot block-split seam, the
- * batched produce() contract, wrap/pass accounting, the mini-trace
- * pack's byte-identical regeneration, and the trace:<path> workload
- * scheme through the experiment layer.
+ * corrupt-file rejection (every truncation and header bit flip), the
+ * BBEvent data-slot block-split seam, the batched produce() contract,
+ * wrap/pass accounting, the mini-trace pack's byte-identical
+ * regeneration, and the trace:<path> workload scheme through the
+ * experiment layer.
  */
 
 #include <gtest/gtest.h>
@@ -70,14 +71,46 @@ fileBytes(const std::string &p)
                              std::istreambuf_iterator<char>());
 }
 
+void
+writeBytes(const std::string &p, const std::vector<char> &bytes)
+{
+    std::ofstream(p, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** The SimError opening @p file throws (a test failure if none). */
+SimError
+rejectOf(const std::string &file)
+{
+    try {
+        TraceReader reader(file);
+    } catch (const SimError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "'" << file << "' was accepted";
+    return SimError(ErrorCategory::Internal, "accepted");
+}
+
+/** Mappings of @p file this process holds (/proc/self/maps lines). */
+std::size_t
+mappingsOf(const std::string &file)
+{
+    const std::string abs = std::filesystem::absolute(file).string();
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);)
+        n += line.find(abs) != std::string::npos;
+    return n;
+}
+
 TEST_F(TraceTest, RoundTripPreservesEveryRecord)
 {
     // A record count that is NOT a multiple of the chunk size, so the
-    // tail chunk is short.
-    constexpr std::uint64_t kRecords = 8 * 3 + 5;
+    // reader crosses chunk boundaries and the tail chunk is short.
+    constexpr std::uint64_t kRecords = kChunkRecords * 2 + 5;
     const std::string file = path("roundtrip.trrtrc");
     {
-        TraceWriter writer(file, 8);
+        TraceWriter writer(file);
         for (std::uint64_t i = 0; i < kRecords; ++i) {
             TraceInstr in = plainAt(0x1000 + i * 4, 0x9000 + i * 8);
             in.isBranch = i % 7 == 0;
@@ -90,10 +123,11 @@ TEST_F(TraceTest, RoundTripPreservesEveryRecord)
         EXPECT_EQ(writer.recordsWritten(), kRecords);
     }
 
+    // The file is the header and the records, nothing else.
+    EXPECT_EQ(std::filesystem::file_size(file),
+              sizeof(TraceHeader) + kRecords * sizeof(TraceInstr));
     TraceReader reader(file);
-    ASSERT_TRUE(reader.valid()) << reader.error();
     EXPECT_EQ(reader.recordCount(), kRecords);
-    EXPECT_EQ(reader.chunkCount(), 4u);
     for (std::uint64_t i = 0; i < kRecords; ++i) {
         const TraceInstr *rec = reader.next();
         ASSERT_NE(rec, nullptr) << "record " << i;
@@ -119,30 +153,28 @@ TEST_F(TraceTest, EmptyTraceIsValidAndEndsImmediately)
         writer.finish();
         ASSERT_TRUE(writer.ok()) << writer.error();
     }
+    EXPECT_EQ(std::filesystem::file_size(file), sizeof(TraceHeader));
     TraceReader reader(file);
-    ASSERT_TRUE(reader.valid()) << reader.error();
     EXPECT_EQ(reader.recordCount(), 0u);
-    EXPECT_EQ(reader.chunkCount(), 0u);
     EXPECT_EQ(reader.next(), nullptr);
 }
 
 TEST_F(TraceTest, MissingFileIsRejected)
 {
-    TraceReader reader(path("no_such_file.trrtrc"));
-    EXPECT_FALSE(reader.valid());
-    EXPECT_NE(reader.error().find("cannot open"), std::string::npos)
-        << reader.error();
+    const SimError e = rejectOf(path("no_such_file.trrtrc"));
+    EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+    EXPECT_NE(e.message().find("cannot open"), std::string::npos)
+        << e.message();
 }
 
 TEST_F(TraceTest, TruncatedHeaderIsRejected)
 {
     const std::string file = path("truncated.trrtrc");
     std::ofstream(file, std::ios::binary) << "trriptrc";
-    TraceReader reader(file);
-    EXPECT_FALSE(reader.valid());
-    EXPECT_NE(reader.error().find("truncated header"),
-              std::string::npos)
-        << reader.error();
+    const SimError e = rejectOf(file);
+    EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+    EXPECT_NE(e.message().find("truncated header"), std::string::npos)
+        << e.message();
 }
 
 TEST_F(TraceTest, BadMagicIsRejected)
@@ -150,17 +182,17 @@ TEST_F(TraceTest, BadMagicIsRejected)
     const std::string file = path("badmagic.trrtrc");
     std::ofstream(file, std::ios::binary)
         << std::string(sizeof(TraceHeader), '\0');
-    TraceReader reader(file);
-    EXPECT_FALSE(reader.valid());
-    EXPECT_NE(reader.error().find("bad magic"), std::string::npos)
-        << reader.error();
+    const SimError e = rejectOf(file);
+    EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+    EXPECT_NE(e.message().find("bad magic"), std::string::npos)
+        << e.message();
 }
 
-TEST_F(TraceTest, CorruptDirectoryAndPayloadAreRejected)
+TEST_F(TraceTest, CorruptHeaderAndPayloadAreRejected)
 {
     const std::string file = path("corrupt.trrtrc");
     {
-        TraceWriter writer(file, 8);
+        TraceWriter writer(file);
         for (int i = 0; i < 20; ++i)
             writer.append(plainAt(0x1000 + i * 4));
         writer.finish();
@@ -168,63 +200,108 @@ TEST_F(TraceTest, CorruptDirectoryAndPayloadAreRejected)
     }
     const std::vector<char> good = fileBytes(file);
 
-    // Directory pushed past the end of the file.
-    {
-        std::vector<char> bytes = good;
-        const std::uint64_t bogus = bytes.size() + 64;
-        std::memcpy(bytes.data() + offsetof(TraceHeader, dirOffset),
-                    &bogus, sizeof(bogus));
-        std::ofstream(file, std::ios::binary)
-            .write(bytes.data(),
-                   static_cast<std::streamsize>(bytes.size()));
-        TraceReader reader(file);
-        EXPECT_FALSE(reader.valid());
-        EXPECT_NE(reader.error().find("directory out of bounds"),
-                  std::string::npos)
-            << reader.error();
-    }
-
-    // Record count inflated past what the chunks hold.
+    // Record count inflated past what the file holds: rejected at the
+    // count field.
     {
         std::vector<char> bytes = good;
         const std::uint64_t bogus = 100000;
         std::memcpy(bytes.data() + offsetof(TraceHeader, recordCount),
                     &bogus, sizeof(bogus));
-        std::ofstream(file, std::ios::binary)
-            .write(bytes.data(),
-                   static_cast<std::streamsize>(bytes.size()));
-        TraceReader reader(file);
-        EXPECT_FALSE(reader.valid());
+        writeBytes(file, bytes);
+        const SimError e = rejectOf(file);
+        EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+        EXPECT_NE(e.message().find("record count 100000 does not match "
+                                   "the file size 1344 (byte offset 16)"),
+                  std::string::npos)
+            << e.message();
     }
 
-    // Payload truncated mid-chunk.
+    // Payload truncated mid-record.
     {
         std::vector<char> bytes = good;
         bytes.resize(bytes.size() / 2);
-        std::ofstream(file, std::ios::binary)
-            .write(bytes.data(),
-                   static_cast<std::streamsize>(bytes.size()));
-        TraceReader reader(file);
-        EXPECT_FALSE(reader.valid());
+        writeBytes(file, bytes);
+        EXPECT_EQ(rejectOf(file).category(), ErrorCategory::TraceCorrupt);
     }
 
-    // Any codec but raw (0) is rejected at the codec field.
+    // A version-1 file (which carried a chunk directory) is rejected
+    // at the version field, not misread.
     {
         std::vector<char> bytes = good;
-        const std::uint32_t compressed = 1;
-        std::memcpy(bytes.data() + offsetof(TraceHeader, codec),
-                    &compressed, sizeof(compressed));
-        std::ofstream(file, std::ios::binary)
-            .write(bytes.data(),
-                   static_cast<std::streamsize>(bytes.size()));
-        TraceReader reader(file);
-        EXPECT_FALSE(reader.valid());
-        EXPECT_EQ(reader.errorCategory(), ErrorCategory::TraceCorrupt);
-        EXPECT_EQ(reader.errorOffset(), offsetof(TraceHeader, codec));
-        EXPECT_NE(reader.error().find("unknown codec 1"),
+        const std::uint32_t v1 = 1;
+        std::memcpy(bytes.data() + offsetof(TraceHeader, version), &v1,
+                    sizeof(v1));
+        writeBytes(file, bytes);
+        const SimError e = rejectOf(file);
+        EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt);
+        EXPECT_NE(e.message().find("unsupported version 1 (byte offset "
+                                   "8)"),
                   std::string::npos)
-            << reader.error();
+            << e.message();
     }
+}
+
+TEST_F(TraceTest, EveryTruncationAndHeaderBitFlipThrowsOrReadsBack)
+{
+    // The seed of a reader fuzzer: every truncation of a 20-record
+    // trace and every single-bit flip of its header either throws
+    // SimError(TraceCorrupt) naming a byte offset, or reads back the
+    // 20 records unchanged.  Only padding bits may read back.
+    constexpr int kRecords = 20;
+    const std::string file = path("good.trrtrc");
+    {
+        TraceWriter writer(file);
+        for (int i = 0; i < kRecords; ++i)
+            writer.append(plainAt(0x1000 + i * 4, 0x9000 + i * 8));
+        ASSERT_TRUE(writer.finish()) << writer.error();
+    }
+    const std::vector<char> good = fileBytes(file);
+    ASSERT_EQ(good.size(),
+              sizeof(TraceHeader) + kRecords * sizeof(TraceInstr));
+
+    const std::string mutant = path("mutant.trrtrc");
+    // True when the reader accepts @p bytes (records checked).
+    const auto readsBack = [&](const std::vector<char> &bytes) {
+        writeBytes(mutant, bytes);
+        try {
+            TraceReader reader(mutant);
+            for (int i = 0; i < kRecords; ++i) {
+                const TraceInstr *rec = reader.next();
+                const char *want = good.data() + sizeof(TraceHeader) +
+                                   i * sizeof(TraceInstr);
+                EXPECT_TRUE(rec && std::memcmp(rec, want,
+                                               sizeof(TraceInstr)) == 0)
+                    << "record " << i;
+            }
+            EXPECT_EQ(reader.next(), nullptr);
+            return true;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt)
+                << e.message();
+            EXPECT_NE(e.message().find("byte offset"), std::string::npos)
+                << e.message();
+            return false;
+        }
+    };
+
+    for (std::size_t len = 0; len < good.size(); ++len) {
+        EXPECT_FALSE(readsBack({good.begin(),
+                                good.begin() + static_cast<long>(len)}))
+            << "truncated to " << len << " bytes";
+    }
+    for (std::size_t bit = 0; bit < sizeof(TraceHeader) * 8; ++bit) {
+        std::vector<char> bytes = good;
+        const std::size_t byte = bit / 8;
+        bytes[byte] = static_cast<char>(bytes[byte] ^ (1 << (bit % 8)));
+        const bool padding =
+            (byte >= offsetof(TraceHeader, pad0) &&
+             byte < offsetof(TraceHeader, recordCount)) ||
+            byte >= offsetof(TraceHeader, pad);
+        if (readsBack(bytes)) {
+            EXPECT_TRUE(padding) << "header bit " << bit << " read back";
+        }
+    }
+    EXPECT_EQ(mappingsOf(mutant), 0u) << "a rejected trace stayed mapped";
 }
 
 TEST_F(TraceTest, WriterOutputIsBytePure)
@@ -232,7 +309,7 @@ TEST_F(TraceTest, WriterOutputIsBytePure)
     const std::string a = path("a.trrtrc");
     const std::string b = path("b.trrtrc");
     for (const std::string &file : {a, b}) {
-        TraceWriter writer(file, 16);
+        TraceWriter writer(file);
         for (int i = 0; i < 100; ++i)
             writer.append(plainAt(0x4000 + i * 4, 0x8000 + i));
         writer.finish();
@@ -250,15 +327,14 @@ TEST_F(TraceTest, RewritingAMappedTraceLeavesTheReaderIntact)
     constexpr std::uint64_t kRecords = 4096;
     const std::string file = path("mapped.trrtrc");
     {
-        TraceWriter writer(file, 64);
+        TraceWriter writer(file);
         for (std::uint64_t i = 0; i < kRecords; ++i)
             writer.append(plainAt(0x1000 + i * 4, 0x9000 + i * 8));
         ASSERT_TRUE(writer.finish()) << writer.error();
     }
     TraceReader reader(file);
-    ASSERT_TRUE(reader.valid()) << reader.error();
 
-    TraceWriter rewriter(file, 64);
+    TraceWriter rewriter(file);
     for (std::uint64_t i = 0; i < 3; ++i)
         rewriter.append(plainAt(0x7000 + i * 4));
     for (std::uint64_t i = 0; i < kRecords; ++i) {
@@ -271,9 +347,7 @@ TEST_F(TraceTest, RewritingAMappedTraceLeavesTheReaderIntact)
 
     // Once finished, the path names the new trace in full.
     ASSERT_TRUE(rewriter.finish()) << rewriter.error();
-    TraceReader fresh(file);
-    ASSERT_TRUE(fresh.valid()) << fresh.error();
-    EXPECT_EQ(fresh.recordCount(), 3u);
+    EXPECT_EQ(TraceReader(file).recordCount(), 3u);
     EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
                             std::filesystem::directory_iterator()),
               1)
@@ -308,7 +382,7 @@ TEST_F(TraceTest, FailedWriterLeavesNoTemporaryFile)
 void
 writeGatherTrace(const std::string &file, int gather)
 {
-    TraceWriter writer(file, 8);
+    TraceWriter writer(file);
     std::uint64_t ip = 0x1000;
     for (int i = 0; i < gather; ++i) {
         TraceInstr in;

@@ -39,16 +39,17 @@ main(int argc, char **argv)
     for (const std::string &name : names) {
         const std::string path = miniTracePath(dir, name);
         generateMiniTrace(name, path);
-        TraceReader reader(path);
-        if (!reader.valid()) {
-            std::fprintf(stderr, "error: %s\n",
-                         reader.error().c_str());
+        try {
+            const TraceReader reader(path);
+            std::printf("%s: %llu records, %llu bytes\n", path.c_str(),
+                        static_cast<unsigned long long>(
+                            reader.recordCount()),
+                        static_cast<unsigned long long>(
+                            std::filesystem::file_size(path)));
+        } catch (const trrip::SimError &e) {
+            std::fprintf(stderr, "error: %s\n", e.message().c_str());
             return 1;
         }
-        std::printf("%s: %llu records, %u chunks\n", path.c_str(),
-                    static_cast<unsigned long long>(
-                        reader.recordCount()),
-                    reader.chunkCount());
     }
     return 0;
 }
