@@ -88,8 +88,11 @@ Cache::markPriority(Addr paddr)
 {
     const std::uint32_t set = setOf(paddr);
     const int way = findWay(set, tagOf(paddr));
-    if (way >= 0)
-        policy_->onPriorityHint(set, static_cast<std::uint32_t>(way));
+    if (way < 0)
+        return;
+    dispatch([&](auto &pol) {
+        pol.onPriorityHint(set, static_cast<std::uint32_t>(way));
+    });
 }
 
 CacheLine

@@ -19,18 +19,17 @@
  *
  * The access/fill/accessInvalidate bodies are member templates
  * defined in this header and instantiated once per concrete policy
- * class, in which the policy hooks are inlined non-virtual calls (the
- * concrete classes are final).  The constructor reads
- * ReplacementPolicy::kind(), and each level's policy is resolved where
- * its kind is known.  The default entry points (access, accessProbe,
- * accessInvalidate, fill) carry an inline LRU arm, since the
- * L1I, L1D and SLC run LRU in every paper configuration; any other
- * kind takes one out-of-line switch (cache.cc).  accessProbeInline
- * and fillInline inline the whole switch into the caller: the
- * L2's demand probe and fill, where every policy lane runs a
- * different policy.  Policies registered outside the built-in set
- * report PolicyKind::Generic and take the virtual-dispatch arm of
- * either switch.
+ * class, in which the policy hooks are inlined calls (the hooks are
+ * not virtual).  The constructor reads ReplacementPolicy::kind(), and
+ * dispatch() -- one switch over PolicyKind, with a case per built-in
+ * and no fallback -- is the only way from a level to its policy's
+ * hooks.  The default entry points (access, accessProbe,
+ * accessInvalidate, fill) carry an inline LRU arm, since the L1I, L1D
+ * and SLC run LRU in every paper configuration; any other kind takes
+ * one out-of-line copy of the switch (cache.cc).  accessProbeInline
+ * and fillInline inline the whole switch into the caller: the L2's
+ * demand probe and fill, where every policy lane runs a different
+ * policy.  test_replacement's AoS references pin every arm.
  */
 
 #ifndef TRRIP_CACHE_CACHE_HH
@@ -233,8 +232,8 @@ class Cache
 
     /**
      * Forward a fetch-criticality hint for the line holding @p paddr
-     * to the policy (ReplacementPolicy::onPriorityHint); no-op when
-     * the line is absent.  The Emissary priority-bit path.
+     * to the policy's onPriorityHint(); no-op when the line is absent.
+     * The Emissary priority-bit path.
      */
     void markPriority(Addr paddr);
 
@@ -333,6 +332,16 @@ class Cache
     /** Number of valid lines currently resident. */
     std::uint64_t residentLines() const;
 
+    /**
+     * Run @p fn with the policy downcast to its concrete class: the
+     * one switch over PolicyKind.  The callers' lambdas carry the GNU
+     * spelling of always_inline: in that position the standard
+     * spelling would name the lambda's type, which GCC ignores.
+     */
+    template <class Fn>
+    [[gnu::always_inline]] std::invoke_result_t<Fn, LruPolicy &>
+    dispatch(Fn &&fn);
+
   private:
     /**
      * Way holding (set, tag), or -1.  Branchless scan of the packed
@@ -385,10 +394,9 @@ class Cache
 
     /**
      * @name Policy-specialized hot paths
-     * One instantiation per concrete policy class (plus the
-     * ReplacementPolicy fallback), forced inline so every caller --
-     * an entry point's LRU arm, an inline switch, the out-of-line
-     * switch -- gets its own copy with the hooks inlined.
+     * One instantiation per concrete policy class, forced inline so
+     * every caller -- an entry point's LRU arm, an inline switch, the
+     * out-of-line switch -- gets its own copy with the hooks inlined.
      */
     /** @{ */
     template <class Policy>
@@ -402,16 +410,6 @@ class Cache
     [[gnu::always_inline]] CacheLine
     fillWith(Policy &pol, const MemRequest &req, std::uint8_t extra_meta,
              std::uint32_t owner_bits);
-
-    /**
-     * Run @p fn with the policy downcast to its concrete class.  The
-     * callers' lambdas carry the GNU spelling of always_inline: in
-     * that position the standard spelling would name the lambda's
-     * type, which GCC ignores.
-     */
-    template <class Fn>
-    [[gnu::always_inline]] std::invoke_result_t<Fn, ReplacementPolicy &>
-    dispatch(Fn &&fn);
 
     /** The policy as LruPolicy; only valid when kind_ is Lru. */
     LruPolicy &lru() { return static_cast<LruPolicy &>(*policy_); }
@@ -434,7 +432,7 @@ class Cache
     std::uint32_t assoc_;   //!< Cached geom_.assoc for the tag scan.
     std::uint32_t lineShift_ = 6, setMask_ = 0, tagShift_ = 6;
     std::unique_ptr<ReplacementPolicy> policy_;
-    PolicyKind kind_ = PolicyKind::Generic;
+    PolicyKind kind_;
     /** Packed (tag << 1) | valid per way, set-major (the scan path). */
     std::vector<std::uint64_t> tags_;
     /** Per-way dirty/isInst/temp byte (see kMeta constants). */
@@ -448,13 +446,12 @@ class Cache
 
 /**
  * Every case instantiates the caller's template body once; inside it
- * the hooks are non-virtual calls on a final class, so the optimizer
+ * the hooks are direct calls on a final class, so the optimizer
  * inlines the SoA state updates straight into the cache loop.  The
- * default arm keeps full generality for externally registered
- * policies (PolicyKind::Generic) at the virtual-dispatch cost.
+ * switch has no default: -Wswitch flags a PolicyKind without a case.
  */
 template <class Fn>
-inline std::invoke_result_t<Fn, ReplacementPolicy &>
+inline std::invoke_result_t<Fn, LruPolicy &>
 Cache::dispatch(Fn &&fn)
 {
     switch (kind_) {
@@ -476,10 +473,8 @@ Cache::dispatch(Fn &&fn)
         return fn(static_cast<EmissaryPolicy &>(*policy_));
       case PolicyKind::Trrip:
         return fn(static_cast<TrripPolicy &>(*policy_));
-      case PolicyKind::Generic:
-        break;
     }
-    return fn(*policy_);
+    __builtin_unreachable();
 }
 
 template <class Policy>

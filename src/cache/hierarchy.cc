@@ -31,7 +31,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params) :
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                Cache &shared_slc, Dram &shared_dram,
                                unsigned core_id,
-                               SlcOwnerDirectory *directory) :
+                               MultiCoreHierarchy *fabric) :
     params_(params),
     l1i_(params.l1i, params.l1iPolicy),
     l1d_(params.l1d, params.l1dPolicy),
@@ -39,7 +39,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
     slc_(&shared_slc),
     dram_(&shared_dram),
     slcOwnerBit_(1u << core_id),
-    directory_(directory),
+    fabric_(fabric),
     l1dStride_(256, params.l1dStrideDegree),
     l2Stride_(256, params.l2StrideDegree),
     instNextLine_(params.instNextLineDegree, params.l2.lineBytes)
@@ -300,8 +300,8 @@ CacheHierarchy::victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
         static_cast<std::uint8_t>(meta >> kLineMetaTempShift));
     const CacheLine evicted = slc_->fill(req);
     bool ev_dirty = evicted.valid && evicted.dirty();
-    if (evicted.valid && directory_ &&
-        directory_->dropFromOwners(evicted.addr, evicted.owner)) {
+    if (evicted.valid && fabric_ &&
+        fabric_->dropFromOwners(evicted.addr, evicted.owner)) {
         ev_dirty = true;
     }
     if (ev_dirty)
@@ -320,8 +320,8 @@ CacheHierarchy::ensureSlcInclusion(const MemRequest &req, Cycles now)
     if (!evicted.valid)
         return;
     bool dirty = evicted.dirty();
-    if (directory_ &&
-        directory_->dropFromOwners(evicted.addr, evicted.owner)) {
+    if (fabric_ &&
+        fabric_->dropFromOwners(evicted.addr, evicted.owner)) {
         dirty = true;
     }
     if (dirty)

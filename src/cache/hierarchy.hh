@@ -66,7 +66,8 @@ struct HierarchyParams
     PolicySpec l2Policy{"SRRIP"};
     PolicySpec slcPolicy{"LRU"};
 
-    Cycles l1TagLat = 1, l1DataLat = 3;
+    // An L1 hit is pipelined: AccessOutcome::latency counts only the
+    // cycles beyond it, so the L1s carry no latency of their own.
     Cycles l2TagLat = 8, l2DataLat = 12;
     Cycles slcTagLat = 10, slcDataLat = 30;
     DramParams dram{};
@@ -116,23 +117,7 @@ class LaneProbe
     virtual void onCostlyMiss(Addr /*line*/, double /*exposed*/) {}
 };
 
-/**
- * Resolver of shared-SLC owner masks back to core private levels.
- * Implemented by MultiCoreHierarchy: when the shared SLC evicts a
- * line, the owning stack calls back through this interface so every
- * core whose owner bit is set drops its private copies.
- */
-class SlcOwnerDirectory
-{
-  public:
-    virtual ~SlcOwnerDirectory() = default;
-    /**
-     * Remove @p addr from the private levels of every core in
-     * @p owners (bit c = core c).
-     * @return true when any dropped private copy was dirty.
-     */
-    virtual bool dropFromOwners(Addr addr, std::uint32_t owners) = 0;
-};
+class MultiCoreHierarchy;
 
 /**
  * The four-level hierarchy.  Functional content is tracked exactly;
@@ -145,7 +130,7 @@ class SlcOwnerDirectory
  * engine).  The multi-core form (MultiCoreHierarchy) instead passes a
  * shared SLC + DRAM into N private stacks; each stack stamps its core
  * bit into the SLC's per-line owner mask and SLC evictions back-
- * invalidate through the SlcOwnerDirectory.
+ * invalidate through MultiCoreHierarchy::dropFromOwners().
  */
 class CacheHierarchy
 {
@@ -160,11 +145,11 @@ class CacheHierarchy
      * hits keep their SLC copy, DRAM-served fills install into the SLC
      * on the way up, and L2 victims only release ownership.  The stack
      * stamps (1u << core_id) into the SLC owner masks and routes
-     * SLC-eviction back-invalidations through @p directory.
+     * SLC-eviction back-invalidations through @p fabric.
      */
     CacheHierarchy(const HierarchyParams &params, Cache &shared_slc,
                    Dram &shared_dram, unsigned core_id,
-                   SlcOwnerDirectory *directory);
+                   MultiCoreHierarchy *fabric);
 
     /** Demand instruction fetch at cycle @p now. */
     AccessOutcome instFetch(const MemRequest &req, Cycles now);
@@ -280,7 +265,7 @@ class CacheHierarchy
     Dram *dram_ = nullptr;
     /** (1u << core_id) when sharing the SLC; 0 single-core. */
     std::uint32_t slcOwnerBit_ = 0;
-    SlcOwnerDirectory *directory_ = nullptr;
+    MultiCoreHierarchy *fabric_ = nullptr;  //!< Null single-core.
     StridePrefetcher l1dStride_;
     StridePrefetcher l2Stride_;
     NextLinePrefetcher instNextLine_;
@@ -319,7 +304,7 @@ struct MultiCoreParams
  * same channel timeline, so a streaming neighbor visibly delays an
  * instruction-hot core (bench/multicore's noisy-neighbor study).
  */
-class MultiCoreHierarchy final : public SlcOwnerDirectory
+class MultiCoreHierarchy
 {
   public:
     explicit MultiCoreHierarchy(const MultiCoreParams &params);
@@ -336,7 +321,13 @@ class MultiCoreHierarchy final : public SlcOwnerDirectory
     Dram &dram() { return dram_; }
     const MultiCoreParams &params() const { return params_; }
 
-    bool dropFromOwners(Addr addr, std::uint32_t owners) override;
+    /**
+     * Remove @p addr from the private levels of every core in
+     * @p owners (bit c = core c): a shared-SLC eviction's
+     * back-invalidation.
+     * @return true when any dropped private copy was dirty.
+     */
+    bool dropFromOwners(Addr addr, std::uint32_t owners);
 
     /**
      * Verify every invariant the protocol promises (test hook):

@@ -24,15 +24,13 @@ class ClipPolicy final : public RripBase
   public:
     ClipPolicy(const CacheGeometry &geom, unsigned rrpv_bits = 2,
                std::uint32_t leader_sets = 32, unsigned psel_bits = 10) :
-        RripBase(geom, rrpv_bits),
+        RripBase(PolicyKind::Clip, geom, rrpv_bits),
         dueling_(geom.numSets(), leader_sets, psel_bits)
     {}
 
-    PolicyKind kind() const override { return PolicyKind::Clip; }
-
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &req) override
+          const MemRequest &req)
     {
         if (req.isInst() || dueling_.policyFor(set) == 0) {
             setRrpv(set, way, immediate());
@@ -45,7 +43,7 @@ class ClipPolicy final : public RripBase
     }
 
     std::uint32_t
-    victim(std::uint32_t set, const MemRequest &req) override
+    victim(std::uint32_t set, const MemRequest &req)
     {
         if (!req.isPrefetch())
             dueling_.onMiss(set);
@@ -54,7 +52,7 @@ class ClipPolicy final : public RripBase
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &req) override
+           const MemRequest &req)
     {
         setRrpv(set, way, req.isInst() ? immediate() : intermediate());
     }

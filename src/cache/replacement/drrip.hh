@@ -22,22 +22,20 @@ class DrripPolicy final : public RripBase
     DrripPolicy(const CacheGeometry &geom, unsigned rrpv_bits = 2,
                 std::uint32_t leader_sets = 32, unsigned psel_bits = 10,
                 unsigned brrip_throttle = 32) :
-        RripBase(geom, rrpv_bits),
+        RripBase(PolicyKind::Drrip, geom, rrpv_bits),
         dueling_(geom.numSets(), leader_sets, psel_bits),
         throttle_(brrip_throttle)
     {}
 
-    PolicyKind kind() const override { return PolicyKind::Drrip; }
-
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &) override
+          const MemRequest &)
     {
         setRrpv(set, way, immediate());
     }
 
     std::uint32_t
-    victim(std::uint32_t set, const MemRequest &req) override
+    victim(std::uint32_t set, const MemRequest &req)
     {
         // Demand misses train the duel; prefetch fills do not.
         if (!req.isPrefetch())
@@ -47,7 +45,7 @@ class DrripPolicy final : public RripBase
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &) override
+           const MemRequest &)
     {
         if (dueling_.policyFor(set) == 0) {
             setRrpv(set, way, intermediate());

@@ -41,16 +41,14 @@ class EmissaryPolicy final : public ReplacementPolicy
     explicit EmissaryPolicy(const CacheGeometry &geom,
                             std::uint32_t priority_ways = 4,
                             double set_probability = 0.5) :
-        ReplacementPolicy(geom), priorityWays_(priority_ways),
-        setProbability_(set_probability), rng_(0xe1155a47ull),
-        stamps_(slots(), 0), priority_(slots(), 0)
+        ReplacementPolicy(PolicyKind::Emissary, geom),
+        priorityWays_(priority_ways), setProbability_(set_probability),
+        rng_(0xe1155a47ull), stamps_(slots(), 0), priority_(slots(), 0)
     {}
-
-    PolicyKind kind() const override { return PolicyKind::Emissary; }
 
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &req) override
+          const MemRequest &req)
     {
         const std::size_t i = idx(set, way);
         stamps_[i] = ++tick_;
@@ -59,7 +57,7 @@ class EmissaryPolicy final : public ReplacementPolicy
     }
 
     std::uint32_t
-    victim(std::uint32_t set, const MemRequest &) override
+    victim(std::uint32_t set, const MemRequest &)
     {
         const std::uint64_t *stamps = &stamps_[idx(set, 0)];
         const std::uint8_t *prio = &priority_[idx(set, 0)];
@@ -90,7 +88,7 @@ class EmissaryPolicy final : public ReplacementPolicy
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &req) override
+           const MemRequest &req)
     {
         const std::size_t i = idx(set, way);
         stamps_[i] = ++tick_;
@@ -101,7 +99,7 @@ class EmissaryPolicy final : public ReplacementPolicy
     }
 
     void
-    onPriorityHint(std::uint32_t set, std::uint32_t way) override
+    onPriorityHint(std::uint32_t set, std::uint32_t way)
     {
         priority_[idx(set, way)] = 1;
     }

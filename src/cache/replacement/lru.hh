@@ -37,7 +37,7 @@ class LruPolicy final : public ReplacementPolicy
 {
   public:
     explicit LruPolicy(const CacheGeometry &geom) :
-        ReplacementPolicy(geom),
+        ReplacementPolicy(PolicyKind::Lru, geom),
         stride_((geom.assoc + 7u) & ~7u),
         ranks_(static_cast<std::size_t>(geom.numSets()) * stride_)
     {
@@ -56,18 +56,16 @@ class LruPolicy final : public ReplacementPolicy
         }
     }
 
-    PolicyKind kind() const override { return PolicyKind::Lru; }
-
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &) override
+          const MemRequest &)
     {
         promote(set, way);
     }
 
     /** The one way at rank ways-1 (padding lanes hold 127). */
     std::uint32_t
-    victim(std::uint32_t set, const MemRequest &) override
+    victim(std::uint32_t set, const MemRequest &)
     {
         const std::uint8_t *ranks =
             &ranks_[static_cast<std::size_t>(set) * stride_];
@@ -92,7 +90,7 @@ class LruPolicy final : public ReplacementPolicy
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &) override
+           const MemRequest &)
     {
         promote(set, way);
     }

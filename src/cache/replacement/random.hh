@@ -17,23 +17,21 @@ class RandomPolicy final : public ReplacementPolicy
   public:
     explicit RandomPolicy(const CacheGeometry &geom,
                           std::uint64_t seed = 0xdecafbadull) :
-        ReplacementPolicy(geom), rng_(seed)
+        ReplacementPolicy(PolicyKind::Random, geom), rng_(seed)
     {}
 
-    PolicyKind kind() const override { return PolicyKind::Random; }
-
     void
-    onHit(std::uint32_t, std::uint32_t, const MemRequest &) override
+    onHit(std::uint32_t, std::uint32_t, const MemRequest &)
     {}
 
     std::uint32_t
-    victim(std::uint32_t, const MemRequest &) override
+    victim(std::uint32_t, const MemRequest &)
     {
         return static_cast<std::uint32_t>(rng_.below(ways_));
     }
 
     void
-    onFill(std::uint32_t, std::uint32_t, const MemRequest &) override
+    onFill(std::uint32_t, std::uint32_t, const MemRequest &)
     {}
 
   private:

@@ -27,8 +27,9 @@ namespace trrip {
 class RripBase : public ReplacementPolicy
 {
   public:
-    RripBase(const CacheGeometry &geom, unsigned rrpv_bits = 2) :
-        ReplacementPolicy(geom),
+    RripBase(PolicyKind kind, const CacheGeometry &geom,
+             unsigned rrpv_bits) :
+        ReplacementPolicy(kind, geom),
         maxRrpv_(static_cast<std::uint8_t>((1u << rrpv_bits) - 1)),
         rrpv_(slots(), 0)
     {}
@@ -61,7 +62,7 @@ class RripBase : public ReplacementPolicy
      * bytes of the set; the resulting state is identical.
      */
     std::uint32_t
-    victim(std::uint32_t set, const MemRequest &) override
+    victim(std::uint32_t set, const MemRequest &)
     {
         std::uint8_t *rrpv = &rrpv_[idx(set, 0)];
         std::uint32_t best = 0;
@@ -101,21 +102,19 @@ class SrripPolicy final : public RripBase
   public:
     explicit SrripPolicy(const CacheGeometry &geom,
                          unsigned rrpv_bits = 2) :
-        RripBase(geom, rrpv_bits)
+        RripBase(PolicyKind::Srrip, geom, rrpv_bits)
     {}
-
-    PolicyKind kind() const override { return PolicyKind::Srrip; }
 
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &) override
+          const MemRequest &)
     {
         setRrpv(set, way, immediate());
     }
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &) override
+           const MemRequest &)
     {
         setRrpv(set, way, intermediate());
     }
@@ -131,21 +130,19 @@ class BrripPolicy final : public RripBase
     explicit BrripPolicy(const CacheGeometry &geom,
                          unsigned rrpv_bits = 2,
                          unsigned throttle = 32) :
-        RripBase(geom, rrpv_bits), throttle_(throttle)
+        RripBase(PolicyKind::Brrip, geom, rrpv_bits), throttle_(throttle)
     {}
-
-    PolicyKind kind() const override { return PolicyKind::Brrip; }
 
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &) override
+          const MemRequest &)
     {
         setRrpv(set, way, immediate());
     }
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &) override
+           const MemRequest &)
     {
         // Deterministic 1-in-throttle epsilon insertion.
         ++fills_;

@@ -40,16 +40,14 @@ class ShipPolicy final : public RripBase
     explicit ShipPolicy(const CacheGeometry &geom,
                         unsigned rrpv_bits = 2,
                         unsigned shct_bits = 18) :
-        RripBase(geom, rrpv_bits),
+        RripBase(PolicyKind::Ship, geom, rrpv_bits),
         shct_(checkedShctEntries(shct_bits), SatCounter(2, 1)),
         signature_(slots(), 0), outcome_(slots(), 0), inst_(slots(), 0)
     {}
 
-    PolicyKind kind() const override { return PolicyKind::Ship; }
-
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &req) override
+          const MemRequest &req)
     {
         const std::size_t i = idx(set, way);
         setRrpv(set, way, immediate());
@@ -61,7 +59,7 @@ class ShipPolicy final : public RripBase
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &req) override
+           const MemRequest &req)
     {
         const std::size_t i = idx(set, way);
         if (req.isInst()) {
@@ -80,7 +78,7 @@ class ShipPolicy final : public RripBase
     }
 
     void
-    onEvict(std::uint32_t set, std::uint32_t way) override
+    onEvict(std::uint32_t set, std::uint32_t way)
     {
         const std::size_t i = idx(set, way);
         if (inst_[i] && !outcome_[i])

@@ -67,8 +67,7 @@ joinKeys(const std::vector<ParamSchema> &params)
     return out.empty() ? "<none>" : out;
 }
 
-} // namespace
-
+/** Canonical text of one parameter value (ints without a decimal). */
 std::string
 policyValueString(double value)
 {
@@ -84,16 +83,22 @@ policyValueString(double value)
     return buf;
 }
 
-// ------------------------------------------------------------- schemas
-
-const ParamSchema *
-PolicySchema::param(const std::string &key) const
+/** A table factory's result: a new @p P built from @p args. */
+template <class P, class... Args>
+std::unique_ptr<ReplacementPolicy>
+build(Args &&...args)
 {
-    for (const auto &p : params)
-        if (p.key == key)
-            return &p;
-    return nullptr;
+    return std::make_unique<P>(std::forward<Args>(args)...);
 }
+
+/** Int parameter @p key of @p spec, narrowed to unsigned. */
+unsigned
+uintParam(const PolicySpec &spec, const char *key)
+{
+    return static_cast<unsigned>(spec.value(key));
+}
+
+} // namespace
 
 // ---------------------------------------------------------- PolicySpec
 
@@ -106,96 +111,37 @@ PolicySpec::PolicySpec(const std::string &text)
     *this = PolicyRegistry::instance().parse(text);
 }
 
-bool
-PolicySpec::has(const std::string &key) const
+double
+PolicySpec::value(const std::string &key) const
 {
-    for (const auto &[k, v] : params_) {
-        (void)v;
+    for (const auto &[k, v] : params_)
         if (k == key)
-            return true;
-    }
-    return false;
-}
-
-std::string
-PolicySpec::print() const
-{
-    if (params_.empty())
-        return name_;
-    std::string out = name_ + "(";
-    bool first = true;
-    for (const auto &[k, v] : params_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += k + "=" + policyValueString(v);
-    }
-    return out + ")";
+            return v;
+    panic("policy '", name_, "' has no parameter '", key, "'");
 }
 
 std::string
 PolicySpec::canonical() const
 {
-    return PolicyRegistry::instance().canonical(*this);
-}
-
-// ------------------------------------------------------ ResolvedParams
-
-long long
-ResolvedParams::integer(const std::string &key) const
-{
-    const auto it = values_.find(key);
-    panic_if(it == values_.end(), "no resolved parameter '", key, "'");
-    return static_cast<long long>(it->second);
-}
-
-unsigned
-ResolvedParams::uinteger(const std::string &key) const
-{
-    return static_cast<unsigned>(integer(key));
-}
-
-double
-ResolvedParams::real(const std::string &key) const
-{
-    const auto it = values_.find(key);
-    panic_if(it == values_.end(), "no resolved parameter '", key, "'");
-    return it->second;
+    if (params_.empty())
+        return name_;
+    std::string out = name_;
+    char sep = '(';
+    for (const auto &[k, v] : params_) {
+        out += sep;
+        out += k + "=" + policyValueString(v);
+        sep = ',';
+    }
+    return out + ")";
 }
 
 // ------------------------------------------------------ PolicyRegistry
 
-PolicyRegistry &
+const PolicyRegistry &
 PolicyRegistry::instance()
 {
-    static PolicyRegistry registry;
+    static const PolicyRegistry registry;
     return registry;
-}
-
-void
-PolicyRegistry::add(PolicySchema schema, Factory factory)
-{
-    fatal_if(schema.name.empty(), "policy registration without a name");
-    fatal_if(!factory, "policy '", schema.name, "' has no factory");
-    fatal_if(byName_.count(schema.name),
-             "duplicate policy registration '", schema.name, "'");
-    for (const auto &p : schema.params) {
-        fatal_if(p.key.empty(), "policy '", schema.name,
-                 "': parameter without a key");
-        fatal_if(p.minValue > p.maxValue || p.defaultValue < p.minValue ||
-                     p.defaultValue > p.maxValue,
-                 "policy '", schema.name, "': parameter '", p.key,
-                 "' default ", p.defaultValue, " outside bounds [",
-                 p.minValue, ", ", p.maxValue, "]");
-    }
-    byName_[schema.name] = entries_.size();
-    entries_.push_back(Entry{std::move(schema), std::move(factory)});
-}
-
-bool
-PolicyRegistry::known(const std::string &name) const
-{
-    return byName_.count(name) > 0;
 }
 
 std::vector<std::string>
@@ -211,8 +157,10 @@ PolicyRegistry::names() const
 const PolicyRegistry::Entry *
 PolicyRegistry::find(const std::string &name) const
 {
-    const auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : &entries_[it->second];
+    for (const auto &e : entries_)
+        if (e.schema.name == name)
+            return &e;
+    return nullptr;
 }
 
 const PolicySchema &
@@ -259,153 +207,108 @@ PolicyRegistry::suggest(const std::string &name) const
     return best_dist <= budget ? best : std::string();
 }
 
-bool
-PolicyRegistry::parseInto(const std::string &text, PolicySpec &out,
-                          std::string &error) const
+std::string
+PolicyRegistry::parseInto(const std::string &text, PolicySpec &out) const
 {
     const std::string spec = trim(text);
-    if (spec.empty()) {
-        error = "empty policy spec";
-        return false;
-    }
+    if (spec.empty())
+        return "empty policy spec";
 
+    const std::string malformed = "malformed policy spec '" + spec + "'";
     std::string name = spec;
     std::string args;
     const std::size_t open = spec.find('(');
     if (open != std::string::npos) {
-        if (spec.back() != ')') {
-            error = "malformed policy spec '" + spec +
-                    "': expected Name or Name(key=value,...)";
-            return false;
-        }
+        if (spec.back() != ')')
+            return malformed + ": expected Name or Name(key=value,...)";
         name = trim(spec.substr(0, open));
         args = spec.substr(open + 1, spec.size() - open - 2);
     }
     if (name.empty() ||
-        name.find_first_of("(),=") != std::string::npos) {
-        error = "malformed policy spec '" + spec +
-                "': expected Name or Name(key=value,...)";
-        return false;
-    }
+        name.find_first_of("(),=") != std::string::npos)
+        return malformed + ": expected Name or Name(key=value,...)";
 
     const Entry *entry = find(name);
-    if (!entry) {
-        error = unknownPolicyMessage(name);
-        return false;
-    }
+    if (!entry)
+        return unknownPolicyMessage(name);
 
+    // Every parameter at its default, in schema order; the overrides
+    // replace their slot.
+    const std::vector<ParamSchema> &params = entry->schema.params;
     out.name_ = name;
     out.params_.clear();
+    for (const auto &p : params)
+        out.params_.emplace_back(p.key, p.defaultValue);
+    std::vector<bool> given(params.size(), false);
 
     std::istringstream is(args);
     std::string item;
     while (std::getline(is, item, ',')) {
         const std::string arg = trim(item);
-        if (arg.empty()) {
-            error = "malformed policy spec '" + spec +
-                    "': empty parameter";
-            return false;
-        }
+        if (arg.empty())
+            return malformed + ": empty parameter";
         const std::size_t eq = arg.find('=');
-        if (eq == std::string::npos) {
-            error = "malformed policy spec '" + spec + "': '" + arg +
-                    "' is not key=value";
-            return false;
-        }
+        if (eq == std::string::npos)
+            return malformed + ": '" + arg + "' is not key=value";
         const std::string key = trim(arg.substr(0, eq));
         const std::string value_text = trim(arg.substr(eq + 1));
 
-        const ParamSchema *param = entry->schema.param(key);
-        if (!param) {
-            error = "policy '" + name + "' has no parameter '" + key +
-                    "' (parameters: " + joinKeys(entry->schema.params) +
-                    ")";
-            return false;
-        }
-        if (out.has(key)) {
-            error = "duplicate parameter '" + key +
-                    "' in policy spec '" + spec + "'";
-            return false;
-        }
+        const auto param = std::find_if(
+            params.begin(), params.end(),
+            [&](const ParamSchema &p) { return p.key == key; });
+        if (param == params.end())
+            return "policy '" + name + "' has no parameter '" + key +
+                   "' (parameters: " + joinKeys(params) + ")";
+        const auto slot = static_cast<std::size_t>(param - params.begin());
+        if (given[slot])
+            return "duplicate parameter '" + key +
+                   "' in policy spec '" + spec + "'";
+        given[slot] = true;
 
         char *end = nullptr;
         const double value = std::strtod(value_text.c_str(), &end);
         if (value_text.empty() || !end || *end != '\0' ||
-            !std::isfinite(value)) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' has malformed value '" + value_text + "'";
-            return false;
-        }
+            !std::isfinite(value))
+            return "parameter '" + key + "' of policy '" + name +
+                   "' has malformed value '" + value_text + "'";
         if (param->type == ParamType::Int &&
-            value != std::floor(value)) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' must be an integer (got " + value_text + ")";
-            return false;
-        }
-        if (value < param->minValue || value > param->maxValue) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' out of range: " + policyValueString(value) +
-                    " not in [" + policyValueString(param->minValue) +
-                    ", " + policyValueString(param->maxValue) + "]";
-            return false;
-        }
-        out.params_.emplace_back(key, value);
+            value != std::floor(value))
+            return "parameter '" + key + "' of policy '" + name +
+                   "' must be an integer (got " + value_text + ")";
+        if (value < param->minValue || value > param->maxValue)
+            return "parameter '" + key + "' of policy '" + name +
+                   "' out of range: " + policyValueString(value) +
+                   " not in [" + policyValueString(param->minValue) +
+                   ", " + policyValueString(param->maxValue) + "]";
+        out.params_[slot].second = value;
     }
-    std::sort(out.params_.begin(), out.params_.end());
-    return true;
+    return "";
 }
 
 PolicySpec
 PolicyRegistry::parse(const std::string &text) const
 {
     PolicySpec spec;
-    std::string error;
-    if (!parseInto(text, spec, error))
+    const std::string error = parseInto(text, spec);
+    if (!error.empty())
         fatal(error);
     return spec;
 }
 
 std::optional<PolicySpec>
-PolicyRegistry::tryParse(const std::string &text,
-                         std::string *error) const
+PolicyRegistry::tryParse(const std::string &text) const
 {
     PolicySpec spec;
-    std::string err;
-    if (!parseInto(text, spec, err)) {
-        if (error)
-            *error = err;
+    if (!parseInto(text, spec).empty())
         return std::nullopt;
-    }
     return spec;
-}
-
-std::string
-PolicyRegistry::canonical(const PolicySpec &spec) const
-{
-    const PolicySchema &sch = schema(spec.name());
-    if (sch.params.empty())
-        return sch.name;
-    std::string out = sch.name + "(";
-    bool first = true;
-    for (const auto &p : sch.params) {
-        double value = p.defaultValue;
-        for (const auto &[k, v] : spec.params()) {
-            if (k == p.key)
-                value = v;
-        }
-        if (!first)
-            out += ",";
-        first = false;
-        out += p.key + "=" + policyValueString(value);
-    }
-    return out + ")";
 }
 
 std::string
 PolicyRegistry::canonicalLabel(const std::string &label) const
 {
     const auto spec = tryParse(label);
-    return spec ? canonical(*spec) : label;
+    return spec ? spec->canonical() : label;
 }
 
 std::unique_ptr<ReplacementPolicy>
@@ -414,16 +317,9 @@ PolicyRegistry::instantiate(const PolicySpec &spec,
 {
     const Entry *entry = find(spec.name());
     if (!entry)
-        schema(spec.name()); // Fatal with the full diagnostic.
-    ResolvedParams resolved;
-    for (const auto &p : entry->schema.params)
-        resolved.values_[p.key] = p.defaultValue;
-    for (const auto &[k, v] : spec.params())
-        resolved.values_[k] = v;
-    auto policy = entry->factory(geom, resolved);
-    panic_if(!policy, "policy '", spec.name(),
-             "' factory returned null");
-    policy->label_ = canonical(spec);
+        fatal(unknownPolicyMessage(spec.name()));
+    auto policy = entry->factory(geom, spec);
+    policy->label_ = spec.canonical();
     return policy;
 }
 
@@ -445,118 +341,108 @@ PolicyRegistry::helpText() const
     return os.str();
 }
 
-// ------------------------------------------------- builtin registration
+// ---------------------------------------------------- the builtin table
 
 PolicyRegistry::PolicyRegistry()
 {
     const ParamSchema bits{"bits", ParamType::Int, 2, 1, 8,
                            "RRPV width in bits"};
+    const ParamSchema leader_sets{"leader_sets", ParamType::Int, 32, 1,
+                                  4096,
+                                  "leader sets per dueling constituency"};
+    const ParamSchema psel_bits{"psel_bits", ParamType::Int, 10, 1, 16,
+                                "policy-selector counter width"};
 
-    add({"LRU",
-         "Least-recently-used (paper baseline for the L1s and SLC)",
-         {}},
-        [](const CacheGeometry &g, const ResolvedParams &) {
-            return std::make_unique<LruPolicy>(g);
-        });
-
-    add({"Random",
-         "Uniformly random victim selection (sanity baseline)",
-         // Values travel as doubles; 2^53 caps the exactly
-         // representable seeds.
-         {{"seed", ParamType::Int, 0xdecafbad, 0, 9007199254740992.0,
-           "RNG stream seed"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<RandomPolicy>(
-                g, static_cast<std::uint64_t>(p.integer("seed")));
-        });
-
-    add({"SRRIP",
-         "Static RRIP with hit-priority promotion (Jaleel et al., "
-         "ISCA 2010); the paper's normalization baseline",
-         {bits}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<SrripPolicy>(g, p.uinteger("bits"));
-        });
-
-    add({"BRRIP",
-         "Bimodal RRIP: distant insertion with 1/throttle exceptions "
-         "(thrash resistance)",
-         {bits,
-          {"throttle", ParamType::Int, 32, 1, 1 << 20,
-           "1-in-throttle fills insert at Intermediate"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<BrripPolicy>(
-                g, p.uinteger("bits"), p.uinteger("throttle"));
-        });
-
-    add({"DRRIP",
-         "Dynamic RRIP: set-dueling between SRRIP and BRRIP insertion",
-         {bits,
-          {"leader_sets", ParamType::Int, 32, 1, 4096,
-           "leader sets per dueling constituency"},
-          {"psel_bits", ParamType::Int, 10, 1, 16,
-           "policy-selector counter width"},
-          {"throttle", ParamType::Int, 32, 1, 1 << 20,
-           "BRRIP throttle of the losing constituency"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<DrripPolicy>(
-                g, p.uinteger("bits"), p.uinteger("leader_sets"),
-                p.uinteger("psel_bits"), p.uinteger("throttle"));
-        });
-
-    add({"SHiP",
-         "Signature-based Hit Predictor over SRRIP (Wu et al., MICRO "
-         "2011), instruction lines only",
-         {bits,
-          {"shct_bits", ParamType::Int, 18, 4, 24,
-           "log2 of signature history counter table entries"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<ShipPolicy>(
-                g, p.uinteger("bits"), p.uinteger("shct_bits"));
-        });
-
-    add({"CLIP",
-         "Code Line Preservation (Jaleel et al., HPCA 2015): all "
-         "instruction lines treated as hot, set-dueled promotion",
-         {bits,
-          {"leader_sets", ParamType::Int, 32, 1, 4096,
-           "leader sets per dueling constituency"},
-          {"psel_bits", ParamType::Int, 10, 1, 16,
-           "policy-selector counter width"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<ClipPolicy>(
-                g, p.uinteger("bits"), p.uinteger("leader_sets"),
-                p.uinteger("psel_bits"));
-        });
-
-    add({"Emissary",
-         "Priority-partitioned LRU preserving starvation-critical "
-         "instruction lines (Nagendra et al., ISCA 2023)",
-         {{"ways", ParamType::Int, 4, 0, 64,
-           "maximum preserved priority ways per set"},
-          {"prob", ParamType::Real, 0.5, 0.0, 1.0,
-           "probability a starvation hint sets the priority bit"}}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<EmissaryPolicy>(
-                g, p.uinteger("ways"), p.real("prob"));
-        });
-
-    add({"TRRIP-1",
-         "Temperature-based RRIP, hot-only variant (paper Algorithm 1)",
-         {bits}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<TrripPolicy>(
-                g, TrripVariant::V1, p.uinteger("bits"));
-        });
-
-    add({"TRRIP-2",
-         "Temperature-based RRIP, hot+warm+cold variant (paper "
-         "Algorithm 1)",
-         {bits}},
-        [](const CacheGeometry &g, const ResolvedParams &p) {
-            return std::make_unique<TrripPolicy>(
-                g, TrripVariant::V2, p.uinteger("bits"));
-        });
+    entries_ = {
+        {{"LRU",
+          "Least-recently-used (paper baseline for the L1s and SLC)",
+          {}},
+         [](const CacheGeometry &g, const PolicySpec &) {
+             return build<LruPolicy>(g);
+         }},
+        {{"Random",
+          "Uniformly random victim selection (sanity baseline)",
+          // Values travel as doubles; 2^53 caps the exactly
+          // representable seeds.
+          {{"seed", ParamType::Int, 0xdecafbad, 0, 9007199254740992.0,
+            "RNG stream seed"}}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<RandomPolicy>(
+                 g, static_cast<std::uint64_t>(s.value("seed")));
+         }},
+        {{"SRRIP",
+          "Static RRIP with hit-priority promotion (Jaleel et al., "
+          "ISCA 2010); the paper's normalization baseline",
+          {bits}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<SrripPolicy>(g, uintParam(s, "bits"));
+         }},
+        {{"BRRIP",
+          "Bimodal RRIP: distant insertion with 1/throttle exceptions "
+          "(thrash resistance)",
+          {bits,
+           {"throttle", ParamType::Int, 32, 1, 1 << 20,
+            "1-in-throttle fills insert at Intermediate"}}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<BrripPolicy>(g, uintParam(s, "bits"),
+                                       uintParam(s, "throttle"));
+         }},
+        {{"DRRIP",
+          "Dynamic RRIP: set-dueling between SRRIP and BRRIP insertion",
+          {bits, leader_sets, psel_bits,
+           {"throttle", ParamType::Int, 32, 1, 1 << 20,
+            "BRRIP throttle of the losing constituency"}}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<DrripPolicy>(
+                 g, uintParam(s, "bits"), uintParam(s, "leader_sets"),
+                 uintParam(s, "psel_bits"), uintParam(s, "throttle"));
+         }},
+        {{"SHiP",
+          "Signature-based Hit Predictor over SRRIP (Wu et al., MICRO "
+          "2011), instruction lines only",
+          {bits,
+           {"shct_bits", ParamType::Int, 18, 4, 24,
+            "log2 of signature history counter table entries"}}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<ShipPolicy>(g, uintParam(s, "bits"),
+                                      uintParam(s, "shct_bits"));
+         }},
+        {{"CLIP",
+          "Code Line Preservation (Jaleel et al., HPCA 2015): all "
+          "instruction lines treated as hot, set-dueled promotion",
+          {bits, leader_sets, psel_bits}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<ClipPolicy>(g, uintParam(s, "bits"),
+                                      uintParam(s, "leader_sets"),
+                                      uintParam(s, "psel_bits"));
+         }},
+        {{"Emissary",
+          "Priority-partitioned LRU preserving starvation-critical "
+          "instruction lines (Nagendra et al., ISCA 2023)",
+          {{"ways", ParamType::Int, 4, 0, 64,
+            "maximum preserved priority ways per set"},
+           {"prob", ParamType::Real, 0.5, 0.0, 1.0,
+            "probability a starvation hint sets the priority bit"}}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<EmissaryPolicy>(g, uintParam(s, "ways"),
+                                          s.value("prob"));
+         }},
+        {{"TRRIP-1",
+          "Temperature-based RRIP, hot-only variant (paper Algorithm 1)",
+          {bits}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<TrripPolicy>(g, TrripVariant::V1,
+                                       uintParam(s, "bits"));
+         }},
+        {{"TRRIP-2",
+          "Temperature-based RRIP, hot+warm+cold variant (paper "
+          "Algorithm 1)",
+          {bits}},
+         [](const CacheGeometry &g, const PolicySpec &s) {
+             return build<TrripPolicy>(g, TrripVariant::V2,
+                                       uintParam(s, "bits"));
+         }},
+    };
 }
 
 std::vector<std::string>

@@ -1,12 +1,11 @@
 /**
  * @file
- * Self-registering replacement-policy registry and the policy-spec
- * string grammar.
+ * The replacement-policy registry and the policy-spec string grammar.
  *
- * Every replacement mechanism of the paper's evaluation (section 4.3)
- * registers itself under a name together with a doc line and a typed
- * parameter schema (name, type, default, bounds).  Policies are then
- * instantiated from *spec strings*:
+ * The registry is a fixed table of the ten built-in mechanisms of the
+ * paper's evaluation (section 4.3): each row is a name, a doc line, a
+ * typed parameter schema (name, type, default, bounds) and a factory.
+ * Policies are instantiated from *spec strings*:
  *
  *     spec   := name [ '(' key '=' value (',' key '=' value)* ')' ]
  *     name   := "SRRIP" | "TRRIP-2" | ...        (registered names)
@@ -15,18 +14,23 @@
  * e.g. "SRRIP", "SRRIP(bits=3)", "DRRIP(psel_bits=10,throttle=32)".
  * Parsing validates names, keys and ranges against the schema and
  * fails with messages that list what *is* valid (including a
- * nearest-name suggestion for typos).  Specs round-trip:
- * parse(spec.print()) == spec, and canonical() spells out every
- * parameter so sink labels never under-report the configuration.
- * canonical() is the one spelling of a policy's label: instantiate()
- * stores it on the instance it builds (ReplacementPolicy::describe()).
+ * nearest-name suggestion for typos).  A parsed spec holds the value
+ * of every schema parameter, defaults included, so canonical() spells
+ * out every parameter and is the round-trip form:
+ * parse(spec.canonical()) == spec.  canonical() is also the one
+ * spelling of a policy's label: instantiate() stores it on the
+ * instance it builds (ReplacementPolicy::describe()), so sink labels
+ * never under-report the configuration.
+ *
+ * A built-in is added in three places: a PolicyKind
+ * (cache/replacement/policy.hh), its case in the cache's dispatch
+ * switch (Cache::dispatch, cache/cache.hh) and its row in the table
+ * (policy_registry.cc).
  */
 
 #ifndef TRRIP_CORE_POLICY_REGISTRY_HH
 #define TRRIP_CORE_POLICY_REGISTRY_HH
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,18 +62,16 @@ struct PolicySchema
     std::string name;
     std::string doc;
     std::vector<ParamSchema> params;
-
-    /** Schema of @p key, or nullptr if the policy has no such knob. */
-    const ParamSchema *param(const std::string &key) const;
 };
 
 /**
- * A parsed policy spec: a registered policy name plus the explicitly
- * given parameter overrides (validated, key-sorted).  Implicitly
- * constructible from a spec string, so option structs can be assigned
- * plain strings: opts.hier.l1iPolicy = "TRRIP-1(bits=3)".
+ * A parsed policy spec: a registered policy name plus the value of
+ * every parameter of its schema, in schema order, defaults filled in.
+ * Implicitly constructible from a spec string, so option structs can
+ * be assigned plain strings: opts.hier.l1iPolicy = "TRRIP-1(bits=3)".
  * Construction is fatal on malformed specs, unknown names/keys and
- * out-of-range values.
+ * out-of-range values.  Two spellings of one configuration ("SRRIP",
+ * "SRRIP(bits=2)") parse to equal specs.
  */
 class PolicySpec
 {
@@ -79,18 +81,14 @@ class PolicySpec
     PolicySpec(const std::string &text);
 
     const std::string &name() const { return name_; }
-    /** Explicit overrides only, sorted by key. */
-    const std::vector<std::pair<std::string, double>> &
-    params() const
-    {
-        return params_;
-    }
 
-    bool has(const std::string &key) const;
+    /** Value of parameter @p key; panics when the schema has none. */
+    double value(const std::string &key) const;
 
-    /** Minimal round-trippable form: name + explicit overrides only. */
-    std::string print() const;
-    /** Fully resolved form with every schema parameter spelled out. */
+    /**
+     * "Name(key=value,...)" with every parameter in schema order, or
+     * "Name" for a policy without parameters.
+     */
     std::string canonical() const;
 
     bool operator==(const PolicySpec &other) const = default;
@@ -102,43 +100,14 @@ class PolicySpec
     std::vector<std::pair<std::string, double>> params_;
 };
 
-/** Fully resolved (defaults applied) parameter values of one spec. */
-class ResolvedParams
-{
-  public:
-    /** Value of an Int parameter. */
-    long long integer(const std::string &key) const;
-    /** Value of an Int parameter, narrowed to unsigned. */
-    unsigned uinteger(const std::string &key) const;
-    /** Value of a Real parameter. */
-    double real(const std::string &key) const;
-
-  private:
-    friend class PolicyRegistry;
-    std::map<std::string, double> values_;
-};
-
-/**
- * The process-wide policy registry.  Built-in policies register on
- * first use; a policy added with add() becomes available to every
- * spec consumer -- per-level hierarchy assignment, the experiment
- * layer's policy axis, and the bench binaries -- with no further
- * plumbing.
- */
+/** The fixed table of built-in policies. */
 class PolicyRegistry
 {
   public:
-    using Factory = std::function<std::unique_ptr<ReplacementPolicy>(
-        const CacheGeometry &, const ResolvedParams &)>;
+    /** The one registry. */
+    static const PolicyRegistry &instance();
 
-    /** The singleton, with the built-in policies registered. */
-    static PolicyRegistry &instance();
-
-    /** Register a policy; fatal on duplicate or malformed schema. */
-    void add(PolicySchema schema, Factory factory);
-
-    bool known(const std::string &name) const;
-    /** Registered names, in registration order. */
+    /** Registered names, in table order. */
     std::vector<std::string> names() const;
     /** Schema of @p name; fatal (with suggestions) when unknown. */
     const PolicySchema &schema(const std::string &name) const;
@@ -149,12 +118,8 @@ class PolicyRegistry
      * key), or the violated bounds (out-of-range value).
      */
     PolicySpec parse(const std::string &text) const;
-    /** Non-fatal parse; on failure returns nullopt and sets @p error. */
-    std::optional<PolicySpec> tryParse(const std::string &text,
-                                       std::string *error = nullptr) const;
-
-    /** Fully resolved form of @p spec (every parameter spelled out). */
-    std::string canonical(const PolicySpec &spec) const;
+    /** Non-fatal parse: nullopt where parse() would be fatal. */
+    std::optional<PolicySpec> tryParse(const std::string &text) const;
 
     /**
      * Best-effort canonical label for machine-readable sinks: the
@@ -164,22 +129,22 @@ class PolicyRegistry
     std::string canonicalLabel(const std::string &label) const;
 
     /**
-     * Instantiate @p spec for @p geom, labeled canonical(@p spec) (the
-     * instance's describe()).  PolicySpec converts implicitly from
-     * spec strings, so instantiate("SRRIP(bits=3)", geom) parses and
-     * constructs in one call.
+     * Instantiate @p spec for @p geom, labeled @p spec.canonical()
+     * (the instance's describe()).  PolicySpec converts implicitly
+     * from spec strings, so instantiate("SRRIP(bits=3)", geom) parses
+     * and constructs in one call.
      */
     std::unique_ptr<ReplacementPolicy>
     instantiate(const PolicySpec &spec, const CacheGeometry &geom) const;
-
-    /** Nearest registered name to @p name, or "" if nothing is close. */
-    std::string suggest(const std::string &name) const;
 
     /** Human-readable listing: every policy, doc line and parameters. */
     std::string helpText() const;
 
   private:
     PolicyRegistry();
+
+    using Factory = std::unique_ptr<ReplacementPolicy> (*)(
+        const CacheGeometry &, const PolicySpec &);
 
     struct Entry
     {
@@ -188,17 +153,15 @@ class PolicyRegistry
     };
 
     const Entry *find(const std::string &name) const;
-    bool parseInto(const std::string &text, PolicySpec &out,
-                   std::string &error) const;
+    /** Parse @p text into @p out; the error message, "" on success. */
+    std::string parseInto(const std::string &text, PolicySpec &out) const;
+    /** Nearest registered name to @p name, or "" if nothing is close. */
+    std::string suggest(const std::string &name) const;
     /** "unknown replacement policy ..." with hint + registered list. */
     std::string unknownPolicyMessage(const std::string &name) const;
 
-    std::vector<Entry> entries_;                 //!< Registration order.
-    std::map<std::string, std::size_t> byName_;
+    std::vector<Entry> entries_;    //!< Table order.
 };
-
-/** Canonical text of one parameter value (ints without a decimal). */
-std::string policyValueString(double value);
 
 /** The paper's Fig. 6 mechanism list (normalization baseline first). */
 std::vector<std::string> evaluatedPolicyNames();

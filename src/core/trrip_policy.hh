@@ -41,16 +41,14 @@ class TrripPolicy final : public RripBase
     explicit TrripPolicy(const CacheGeometry &geom,
                          TrripVariant variant = TrripVariant::V1,
                          unsigned rrpv_bits = 2) :
-        RripBase(geom, rrpv_bits), variant_(variant)
+        RripBase(PolicyKind::Trrip, geom, rrpv_bits), variant_(variant)
     {}
-
-    PolicyKind kind() const override { return PolicyKind::Trrip; }
 
     TrripVariant variant() const { return variant_; }
 
     void
     onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &req) override
+          const MemRequest &req)
     {
         if (triggers(req)) {
             if (req.temp == Temperature::Hot) {
@@ -75,7 +73,7 @@ class TrripPolicy final : public RripBase
 
     void
     onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &req) override
+           const MemRequest &req)
     {
         if (triggers(req)) {
             if (req.temp == Temperature::Hot) {

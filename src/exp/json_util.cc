@@ -1,5 +1,6 @@
 #include "exp/json_util.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -14,9 +15,21 @@ jsonEscape(const std::string &s)
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
           case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default: out += c;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                // JSON strings admit no raw control byte.
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
         }
     }
     return out;
@@ -41,6 +54,20 @@ jsonUnescape(const std::string &s)
           case 'r': out += '\r'; break;
           case 'b': out += '\b'; break;
           case 'f': out += '\f'; break;
+          case 'u': {
+            // The \u00XX form jsonEscape writes for a control byte;
+            // any other \u escape stays verbatim.
+            const char *hex = s.data() + i + 1;
+            unsigned code = 0;
+            if (i + 5 <= s.size() &&
+                std::from_chars(hex, hex + 4, code, 16).ptr == hex + 4 &&
+                code < 0x20) {
+                out += static_cast<char>(code);
+                i += 4;
+                break;
+            }
+            [[fallthrough]];
+          }
           default: out += '\\'; out += s[i]; break;
         }
     }

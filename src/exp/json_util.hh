@@ -18,10 +18,14 @@
 
 namespace trrip::exp {
 
-/** Escape @p s for inclusion in a JSON string literal (no quotes). */
+/**
+ * Escape @p s for inclusion in a JSON string literal (no quotes):
+ * \" and \\, \b \f \n \r \t, and \u00XX for every other byte below
+ * 0x20, so no raw control byte reaches a BENCH file.
+ */
 std::string jsonEscape(const std::string &s);
 
-/** Inverse of jsonEscape (also handles \" \\ \n \t \r \/ \b \f). */
+/** Inverse of jsonEscape (also handles \/). */
 std::string jsonUnescape(const std::string &s);
 
 /** Shortest exact rendering of @p v ("null" for non-finite). */

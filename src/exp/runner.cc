@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,6 +17,7 @@
 #include "trace/replay.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace trrip::exp {
 
@@ -85,12 +84,7 @@ T
 countFromEnv(const char *name)
 {
     const char *env = std::getenv(name);
-    if (!env)
-        return 0;
-    const char *end = env + std::strlen(env);
-    T n = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, n);
-    return ec == std::errc() && ptr == end ? n : 0;
+    return env ? parseWhole<T>(env).value_or(0) : 0;
 }
 
 } // namespace

@@ -155,7 +155,7 @@ canonicalLabels(const std::vector<std::string> &labels)
 std::string
 csvField(const std::string &value)
 {
-    if (value.find_first_of(",\"\n") == std::string::npos)
+    if (value.find_first_of(",\"\n\r") == std::string::npos)
         return value;
     std::string out = "\"";
     for (char c : value) {
@@ -259,34 +259,23 @@ CsvSink::begin(const ExperimentSpec &spec)
 {
     if (path_.empty())
         path_ = defaultSinkPath(spec.name, "csv");
-    rows_.clear();
 }
 
 void
-CsvSink::cell(const CellRecord &record)
-{
-    CellRecord copy;
-    copy.workload = record.workload;
-    copy.policy = canonicalLabel(record.policy);
-    copy.config = record.config;
-    copy.metrics = record.metrics;
-    copy.failed = record.failed;
-    copy.errorCategory = record.errorCategory;
-    copy.errorMessage = record.errorMessage;
-    rows_.push_back(std::move(copy));
-}
-
-void
-CsvSink::end(const ExperimentResults &)
+CsvSink::end(const ExperimentResults &results)
 {
     out_.open(path_);
     if (!out_) {
         warn("CsvSink: cannot open ", path_);
         return;
     }
+    // The rows are the valid records, in index order: the cells the
+    // runner fed this sink.
     std::set<std::string> columns;
     bool any_failed = false;
-    for (const auto &row : rows_) {
+    for (const CellRecord &row : results.cells()) {
+        if (!row.valid)
+            continue;
         for (const auto &[name, _] : row.metrics)
             columns.insert(name);
         any_failed = any_failed || row.failed;
@@ -300,9 +289,12 @@ CsvSink::end(const ExperimentResults &)
     if (any_failed)
         out_ << ",error_category,error_message";
     out_ << '\n';
-    for (const auto &row : rows_) {
-        out_ << csvField(row.workload) << ',' << csvField(row.policy)
-             << ',' << csvField(row.config);
+    for (const CellRecord &row : results.cells()) {
+        if (!row.valid)
+            continue;
+        out_ << csvField(row.workload) << ','
+             << csvField(canonicalLabel(row.policy)) << ','
+             << csvField(row.config);
         for (const auto &c : columns) {
             const auto it = row.metrics.find(c);
             out_ << ',';

@@ -92,7 +92,7 @@ class CsvSink : public ResultSink
     explicit CsvSink(std::string path = "");
 
     void begin(const ExperimentSpec &spec) override;
-    void cell(const CellRecord &record) override;
+    /** Writes every valid record of @p results, in index order. */
     void end(const ExperimentResults &results) override;
 
     const std::string &path() const { return path_; }
@@ -100,7 +100,6 @@ class CsvSink : public ResultSink
   private:
     std::string path_;
     std::ofstream out_;
-    std::vector<CellRecord> rows_; //!< Buffered to unify columns.
 };
 
 /** Resolved output path "<TRRIP_RESULTS_DIR or .>/BENCH_<stem>.<ext>". */

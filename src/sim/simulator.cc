@@ -1,12 +1,11 @@
 #include "sim/simulator.hh"
 
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "sim/multicore.hh"
+#include "util/parse.hh"
 
 namespace trrip {
 
@@ -14,16 +13,12 @@ InstCount
 defaultInstrBudget()
 {
     if (const char *env = std::getenv("TRRIP_INSTR_MILLIONS")) {
-        const char *end = env + std::strlen(env);
-        double millions = 0;
-        const auto [ptr, ec] = std::from_chars(env, end, millions);
-        const double instrs = millions * 1e6;
+        const double instrs = parseWhole<double>(env).value_or(0) * 1e6;
         // Not a decimal number spanning the whole string ("6M",
         // "0x10", " 2"), not finite, or no count in [1, max
         // InstCount]: the default.  2^64 itself is the first double
         // the cast cannot represent.
-        if (ec == std::errc() && ptr == end && std::isfinite(instrs) &&
-            instrs >= 1.0 &&
+        if (std::isfinite(instrs) && instrs >= 1.0 &&
             instrs < static_cast<double>(
                          std::numeric_limits<InstCount>::max())) {
             return static_cast<InstCount>(instrs);

@@ -5,6 +5,7 @@
 
 #include "util/error.hh"
 #include "util/hash.hh"
+#include "util/parse.hh"
 
 namespace trrip {
 
@@ -72,10 +73,10 @@ FaultInjector::configure(const std::string &spec)
 
         if (entry.rfind("seed=", 0) == 0) {
             const std::string value = entry.substr(5);
-            char *end = nullptr;
-            seed = std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0')
+            const auto parsed = parseWhole<std::uint64_t>(value);
+            if (!parsed)
                 throw malformed("bad seed '" + value + "'");
+            seed = *parsed;
             continue;
         }
 
@@ -100,21 +101,18 @@ FaultInjector::configure(const std::string &spec)
         if (site == FaultSite::NumSites)
             throw malformed("unknown site '" + name + "'");
 
-        char *end = nullptr;
-        const unsigned long num = std::strtoul(numStr.c_str(), &end, 10);
-        if (numStr.empty() || *end != '\0')
+        const auto num = parseWhole<std::uint32_t>(numStr);
+        if (!num)
             throw malformed("bad numerator '" + numStr + "'");
-        end = nullptr;
-        const unsigned long denom = std::strtoul(denomStr.c_str(),
-                                                 &end, 10);
-        if (denomStr.empty() || *end != '\0' || denom == 0)
+        const auto denom = parseWhole<std::uint32_t>(denomStr);
+        if (!denom || *denom == 0)
             throw malformed("bad denominator '" + denomStr + "'");
-        if (num > denom)
+        if (*num > *denom)
             throw malformed("rate " + numStr + "/" + denomStr + " > 1");
 
         auto &rate = rates[static_cast<std::size_t>(site)];
-        rate.num = static_cast<std::uint32_t>(num);
-        rate.denom = static_cast<std::uint32_t>(denom);
+        rate.num = *num;
+        rate.denom = *denom;
         any = any || rate.num > 0;
     }
 

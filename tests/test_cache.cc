@@ -2,9 +2,9 @@
  * @file
  * Unit tests for the cache substrate: geometry math, single-cache
  * behavior, prefetchers, and the four-level hierarchy (inclusive L2,
- * exclusive SLC, in-flight prefetch accounting, MPKI), plus the
- * dispatch differentials: every arm of the cache's policy switch
- * against the virtual PolicyKind::Generic path.
+ * exclusive SLC, in-flight prefetch accounting, MPKI).  Every arm of
+ * the cache's policy switch is pinned against the AoS reference
+ * policies in test_replacement.cc (ReferenceEquivalence).
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +20,7 @@
 #include "cache/replacement/lru.hh"
 #include "cache/replacement/rrip.hh"
 #include "core/policy_registry.hh"
-#include "sim/golden.hh"
-#include "sim/multicore.hh"
 #include "util/rng.hh"
-#include "workloads/proxies.hh"
 
 namespace trrip {
 namespace {
@@ -1077,296 +1074,6 @@ TEST(MultiCoreDifferential, MaskedBackInvalidationMatchesNaiveTinySlc)
     mp.hier.slc = CacheGeometry{"SLC", 16 * 1024, 4, 64};
     mp.hier.l2Policy = PolicySpec("Emissary");
     runMultiCoreDifferential(mp, 101, 20000);
-}
-
-// ------------------------- Dispatch arms ---------------------------
-//
-// The cache resolves its policy per call site: an inline LRU arm in
-// the default entry points, one out-of-line switch for every other
-// kind, and the inline switch of accessProbeInline/fillInline.
-// The 24 goldens run LRU at the L1s and SLC, so these differentials
-// pin the other arms against the virtual-dispatch (Generic) path.
-
-/**
- * Test-only policy that forwards every hook to a built-in policy but
- * keeps the base class's PolicyKind::Generic, so a Cache over it takes
- * the virtual-dispatch arm of the switch.
- */
-class GenericForwarder final : public ReplacementPolicy
-{
-  public:
-    explicit GenericForwarder(std::unique_ptr<ReplacementPolicy> inner) :
-        ReplacementPolicy(inner->geometry()), inner_(std::move(inner))
-    {}
-
-    void
-    onHit(std::uint32_t set, std::uint32_t way,
-          const MemRequest &req) override
-    {
-        inner_->onHit(set, way, req);
-    }
-
-    std::uint32_t
-    victim(std::uint32_t set, const MemRequest &req) override
-    {
-        return inner_->victim(set, req);
-    }
-
-    void
-    onFill(std::uint32_t set, std::uint32_t way,
-           const MemRequest &req) override
-    {
-        inner_->onFill(set, way, req);
-    }
-
-    void
-    onEvict(std::uint32_t set, std::uint32_t way) override
-    {
-        inner_->onEvict(set, way);
-    }
-
-    void
-    onPriorityHint(std::uint32_t set, std::uint32_t way) override
-    {
-        inner_->onPriorityHint(set, way);
-    }
-
-  private:
-    std::unique_ptr<ReplacementPolicy> inner_;
-};
-
-constexpr const char *kGenericPrefix = "Generic:";
-
-/** The registered policies, minus the Generic forwarders. */
-std::vector<std::string>
-builtinPolicyNames()
-{
-    std::vector<std::string> names;
-    for (const std::string &name : PolicyRegistry::instance().names())
-        if (name.rfind(kGenericPrefix, 0) != 0)
-            names.push_back(name);
-    return names;
-}
-
-/**
- * Register "Generic:NAME" for every policy NAME: NAME's schema, built
- * as a GenericForwarder over NAME with the same parameters.
- * Idempotent.
- */
-void
-registerGenericForwarders()
-{
-    static const bool registered = [] {
-        PolicyRegistry &reg = PolicyRegistry::instance();
-        for (const std::string &name : builtinPolicyNames()) {
-            PolicySchema schema = reg.schema(name);
-            const std::vector<ParamSchema> params = schema.params;
-            schema.name = kGenericPrefix + name;
-            schema.doc = "test-only Generic forwarder over " + name;
-            reg.add(std::move(schema),
-                    [name, params](const CacheGeometry &g,
-                                   const ResolvedParams &p) {
-                        std::string spec = name;
-                        for (std::size_t i = 0; i < params.size(); ++i) {
-                            spec += i == 0 ? "(" : ",";
-                            spec += params[i].key + "=" +
-                                    policyValueString(
-                                        p.real(params[i].key));
-                        }
-                        if (!params.empty())
-                            spec += ")";
-                        return std::make_unique<GenericForwarder>(
-                            PolicyRegistry::instance().instantiate(spec,
-                                                                   g));
-                    });
-        }
-        return true;
-    }();
-    (void)registered;
-}
-
-/** A request over a footprint of a few times the test caches. */
-MemRequest
-randomRequest(Rng &rng)
-{
-    static constexpr AccessType kTypes[] = {
-        AccessType::InstFetch, AccessType::InstPrefetch, AccessType::Load,
-        AccessType::Store, AccessType::DataPrefetch};
-    static constexpr Temperature kTemps[] = {
-        Temperature::None, Temperature::Hot, Temperature::Warm,
-        Temperature::Cold};
-    MemRequest r;
-    r.vaddr = r.paddr = rng.chance(0.7) ? rng.below(16 * 1024)
-                                        : rng.below(64 * 1024);
-    r.pc = 0x400000 + rng.below(64) * 4;
-    r.type = kTypes[rng.below(std::size(kTypes))];
-    r.temp = kTemps[rng.below(std::size(kTemps))];
-    r.priority = rng.chance(0.2);
-    return r;
-}
-
-/**
- * "" when @p a and @p b hold the same lines (meta bytes and owner
- * masks included) and stats, else where they differ.
- */
-std::string
-cacheDiff(const Cache &a, const Cache &b)
-{
-    std::string diff;
-    forEachCounter(
-        [&](const char *name, std::uint64_t x, std::uint64_t y) {
-            if (x != y)
-                diff += std::string(" stat ") + name;
-        },
-        a.stats(), b.stats());
-    const CacheGeometry &g = a.geometry();
-    for (std::uint32_t s = 0; s < g.numSets(); ++s) {
-        for (std::uint32_t w = 0; w < g.assoc; ++w) {
-            const CacheLine x = a.lineAt(s, w), y = b.lineAt(s, w);
-            if (x.valid != y.valid || x.addr != y.addr ||
-                x.meta != y.meta || x.owner != y.owner)
-                diff += " line " + std::to_string(s) + "/" +
-                        std::to_string(w);
-        }
-    }
-    return diff;
-}
-
-::testing::AssertionResult
-sameLine(const CacheLine &a, const CacheLine &b)
-{
-    if (a.valid == b.valid && a.addr == b.addr && a.meta == b.meta &&
-        a.owner == b.owner)
-        return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << "lines differ: " << a.valid << "/" << a.addr << "/"
-           << int(a.meta) << "/" << a.owner << " vs " << b.valid << "/"
-           << b.addr << "/" << int(b.meta) << "/" << b.owner;
-}
-
-TEST(CacheDispatch, EveryArmMatchesTheGenericPath)
-{
-    // 4 ways fill one SWAR chunk of the LRU ranks with padding; 12
-    // ways span two chunks.
-    for (const CacheGeometry &geom :
-         {CacheGeometry{"d4", 4 * 1024, 4, 64},
-          CacheGeometry{"d12", 12 * 1024, 12, 64}}) {
-        geom.check();
-        for (const std::string &name : builtinPolicyNames()) {
-            SCOPED_TRACE(name + " on " + geom.name);
-            const auto make = [&] {
-                return PolicyRegistry::instance().instantiate(name, geom);
-            };
-            Cache direct(geom, make());
-            Cache generic(geom, std::make_unique<GenericForwarder>(make()));
-            ASSERT_NE(direct.policy().kind(), PolicyKind::Generic);
-            ASSERT_EQ(generic.policy().kind(), PolicyKind::Generic);
-            direct.enableOwnerMasks();
-            generic.enableOwnerMasks();
-
-            Rng rng(0xd15a7c4);
-            for (int i = 0; i < 8000; ++i) {
-                const MemRequest req = randomRequest(rng);
-                // Each cache picks its entry points independently:
-                // default (LRU arm or out-of-line switch) or inline
-                // switch.
-                const bool d_inline = rng.chance(0.5);
-                const bool g_inline = rng.chance(0.5);
-                const auto op = rng.below(10);
-                if (op < 7) {
-                    const bool mark = rng.chance(0.5);
-                    const Cache::Probe a =
-                        d_inline ? direct.accessProbeInline(req, mark)
-                                 : direct.accessProbe(req, mark);
-                    const Cache::Probe b =
-                        g_inline ? generic.accessProbeInline(req, mark)
-                                 : generic.accessProbe(req, mark);
-                    ASSERT_EQ(a.hit, b.hit) << "access " << i;
-                    ASSERT_EQ(a.set, b.set) << "access " << i;
-                    ASSERT_EQ(a.way, b.way) << "access " << i;
-                    if (!a.hit) {
-                        const auto meta = static_cast<std::uint8_t>(
-                            rng.chance(0.5) ? kLineMetaInL1I : 0);
-                        const auto owner =
-                            static_cast<std::uint32_t>(rng.below(16));
-                        const CacheLine va =
-                            d_inline ? direct.fillInline(req, meta, owner)
-                                     : direct.fill(req, meta, owner);
-                        const CacheLine vb =
-                            g_inline ? generic.fillInline(req, meta, owner)
-                                     : generic.fill(req, meta, owner);
-                        ASSERT_TRUE(sameLine(va, vb)) << "fill " << i;
-                    }
-                } else if (op < 8) {
-                    ASSERT_EQ(direct.accessInvalidate(req),
-                              generic.accessInvalidate(req))
-                        << "accessInvalidate " << i;
-                } else if (op < 9) {
-                    ASSERT_TRUE(sameLine(direct.invalidate(req.paddr),
-                                         generic.invalidate(req.paddr)))
-                        << "invalidate " << i;
-                } else {
-                    direct.markPriority(req.paddr);
-                    generic.markPriority(req.paddr);
-                }
-                ASSERT_EQ(cacheDiff(direct, generic), "") << "step " << i;
-            }
-            EXPECT_GT(direct.stats().evictions, 1000u);
-        }
-    }
-}
-
-TEST(CacheDispatch, GenericLevelsReproduceProxyRuns)
-{
-    registerGenericForwarders();
-    const auto generic = [](HierarchyParams hp) {
-        for (PolicySpec *spec : {&hp.l1iPolicy, &hp.l1dPolicy,
-                                 &hp.l2Policy, &hp.slcPolicy})
-            *spec = PolicySpec(kGenericPrefix + spec->print());
-        return hp;
-    };
-    // Non-LRU policies at every level (the out-of-line switch at the
-    // L1s and SLC), then the paper's LRU levels (the inline LRU arm).
-    HierarchyParams mixed;
-    mixed.l1iPolicy = "TRRIP-1";
-    mixed.l1dPolicy = "Random";
-    mixed.l2Policy = "CLIP";
-    mixed.slcPolicy = "SRRIP";
-    HierarchyParams paper;
-    paper.l2Policy = "TRRIP-2";
-
-    const SyntheticWorkload wl = buildWorkload(proxyParams("python"));
-    for (const HierarchyParams &hp : {mixed, paper}) {
-        SCOPED_TRACE("L2 " + hp.l2Policy.print());
-        SimOptions opts;
-        opts.maxInstructions = 100'000;
-        opts.hier = hp;
-        const RunArtifacts direct = runWorkload(wl, opts);
-        opts.hier = generic(hp);
-        const RunArtifacts wrapped = runWorkload(wl, opts);
-        EXPECT_EQ(goldenFingerprint(direct.result),
-                  goldenFingerprint(wrapped.result));
-        // The wrapped levels carry the registry's labels of their own
-        // specs: the direct level's label behind the prefix.
-        auto labels = direct.resolvedPolicies;
-        for (auto &[level, label] : labels)
-            label = kGenericPrefix + label;
-        EXPECT_EQ(wrapped.resolvedPolicies, labels);
-        EXPECT_GT(direct.result.l2.evictions, 0u);
-    }
-
-    // Two cores over a shared inclusive SLC: owner masks and the
-    // back-invalidation cascade through the non-LRU arms.
-    MultiCoreOptions mo;
-    mo.base.maxInstructions = 50'000;
-    mo.base.hier = mixed;
-    const MultiCoreResult direct =
-        runMultiCore({"python", "gcc"}, "CLIP", mo);
-    mo.base.hier = generic(mixed);
-    const MultiCoreResult wrapped =
-        runMultiCore({"python", "gcc"}, "Generic:CLIP", mo);
-    EXPECT_EQ(goldenFingerprint(aggregateMultiCore(direct)),
-              goldenFingerprint(aggregateMultiCore(wrapped)));
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 
 #include "analysis/costly_miss.hh"
 #include "analysis/reuse_distance.hh"
+#include "exp/json_util.hh"
 #include "exp/pool.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
@@ -509,6 +510,24 @@ TEST(Sinks, CsvSinkWritesOneRowPerCell)
     EXPECT_EQ(rows, spec.cellCount());
     EXPECT_TRUE(saw_quoted_clip);
     std::remove(path.c_str());
+}
+
+TEST(JsonCodec, EveryControlByteRoundTripsEscaped)
+{
+    // JSON strings admit no raw byte below 0x20: each must leave
+    // jsonEscape as an escape and come back from jsonUnescape intact.
+    for (int c = 0; c < 0x20; ++c) {
+        const std::string raw = std::string("a") + static_cast<char>(c) +
+                                "b";
+        const std::string escaped = exp::jsonEscape(raw);
+        for (const char e : escaped)
+            EXPECT_GE(static_cast<unsigned char>(e), 0x20) << c;
+        EXPECT_EQ(exp::jsonUnescape(escaped), raw) << c;
+    }
+    EXPECT_EQ(exp::jsonEscape("a\rb\x01" "c"), "a\\rb\\u0001c");
+    EXPECT_EQ(exp::jsonEscape("\b\f\n\t\x1f"), "\\b\\f\\n\\t\\u001f");
+    // A \u escape the codec never writes stays verbatim.
+    EXPECT_EQ(exp::jsonUnescape("\\u0041\\u00"), "\\u0041\\u00");
 }
 
 } // namespace

@@ -119,6 +119,13 @@ TEST_F(FaultTest, MalformedSpecsThrow)
     EXPECT_THROW(inj.configure("cell:1/0"), SimError);
     EXPECT_THROW(inj.configure("cell:3/2"), SimError);
     EXPECT_THROW(inj.configure("seed=banana"), SimError);
+    // Every number is one whole decimal of its own width: no wrap to
+    // a 1/1 rate, no rate that never fires, no sign, no blank.
+    EXPECT_THROW(inj.configure("cell:1/4294967297"), SimError);
+    EXPECT_THROW(inj.configure("cell:1/18446744073709551617"), SimError);
+    EXPECT_THROW(inj.configure("seed=-1"), SimError);
+    EXPECT_THROW(inj.configure("cell:+1/2"), SimError);
+    EXPECT_THROW(inj.configure("cell: 1/2"), SimError);
     // A throwing configure leaves injection off.
     EXPECT_FALSE(inj.enabled());
     inj.configure("cell:1/2,seed=3");
@@ -562,7 +569,8 @@ TEST_F(FaultTest, JournalRoundTripSkipsErrorAndTornLines)
         ok.cell = 0;
         ok.workload = "python";
         ok.policy = "SRRIP";
-        ok.config = "";
+        // Control bytes in a label reach the file escaped.
+        ok.config = "cfg\r\x01" "end";
         ok.attempts = 1;
         ok.metrics = {{"ipc", 1.2345678901234567},
                       {"cycles", 1e7}};
@@ -585,10 +593,20 @@ TEST_F(FaultTest, JournalRoundTripSkipsErrorAndTornLines)
         out << "{\"cell\": 2, \"status\": \"ok\", \"work";
     }
 
+    {
+        std::istringstream lines(slurp(path));
+        std::string line;
+        ASSERT_TRUE(std::getline(lines, line));
+        EXPECT_NE(line.find("cfg\\r\\u0001end"), std::string::npos);
+        for (const char c : line)
+            EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+    }
+
     const auto loaded = exp::RunJournal::load(path);
     ASSERT_EQ(loaded.size(), 1u); // Only the clean ok line.
     const auto &entry = loaded.at(0);
     EXPECT_EQ(entry.workload, "python");
+    EXPECT_EQ(entry.config, "cfg\r\x01" "end");
     EXPECT_EQ(entry.metrics.at("ipc"), 1.2345678901234567);
     EXPECT_EQ(entry.metrics.at("cycles"), 1e7);
     ASSERT_EQ(entry.resolvedPolicies.size(), 2u);

@@ -9,17 +9,22 @@
  * Policies own their per-line state in SoA arrays (no line view in the
  * hook API), so the unit tests drive hooks directly with (set, way,
  * request) and observe state through rrpvOf()/victim().  The
- * ReferenceEquivalence suite is the SoA/AoS differential guard: a
- * straightforward array-of-structs reimplementation of every policy
- * runs the same randomized trace through a reference cache model, and
- * each ported policy must produce the same hit/miss sequence and the
- * same victims, access for access.
+ * ReferenceEquivalence suite is the SoA/AoS differential guard and
+ * the independent reference for every arm of the cache's PolicyKind
+ * switch: a straightforward array-of-structs reimplementation of
+ * every policy runs the same randomized operations through a
+ * reference cache model, and the production Cache -- through both
+ * families of entry points, plus accessInvalidate, invalidate and
+ * markPriority with owner masks on -- must produce the same hits,
+ * victims, metadata and owner masks, operation for operation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/belady.hh"
@@ -392,10 +397,30 @@ TEST(PolicyRegistryCreation, CreatesEveryEvaluatedPolicy)
         auto p = make(name, geom4w());
         ASSERT_NE(p, nullptr);
         EXPECT_EQ(p->describe(), PolicySpec(name).canonical());
-        EXPECT_NE(p->kind(), PolicyKind::Generic)
-            << name << " must take a specialized cache path";
     }
     EXPECT_NE(make("Random", geom4w()), nullptr);
+}
+
+TEST(PolicyDispatch, EveryKindNamesTheClassItsCaseCastsTo)
+{
+    // The cache's switch static_casts to the class its case names; a
+    // kind passed by the wrong class would run another policy's hooks
+    // on foreign state.  dynamic_cast checks each cast.
+    std::vector<PolicyKind> kinds;
+    for (const auto &name : PolicyRegistry::instance().names()) {
+        Cache cache(geom4w(), PolicySpec(name));
+        ReplacementPolicy *const policy = &cache.policy();
+        cache.dispatch([&](auto &concrete) {
+            using Concrete = std::remove_reference_t<decltype(concrete)>;
+            EXPECT_EQ(dynamic_cast<Concrete *>(policy), &concrete)
+                << name;
+        });
+        kinds.push_back(policy->kind());
+    }
+    // Nine classes, one kind each (TRRIP-1/2 share TrripPolicy).
+    std::sort(kinds.begin(), kinds.end());
+    EXPECT_EQ(std::unique(kinds.begin(), kinds.end()) - kinds.begin(),
+              9);
 }
 
 TEST(PolicyRegistryCreation, ParameterizedSpecsResolve)
@@ -470,17 +495,19 @@ TEST_P(PolicyProperty, Deterministic)
 
 TEST_P(PolicyProperty, VictimAlwaysValidWay)
 {
-    auto policy = make(GetParam(), geom4w());
-    Rng rng(3);
-    for (int i = 0; i < 2000; ++i) {
-        MemRequest r = rng.chance(0.5) ? inst(rng.below(1 << 20))
-                                       : load(rng.below(1 << 20));
-        const auto set = static_cast<std::uint32_t>(rng.below(16));
-        const auto way = policy->victim(set, r);
-        ASSERT_LT(way, 4u);
-        policy->onEvict(set, way);
-        policy->onFill(set, way, r);
-    }
+    Cache cache(geom4w(), make(GetParam(), geom4w()));
+    cache.dispatch([](auto &policy) {
+        Rng rng(3);
+        for (int i = 0; i < 2000; ++i) {
+            MemRequest r = rng.chance(0.5) ? inst(rng.below(1 << 20))
+                                           : load(rng.below(1 << 20));
+            const auto set = static_cast<std::uint32_t>(rng.below(16));
+            const auto way = policy.victim(set, r);
+            ASSERT_LT(way, 4u);
+            policy.onEvict(set, way);
+            policy.onFill(set, way, r);
+        }
+    });
 }
 
 TEST_P(PolicyProperty, CacheInvariantUnderChurn)
@@ -701,6 +728,14 @@ class RefPolicy
         l.valid = false;
     }
 
+    /** Decode starvation flagged (set, way): Emissary's priority bit. */
+    void
+    onPriorityHint(std::uint32_t set, std::uint32_t way)
+    {
+        if (family_ == RefFamily::Emissary)
+            lines_[idx(set, way)].priority = true;
+    }
+
   private:
     std::size_t
     idx(std::uint32_t set, std::uint32_t way) const
@@ -776,11 +811,17 @@ class ReferenceEquivalence : public ::testing::TestWithParam<RefCase>
 {};
 
 /**
- * The differential driver: a reference tag model (valid + line addr
- * per way) plus RefPolicy runs next to the production Cache on the
- * same randomized trace.  Every access must agree on hit/miss, every
- * eviction on the victim's address, so the SoA port of each policy is
- * pinned against its AoS reference decision for decision.
+ * The differential harness: a reference tag model (line address, meta
+ * byte and owner mask per way) plus RefPolicy runs next to the
+ * production Cache on the same randomized operations.  Every demand
+ * probe and fill picks its entry point at random from the two
+ * families -- the default access/accessProbe/fill (the inline LRU arm
+ * or the out-of-line switch) and accessProbeInline/fillInline (the
+ * inline switch) -- and accessInvalidate, invalidate and markPriority
+ * run between them, with owner masks on.  Every operation must agree
+ * on hit/miss and way, every eviction and invalidation on the line's
+ * address, meta byte and owner mask, so each arm of every entry point
+ * is pinned against the AoS reference decision for decision.
  */
 TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
 {
@@ -789,12 +830,16 @@ TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
     geom.check();
 
     Cache cache(geom, make(c.spec, geom));
+    cache.enableOwnerMasks();
     RefPolicy ref(c.family, geom);
 
     // Reference residency model.
     const std::uint32_t sets = geom.numSets(), ways = geom.assoc;
     std::vector<Addr> refAddr(static_cast<std::size_t>(sets) * ways, 0);
     std::vector<std::uint8_t> refValid(refAddr.size(), 0);
+    std::vector<std::uint8_t> refMeta(refAddr.size(), 0);
+    std::vector<std::uint32_t> refOwner(refAddr.size(), 0);
+    std::uint64_t refEvictions = 0, refInvalidations = 0;
 
     Rng rng(0x5eed);
     for (int i = 0; i < 60000; ++i) {
@@ -802,7 +847,16 @@ TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
         const bool is_inst = rng.chance(0.5);
         r.vaddr = r.paddr = rng.below(64 * 1024);
         r.pc = r.vaddr;
-        r.type = is_inst ? AccessType::InstFetch : AccessType::Load;
+        // One request in ten is a prefetch; half the rest of the data
+        // requests are stores.
+        const auto type = rng.below(10);
+        if (is_inst)
+            r.type = type == 0 ? AccessType::InstPrefetch
+                               : AccessType::InstFetch;
+        else
+            r.type = type == 0 ? AccessType::DataPrefetch
+                               : (type < 5 ? AccessType::Store
+                                           : AccessType::Load);
         if (is_inst && rng.chance(0.6)) {
             const auto t = rng.below(3);
             r.temp = t == 0 ? Temperature::Hot
@@ -823,12 +877,64 @@ TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
                 way = w;
         }
         const bool ref_hit = way < ways;
-        const bool hit = cache.access(r);
-        ASSERT_EQ(hit, ref_hit)
-            << c.spec << ": hit/miss diverged at access " << i;
+        const std::size_t hit_j = static_cast<std::size_t>(set) * ways +
+                                  (ref_hit ? way : 0);
+        const auto expect_line = [&](const CacheLine &got,
+                                     const char *op) {
+            ASSERT_EQ(got.valid, ref_hit) << c.spec << ": " << op
+                                          << " presence at op " << i;
+            if (!ref_hit)
+                return;
+            ASSERT_EQ(got.addr, line) << c.spec << ": " << op << " " << i;
+            ASSERT_EQ(got.meta, refMeta[hit_j])
+                << c.spec << ": " << op << " meta at op " << i;
+            ASSERT_EQ(got.owner, refOwner[hit_j])
+                << c.spec << ": " << op << " owner at op " << i;
+        };
 
-        if (hit) {
+        const auto op = rng.below(20);
+        if (op == 0) {
+            // Back-invalidation: no policy hook, the line just leaves.
+            ASSERT_NO_FATAL_FAILURE(
+                expect_line(cache.invalidate(r.paddr), "invalidate"));
+            if (ref_hit) {
+                refValid[hit_j] = 0;
+                ++refInvalidations;
+            }
+            continue;
+        }
+        if (op == 1) {
+            // The exclusive-SLC hit: the hit hook runs, then the line
+            // leaves.
+            ASSERT_EQ(cache.accessInvalidate(r), ref_hit)
+                << c.spec << ": accessInvalidate at op " << i;
+            if (ref_hit) {
+                ref.onHit(set, way, r);
+                refValid[hit_j] = 0;
+                ++refInvalidations;
+            }
+            continue;
+        }
+        if (op == 2) {
+            cache.markPriority(r.paddr);
+            if (ref_hit)
+                ref.onPriorityHint(set, way);
+            continue;
+        }
+
+        const bool mark = rng.chance(0.5);
+        const Cache::Probe probe = rng.chance(0.5)
+                                       ? cache.accessProbeInline(r, mark)
+                                       : cache.accessProbe(r, mark);
+        ASSERT_EQ(probe.hit, ref_hit)
+            << c.spec << ": hit/miss diverged at op " << i;
+        ASSERT_EQ(probe.set, set) << c.spec << ": set at op " << i;
+
+        if (probe.hit) {
+            ASSERT_EQ(probe.way, way) << c.spec << ": way at op " << i;
             ref.onHit(set, way, r);
+            if (mark && r.isWrite())
+                refMeta[hit_j] |= kLineMetaDirty;
             continue;
         }
 
@@ -842,33 +948,53 @@ TEST_P(ReferenceEquivalence, SameHitsAndVictimsOnRandomTrace)
                 break;
             }
         }
-        std::optional<Addr> ref_evicted;
+        CacheLine ref_evicted;
         if (fill_way == ways) {
             fill_way = ref.victim(set, r);
             ASSERT_LT(fill_way, ways);
             ref.onEvict(set, fill_way);
-            ref_evicted = refAddr[static_cast<std::size_t>(set) * ways +
-                                  fill_way];
+            const std::size_t j =
+                static_cast<std::size_t>(set) * ways + fill_way;
+            ref_evicted = CacheLine{true, refAddr[j], refMeta[j],
+                                    refOwner[j]};
+            ++refEvictions;
         }
         const std::size_t j =
             static_cast<std::size_t>(set) * ways + fill_way;
+        const auto extra =
+            static_cast<std::uint8_t>(rng.chance(0.5) ? kLineMetaInL1I : 0);
+        const auto owner = static_cast<std::uint32_t>(rng.below(16));
         refAddr[j] = line;
         refValid[j] = 1;
+        refMeta[j] = packLineMeta(r.isWrite(), r.isInst(),
+                                  r.isInst() ? r.temp : Temperature::None) |
+                     extra;
+        refOwner[j] = owner;
         ref.onFill(set, fill_way, r);
 
-        const CacheLine evicted = cache.fill(r);
-        ASSERT_EQ(evicted.valid, ref_evicted.has_value())
-            << c.spec << ": eviction presence diverged at access " << i;
+        const CacheLine evicted = rng.chance(0.5)
+                                      ? cache.fillInline(r, extra, owner)
+                                      : cache.fill(r, extra, owner);
+        ASSERT_EQ(evicted.valid, ref_evicted.valid)
+            << c.spec << ": eviction presence diverged at op " << i;
         if (evicted.valid) {
-            ASSERT_EQ(evicted.addr, *ref_evicted)
-                << c.spec << ": victim diverged at access " << i;
+            ASSERT_EQ(evicted.addr, ref_evicted.addr)
+                << c.spec << ": victim diverged at op " << i;
+            ASSERT_EQ(evicted.meta, ref_evicted.meta)
+                << c.spec << ": victim meta at op " << i;
+            ASSERT_EQ(evicted.owner, ref_evicted.owner)
+                << c.spec << ": victim owner at op " << i;
         }
     }
-    // End state: same resident lines.
+    // End state: same resident lines, evictions and invalidations.
     std::uint64_t ref_resident = 0;
     for (const auto v : refValid)
         ref_resident += v;
     EXPECT_EQ(cache.residentLines(), ref_resident);
+    EXPECT_EQ(cache.stats().evictions, refEvictions);
+    EXPECT_EQ(cache.stats().invalidations, refInvalidations);
+    EXPECT_GT(refEvictions, 10000u);
+    EXPECT_GT(refInvalidations, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
