@@ -122,11 +122,14 @@ main()
     // to fire constantly yet low enough that 8 attempts converge
     // (attempts re-roll the draw, so a p-rate fault leaves ~p^8
     // residual per cell).  A trace row loads its chunks once for all
-    // of its policy lanes, so the trace_read rates are per row.
+    // of its policy lanes, so the trace_read rates are per row; a
+    // proxy row builds its workload once per attempt, so the build
+    // rates are per row attempt (at build:1/4 and build:1/6 these
+    // seeds never fire it).
     const std::vector<std::string> matrix = {
         "cell:1/4,seed=7",
-        "trace_read:1/32,build:1/4,seed=11",
-        "cell:1/5,trace_read:1/128,build:1/6,sink_write:1/3,seed=13",
+        "trace_read:1/32,build:2/7,seed=11",
+        "cell:1/5,trace_read:1/128,build:1/4,sink_write:1/3,seed=13",
     };
     // Firings per site over the whole matrix (configure() zeroes the
     // injector's tallies, so each config's are read after its run).

@@ -223,8 +223,7 @@ parseLine(const std::string &line, JournalEntry &entry,
     return false;
 }
 
-} // namespace
-
+/** @p entry as its one-line JSON form (no newline). */
 std::string
 journalLine(const JournalEntry &entry)
 {
@@ -265,6 +264,8 @@ journalLine(const JournalEntry &entry)
     line += std::string(", \"fingerprint\": \"") + fp + "\"}";
     return line;
 }
+
+} // namespace
 
 RunJournal::RunJournal(std::string path) : path_(std::move(path))
 {

@@ -57,9 +57,6 @@ struct JournalEntry
     std::vector<std::pair<std::string, std::string>> resolvedPolicies;
 };
 
-/** Serialize @p entry as its one-line JSON form (no newline). */
-std::string journalLine(const JournalEntry &entry);
-
 /** Thread-safe append-mode journal writer. */
 class RunJournal
 {

@@ -1,6 +1,9 @@
 #include "exp/profile_cache.hh"
 
 #include <sstream>
+#include <type_traits>
+
+#include "workloads/builder.hh"
 
 namespace trrip::exp {
 
@@ -22,11 +25,13 @@ ProfileCache::key(const SyntheticWorkload &workload,
     return os.str();
 }
 
-template <typename T, typename Build>
+template <typename T, typename Key, typename Build>
 std::shared_ptr<const T>
-ProfileCache::lookup(Entries<T> &entries, const std::string &key,
+ProfileCache::lookup(Entries<T, Key> &entries, const Key &key,
                      Build &&build)
 {
+    // A workload is the input of a collection, not one.
+    constexpr bool counted = !std::is_same_v<T, SyntheticWorkload>;
     std::shared_ptr<Entry<T>> entry;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -41,11 +46,13 @@ ProfileCache::lookup(Entries<T> &entries, const std::string &key,
     // the next caller builds again.
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->value) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        if (counted)
+            hits_.fetch_add(1, std::memory_order_relaxed);
         return entry->value;
     }
     entry->value = std::make_shared<const T>(build());
-    collections_.fetch_add(1, std::memory_order_relaxed);
+    if (counted)
+        collections_.fetch_add(1, std::memory_order_relaxed);
     return entry->value;
 }
 
@@ -66,14 +73,11 @@ ProfileCache::traceIndex(const std::string &path)
                   [&] { return trace::buildTraceIndex(path); });
 }
 
-void
-ProfileCache::clear()
+std::shared_ptr<const SyntheticWorkload>
+ProfileCache::workload(const WorkloadParams &params)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    traceEntries_.clear();
-    collections_.store(0, std::memory_order_relaxed);
-    hits_.store(0, std::memory_order_relaxed);
+    return lookup(workloadEntries_, params,
+                  [&] { return buildWorkload(params); });
 }
 
 } // namespace trrip::exp

@@ -5,9 +5,11 @@
  * A training profile depends only on (workload identity, training
  * input, profile budget) -- not on the replacement policy or cache
  * configuration under evaluation -- so a grid sweep needs exactly one
- * instrumented run per workload, not one per cell.  The cache is
- * thread-safe and collection is de-duplicated: concurrent requests for
- * the same key block on one collection instead of racing to repeat it.
+ * instrumented run per workload, not one per cell.  The built proxy
+ * workloads and the trace indexes are cached the same way.  The cache
+ * is thread-safe and collection is de-duplicated: concurrent requests
+ * for the same key block on one collection instead of racing to
+ * repeat it.
  */
 
 #ifndef TRRIP_EXP_PROFILE_CACHE_HH
@@ -55,6 +57,16 @@ class ProfileCache
     std::shared_ptr<const trace::TraceIndex>
     traceIndex(const std::string &path);
 
+    /**
+     * The workload @p params builds, built on first use and kept for
+     * the cache's life, as its profiles are.  The key is every field
+     * of @p params, so labels that resolve to the same parameters
+     * share one build and any difference builds anew.  Not counted in
+     * collections()/hits().
+     */
+    std::shared_ptr<const SyntheticWorkload>
+    workload(const WorkloadParams &params);
+
     /** Instrumented runs actually executed (one per distinct key). */
     std::uint64_t
     collections() const
@@ -69,9 +81,6 @@ class ProfileCache
         return hits_.load(std::memory_order_relaxed);
     }
 
-    /** Drop all cached profiles and reset the counters. */
-    void clear();
-
   private:
     /** One cached value; its mutex serializes the first build. */
     template <typename T>
@@ -81,24 +90,25 @@ class ProfileCache
         std::shared_ptr<const T> value;
     };
 
-    template <typename T>
-    using Entries = std::map<std::string, std::shared_ptr<Entry<T>>>;
+    template <typename T, typename Key = std::string>
+    using Entries = std::map<Key, std::shared_ptr<Entry<T>>>;
 
     static std::string key(const SyntheticWorkload &workload,
                            InstCount profile_instructions);
 
     /**
      * The value of @p entries at @p key, built by @p build on first
-     * use and counted as a collection, else counted as a hit.
+     * use and counted as a collection, else counted as a hit
+     * (workloads count as neither).
      */
-    template <typename T, typename Build>
-    std::shared_ptr<const T> lookup(Entries<T> &entries,
-                                    const std::string &key,
-                                    Build &&build);
+    template <typename T, typename Key, typename Build>
+    std::shared_ptr<const T> lookup(Entries<T, Key> &entries,
+                                    const Key &key, Build &&build);
 
     std::mutex mutex_;
     Entries<Profile> entries_;
     Entries<trace::TraceIndex> traceEntries_;
+    Entries<SyntheticWorkload, WorkloadParams> workloadEntries_;
     /** Destructive-interference padding unit (a conservative constant:
      *  std::hardware_destructive_interference_size triggers ABI
      *  warnings on GCC and is unavailable on some libc++ builds). */

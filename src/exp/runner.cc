@@ -14,7 +14,6 @@
 #include "exp/pool.hh"
 #include "exp/sink.hh"
 #include "sim/multicore.hh"
-#include "trace/replay.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/parse.hh"
@@ -111,32 +110,16 @@ ExperimentRunner::ExperimentRunner(unsigned threads) :
 
 namespace {
 
-/**
- * The per-core labels of workload-axis label @p label: the elements
- * of an `mc:` label, else the label itself.
- */
-std::vector<std::string>
-coreLabels(const std::string &label)
-{
-    return isMultiCoreName(label) ? multiCoreWorkloadsOf(label)
-                                  : std::vector<std::string>{label};
-}
-
 /** Everything one grid carries through its run. */
 struct RunState
 {
     RunState(const ExperimentSpec &spec, ProfileCache &profiles) :
-        spec(spec), profiles(&profiles),
-        paramsFor(spec.paramsFor ? spec.paramsFor
-                                 : [](const std::string &name) {
-                                       return proxyParams(name);
-                                   })
+        spec(spec), profiles(&profiles)
     {}
 
     const ExperimentSpec &spec;
     ProfileCache *profiles;
     WorkerPool *pool = nullptr;
-    std::function<WorkloadParams(const std::string &)> paramsFor;
     std::vector<CellRecord> records;
     /**
      * The rows to run: the record indices each row item executes.  A
@@ -147,16 +130,6 @@ struct RunState
      * TRRIP_JOBS.
      */
     std::vector<std::vector<std::size_t>> groups;
-
-    /**
-     * The grid's distinct proxy labels (bundle cores included), in
-     * order of first appearance, and their workloads: each built
-     * exactly once on whichever worker needs it first (the build
-     * items race the rows; a per-proxy mutex de-duplicates).
-     */
-    std::vector<std::string> proxies;
-    std::unique_ptr<std::mutex[]> buildMutex;
-    std::vector<std::unique_ptr<SyntheticWorkload>> workloads;
 
     /** Failure bookkeeping (the policy is spec.onError). */
     std::unique_ptr<RunJournal> journal;
@@ -172,32 +145,6 @@ struct RunState
     std::mutex errorMutex;
     std::size_t firstErrorIndex = ~std::size_t(0);
     std::unique_ptr<SimError> firstError;
-
-    /** Proxy @p proxy's workload, built on first use. */
-    const SyntheticWorkload &
-    ensureWorkload(std::size_t proxy)
-    {
-        // Not std::call_once: a callable that throws out of it never
-        // releases the once-flag under ThreadSanitizer's interceptor,
-        // so the next caller would block forever.
-        std::lock_guard<std::mutex> lock(buildMutex[proxy]);
-        if (!workloads[proxy]) {
-            // The build injection site.  A throw leaves the slot
-            // null, so the next cell needing this workload (or this
-            // cell's next attempt) rebuilds.
-            FaultInjector::instance().maybeInject(FaultSite::Build);
-            try {
-                workloads[proxy] = std::make_unique<SyntheticWorkload>(
-                    buildWorkload(paramsFor(proxies[proxy])));
-            } catch (const SimError &) {
-                throw;
-            } catch (const std::exception &e) {
-                throw SimError(ErrorCategory::BuildFailure, e.what())
-                    .withContext("building workload " + proxies[proxy]);
-            }
-        }
-        return *workloads[proxy];
-    }
 
     /**
      * A lane's outcome.  A single row stores its core's own result;
@@ -255,7 +202,6 @@ struct RunState
         ctx.id = rec.id;
         ctx.workload = rec.workload;
         ctx.policy = rec.policy;
-        ctx.config = rec.config;
         ctx.options = rowOptions(rec.id, wc);
         ctx.worker = wc.worker;
         ctx.profiles = profiles;
@@ -265,36 +211,12 @@ struct RunState
     }
 
     /**
-     * The cores of workload-axis label @p label, in core order: one
-     * per element of an `mc:` label, else the label itself.  Proxy
-     * cores run the grid's once-built workloads; training profiles
-     * and trace indexes come from the shared cache.
-     */
-    std::vector<CoreInput>
-    coresOf(const std::string &label, const SimOptions &options)
-    {
-        const InstCount budget = resolveProfileBudget(options);
-        std::vector<CoreInput> cores;
-        for (const std::string &core : coreLabels(label)) {
-            CoreInput &in = cores.emplace_back();
-            if (trace::isTraceName(core)) {
-                in.tracePath = trace::tracePathOf(core);
-                in.traceIndex = profiles->traceIndex(in.tracePath);
-                continue;
-            }
-            in.workload = &ensureWorkload(
-                std::ranges::find(proxies, core) - proxies.begin());
-            in.profile = profiles->get(*in.workload, budget,
-                                       options.cancel);
-        }
-        return cores;
-    }
-
-    /**
      * Run the cells @p lanes of one row (same workload and config, in
-     * policy order) as the policy lanes of one engine: the builds, the
-     * profiles, the prepare steps and the event streams are shared,
-     * and each lane's result is bit-identical to its solo run.
+     * policy order) as the policy lanes of one engine: runMultiCore()
+     * resolves the row's core labels, taking workloads, training
+     * profiles and trace indexes from the shared cache, and the
+     * prepare steps and event streams are shared by the lanes.  Each
+     * lane's result is bit-identical to its solo run.
      */
     void
     runLanes(const std::vector<std::size_t> &lanes, WorkerContext &wc)
@@ -302,6 +224,18 @@ struct RunState
         const CellId row = records[lanes.front()].id;
         MultiCoreOptions mo;
         mo.base = rowOptions(row, wc);
+        mo.paramsFor = spec.paramsFor;
+        mo.workloadProvider = [this](const WorkloadParams &params) {
+            return profiles->workload(params);
+        };
+        mo.profileProvider = [this, cancel = mo.base.cancel](
+                                 const SyntheticWorkload &workload,
+                                 InstCount budget) {
+            return profiles->get(workload, budget, cancel);
+        };
+        mo.traceIndexProvider = [this](const std::string &path) {
+            return profiles->traceIndex(path);
+        };
 
         std::vector<LaneSpec> specs;
         for (std::size_t index : lanes) {
@@ -311,8 +245,11 @@ struct RunState
             specs.push_back({PolicySpec(rec.policy), rec.probe.get()});
         }
 
-        std::vector<MultiCoreResult> out = runBundle(
-            coresOf(spec.workloads[row.workload], mo.base), specs, mo);
+        const std::string &label = spec.workloads[row.workload];
+        std::vector<MultiCoreResult> out = runMultiCore(
+            isMultiCoreName(label) ? multiCoreWorkloadsOf(label)
+                                   : std::vector<std::string>{label},
+            specs, mo);
         for (std::size_t k = 0; k < lanes.size(); ++k)
             store(lanes[k], std::move(out[k]));
     }
@@ -367,8 +304,11 @@ struct RunState
         for (const std::string &frame : last.context())
             rec.errorMessage += "; " + frame;
         cellsFailed.fetch_add(1, std::memory_order_relaxed);
-        if (journal)
+        if (journal) {
+            // Under (cell, attempts), as a successful cell's line.
+            FaultInjector::Scope scope(index, attempts);
             journal->append(journalEntryFor(rec, index));
+        }
         if (spec.onError.mode == OnError::Mode::Abort) {
             abortRequested.store(true, std::memory_order_relaxed);
             std::lock_guard<std::mutex> lock(errorMutex);
@@ -389,10 +329,12 @@ struct RunState
      * depends only on the cell and the attempt number, never on the
      * worker, the schedule or TRRIP_JOBS -- and a retry re-rolls, so
      * finite rates converge.  Each pending cell draws its `cell` site
-     * under its own scope; the work the lanes share (build, profile,
-     * prepare, trace chunk loads) runs under the scope of the group's
-     * first pending cell, and a throw there fails the attempt for
-     * every lane in it.  A retry re-runs only the cells still pending.
+     * under its own scope, and its journal line draws `sink_write`
+     * under (cell, its last attempt); the work the lanes share
+     * (build, profile, prepare, trace chunk loads) runs under the
+     * scope of the group's first pending cell, and a throw there
+     * fails the attempt for every lane in it.  A retry re-runs only
+     * the cells still pending.
      */
     void
     runGroupGuarded(std::size_t group, WorkerContext &wc)
@@ -553,7 +495,6 @@ ExperimentRunner::run(const ExperimentSpec &spec,
                     rec.metrics = entry.metrics;
                     rec.artifacts.resolvedPolicies =
                         entry.resolvedPolicies;
-                    rec.resumed = true;
                     ++state.cellsResumed;
                     return true;
                 }),
@@ -582,30 +523,9 @@ ExperimentRunner::run(const ExperimentSpec &spec,
         }
     }
 
-    // The proxies to build, bundle cores included.  Custom-executor
-    // specs build nothing: their workload axis is free-form labels,
-    // not proxy names.
-    for (const std::string &label : spec.workloads) {
-        for (const std::string &core : coreLabels(label)) {
-            if (!spec.runCell && !trace::isTraceName(core) &&
-                std::ranges::find(state.proxies, core) ==
-                    state.proxies.end()) {
-                state.proxies.push_back(core);
-            }
-        }
-    }
-    const std::size_t n_builds = state.proxies.size();
-    state.buildMutex = std::make_unique<std::mutex[]>(n_builds);
-    state.workloads.resize(n_builds);
-
-    // One queue: the builds are items [0, n_builds), so idle workers
-    // build ahead of the rows; the rows follow in grid order.  A row
-    // that reaches a workload before its build item does builds it
-    // itself through the same per-proxy mutex.
-    const std::size_t n_items = n_builds + state.groups.size();
+    // One queue: the rows, in grid order, on at most one worker each.
     const auto threads_used = static_cast<unsigned>(std::min<std::size_t>(
-        {threads_, std::max<std::size_t>(1, state.groups.size()),
-         n_items}));
+        threads_, std::max<std::size_t>(1, state.groups.size())));
     WorkerPool pool(threads_used, cellTimeoutMs_);
     state.pool = &pool;
     const std::uint64_t collections_before = profiles_.collections();
@@ -613,29 +533,19 @@ ExperimentRunner::run(const ExperimentSpec &spec,
     const auto t0 = std::chrono::steady_clock::now();
 
     const WorkerPool::Failures escaped = pool.run(
-        n_items, [&](std::size_t item, WorkerContext &wc) {
-            if (item < n_builds)
-                state.ensureWorkload(item);
-            else
-                state.runGroupGuarded(item - n_builds, wc);
+        state.groups.size(), [&](std::size_t group, WorkerContext &wc) {
+            state.runGroupGuarded(group, wc);
         });
-    for (const auto &[item, error] : escaped) {
-        // A failed build item leaves its workload's slot empty: the
-        // first row that needs the workload builds it again under its
-        // own cell scope, and fails there if the build fails again.
-        if (item < n_builds)
-            continue;
+    for (const auto &[group, error] : escaped) {
         // A row turns every throw into error rows, so one that
         // reaches the pool is a broken invariant, not a cell outcome.
-        const CellRecord &rec =
-            state.records[state.groups[item - n_builds].front()];
+        const CellRecord &rec = state.records[state.groups[group].front()];
         panic("experiment '", spec.name, "': the row of workload ",
               rec.workload,
               rec.config.empty() ? std::string()
                                  : ", config " + rec.config,
               " let an exception escape: ", error.what());
     }
-    state.workloads.clear();
     const double wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

@@ -2,23 +2,21 @@
  * @file
  * Parallel experiment execution.
  *
- * The runner expands an ExperimentSpec into cells, builds each proxy
- * workload (bundle cores included) exactly once, resolves training
- * profiles and trace indexes through a shared ProfileCache, and
- * executes the grid as one queue of items on a WorkerPool: worker 0
- * is the thread that called run(), and the threads of the others are
- * started and joined by that run(), so no thread outlives a call.
- * The queue holds the workload builds first, so idle workers build
- * ahead of the rows, then the rows in grid order.  A row -- the live
- * cells sharing a workload and a config -- runs as the policy lanes
- * of one engine: every row, whether a proxy, a `trace:` or an `mc:`
- * bundle, is a list of cores driven by runBundle()
- * (sim/multicore.hh), so each core's event stream, MMU and branch
- * unit are simulated once per row (custom-runCell specs keep one cell
- * per item).  A grid with fewer rows than workers therefore runs
- * fewer workers.  Results are stored by deterministic cell index and
- * fed to the sinks in that order, so the output is bit-identical
- * regardless of thread count or scheduling.
+ * The runner expands an ExperimentSpec into cells, resolves proxy
+ * workloads, training profiles and trace indexes through a shared
+ * ProfileCache, and executes the grid's rows, in grid order, as one
+ * queue of items on a WorkerPool: worker 0 is the thread that called
+ * run(), and the threads of the others are started and joined by that
+ * run(), so no thread outlives a call.  A row -- the live cells
+ * sharing a workload and a config -- runs as the policy lanes of one
+ * engine: every row, whether a proxy, a `trace:` or an `mc:` bundle,
+ * is a list of core labels run by runMultiCore() (sim/multicore.hh),
+ * so each core's event stream, MMU and branch unit are simulated once
+ * per row (custom-runCell specs keep one cell per item).  A grid with
+ * fewer rows than workers therefore runs fewer workers.  Results are
+ * stored by deterministic cell index and fed to the sinks in that
+ * order, so the output is bit-identical regardless of thread count or
+ * scheduling.
  *
  * Failure semantics (see exp/spec.hh): a cell that throws is a
  * contained outcome, not a crash.  The runner retries or skips it
@@ -110,7 +108,7 @@ class ExperimentResults
  * Executor for experiment grids.  Each run() runs its own workers
  * (at most threads(), and no more than the grid has rows): the first
  * on the calling thread, the others on threads it starts and joins
- * before it returns; workload builds and rows share its one queue.
+ * before it returns; its one queue holds the grid's rows.
  */
 class ExperimentRunner
 {

@@ -176,10 +176,7 @@ JsonSink::begin(const ExperimentSpec &spec)
     if (path_.empty())
         path_ = defaultSinkPath(spec.name, "json");
     out_.open(path_);
-    if (!out_) {
-        warn("JsonSink: cannot open ", path_);
-        return;
-    }
+    fatal_if(!out_, "JsonSink: cannot open ", path_);
     firstCell_ = true;
     std::vector<std::string> configs;
     for (std::size_t c = 0; c < spec.configCount(); ++c)
@@ -195,8 +192,6 @@ JsonSink::begin(const ExperimentSpec &spec)
 void
 JsonSink::cell(const CellRecord &record)
 {
-    if (!out_)
-        return;
     out_ << (firstCell_ ? "\n" : ",\n");
     firstCell_ = false;
     out_ << "    {\"workload\": \"" << jsonEscape(record.workload)
@@ -237,8 +232,6 @@ JsonSink::cell(const CellRecord &record)
 void
 JsonSink::end(const ExperimentResults &results)
 {
-    if (!out_)
-        return;
     // Deliberately no wall time, thread count, or cache statistics:
     // the file must be byte-identical across runs, TRRIP_JOBS
     // settings, retries and journal resumes, so it can be diffed for
@@ -247,6 +240,7 @@ JsonSink::end(const ExperimentResults &results)
     (void)results;
     out_ << "\n  ]\n}\n";
     out_.close();
+    fatal_if(!out_, "JsonSink: cannot write ", path_);
     inform("wrote ", path_);
 }
 
@@ -264,11 +258,8 @@ CsvSink::begin(const ExperimentSpec &spec)
 void
 CsvSink::end(const ExperimentResults &results)
 {
-    out_.open(path_);
-    if (!out_) {
-        warn("CsvSink: cannot open ", path_);
-        return;
-    }
+    std::ofstream out(path_);
+    fatal_if(!out, "CsvSink: cannot open ", path_);
     // The rows are the valid records, in index order: the cells the
     // runner fed this sink.
     std::set<std::string> columns;
@@ -280,34 +271,35 @@ CsvSink::end(const ExperimentResults &results)
             columns.insert(name);
         any_failed = any_failed || row.failed;
     }
-    out_ << "workload,policy,config";
+    out << "workload,policy,config";
     for (const auto &c : columns)
-        out_ << ',' << c;
+        out << ',' << c;
     // Error columns only exist when the run produced an error row,
     // so fault-free output is byte-identical to the pre-error-row
     // schema.
     if (any_failed)
-        out_ << ",error_category,error_message";
-    out_ << '\n';
+        out << ",error_category,error_message";
+    out << '\n';
     for (const CellRecord &row : results.cells()) {
         if (!row.valid)
             continue;
-        out_ << csvField(row.workload) << ','
-             << csvField(canonicalLabel(row.policy)) << ','
-             << csvField(row.config);
+        out << csvField(row.workload) << ','
+            << csvField(canonicalLabel(row.policy)) << ','
+            << csvField(row.config);
         for (const auto &c : columns) {
             const auto it = row.metrics.find(c);
-            out_ << ',';
+            out << ',';
             if (it != row.metrics.end())
-                out_ << jsonNumber(it->second);
+                out << jsonNumber(it->second);
         }
         if (any_failed) {
-            out_ << ',' << csvField(row.errorCategory) << ','
-                 << csvField(row.errorMessage);
+            out << ',' << csvField(row.errorCategory) << ','
+                << csvField(row.errorMessage);
         }
-        out_ << '\n';
+        out << '\n';
     }
-    out_.close();
+    out.close();
+    fatal_if(!out, "CsvSink: cannot write ", path_);
     inform("wrote ", path_);
 }
 

@@ -16,6 +16,9 @@
  * bare name and its fully spelled-out spec emit identical files.
  * Timing fields (wall seconds, thread count) stay on stdout only:
  * BENCH files are byte-reproducible across runs and thread counts.
+ * A JSON or CSV writer that cannot open its file, or whose stream is
+ * bad after its last write and close, calls fatal() naming the path:
+ * no bench exits 0 without its BENCH file.
  *
  * Failed cells become schema-stable error rows: the JSON writer
  * replaces the metrics object with {"error": {"category", "message"}}
@@ -77,8 +80,6 @@ class JsonSink : public ResultSink
     void cell(const CellRecord &record) override;
     void end(const ExperimentResults &results) override;
 
-    const std::string &path() const { return path_; }
-
   private:
     std::string path_;
     std::ofstream out_;
@@ -95,11 +96,8 @@ class CsvSink : public ResultSink
     /** Writes every valid record of @p results, in index order. */
     void end(const ExperimentResults &results) override;
 
-    const std::string &path() const { return path_; }
-
   private:
     std::string path_;
-    std::ofstream out_;
 };
 
 /** Resolved output path "<TRRIP_RESULTS_DIR or .>/BENCH_<stem>.<ext>". */

@@ -79,7 +79,6 @@ struct CellContext
     CellId id;
     std::string workload;   //!< Axis labels, resolved.
     std::string policy;
-    std::string config;
     SimOptions options;     //!< Base options + config variant applied.
     ProfileCache *profiles = nullptr;
     /** Stable id of the pool worker executing this cell. */
@@ -120,7 +119,11 @@ struct ExperimentSpec
     /** Base options every cell starts from. */
     SimOptions options;
 
-    /** Workload-name -> parameters; defaults to proxyParams(). */
+    /**
+     * Workload-name -> parameters; defaults to proxyParams().  Called
+     * once per proxy core per row attempt, possibly concurrently from
+     * several workers.
+     */
     std::function<WorkloadParams(const std::string &)> paramsFor;
 
     /**
@@ -222,8 +225,6 @@ struct CellRecord
     /** @} */
     /** Attempts actually executed (0 for resumed/skipped cells). */
     unsigned attempts = 0;
-    /** Replayed from a run journal instead of executed. */
-    bool resumed = false;
 
     const SimResult &result() const { return artifacts.result; }
 

@@ -5,6 +5,7 @@
 
 #include "core/policy_registry.hh"
 #include "trace/source.hh"
+#include "util/fault.hh"
 #include "util/logging.hh"
 #include "workloads/builder.hh"
 #include "workloads/proxies.hh"
@@ -219,8 +220,8 @@ runMultiCore(const std::vector<std::string> &core_workloads,
              const std::vector<LaneSpec> &lanes,
              const MultiCoreOptions &options)
 {
-    // The built workloads outlive the run: executors reference them.
-    std::vector<std::unique_ptr<SyntheticWorkload>> built;
+    // The workloads outlive the run: executors reference them.
+    std::vector<std::shared_ptr<const SyntheticWorkload>> built;
     std::vector<CoreInput> cores;
     for (const std::string &label : core_workloads) {
         CoreInput &core = cores.emplace_back();
@@ -231,9 +232,16 @@ runMultiCore(const std::vector<std::string> &core_workloads,
                     options.traceIndexProvider(core.tracePath);
             continue;
         }
-        built.push_back(std::make_unique<SyntheticWorkload>(
-            buildWorkload(options.paramsFor ? options.paramsFor(label)
-                                            : proxyParams(label))));
+        // The build injection site: one draw per proxy core per call,
+        // whether or not the provider has the workload already.
+        FaultInjector::instance().maybeInject(FaultSite::Build);
+        const WorkloadParams params = options.paramsFor
+                                          ? options.paramsFor(label)
+                                          : proxyParams(label);
+        built.push_back(options.workloadProvider
+                            ? options.workloadProvider(params)
+                            : std::make_shared<const SyntheticWorkload>(
+                                  buildWorkload(params)));
         core.workload = built.back().get();
         if (options.profileProvider) {
             core.profile = options.profileProvider(

@@ -102,8 +102,19 @@ struct MultiCoreOptions
 
     /** @name Label resolution (runMultiCore() only) */
     /** @{ */
-    /** Workload-name -> parameters; defaults to proxyParams(). */
+    /**
+     * Workload-name -> parameters; defaults to proxyParams().  Called
+     * once per proxy core per call.
+     */
     std::function<WorkloadParams(const std::string &)> paramsFor;
+
+    /**
+     * Optional shared workload provider (exp::ProfileCache), given
+     * each proxy core's parameters; null = the call builds its own
+     * proxy workloads and frees them when it returns.
+     */
+    std::function<std::shared_ptr<const SyntheticWorkload>(
+        const WorkloadParams &)> workloadProvider;
 
     /**
      * Optional shared training-profile provider (exp::ProfileCache);
@@ -150,8 +161,10 @@ runBundle(const std::vector<CoreInput> &cores,
 
 /**
  * runBundle() over @p core_workloads (proxy names / `trace:<path>`
- * labels, one per core): proxies are built with options.paramsFor,
- * profiles and trace indexes come from the providers.
+ * labels, one per core): each proxy core draws the `build` fault site
+ * (util/fault.hh), then resolves its options.paramsFor parameters to
+ * a workload; workloads, profiles and trace indexes come from the
+ * providers.
  */
 std::vector<MultiCoreResult>
 runMultiCore(const std::vector<std::string> &core_workloads,

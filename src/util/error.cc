@@ -7,7 +7,6 @@ errorCategoryName(ErrorCategory category)
 {
     switch (category) {
       case ErrorCategory::TraceCorrupt: return "trace_corrupt";
-      case ErrorCategory::BuildFailure: return "build_failure";
       case ErrorCategory::Timeout: return "timeout";
       case ErrorCategory::Injected: return "injected";
       case ErrorCategory::Internal: return "internal";

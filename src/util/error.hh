@@ -4,10 +4,10 @@
  *
  * SimError is the one exception type the engine throws for *contained*
  * failures: conditions caused by a particular input or cell (a corrupt
- * trace file, a pipeline build that failed, a cell past its deadline,
- * an injected chaos fault) that must fail that unit of work without
- * taking down the grid.  WorkerPool catches at the item boundary and
- * ExperimentRunner turns the error into a per-cell outcome governed by
+ * trace file, a cell past its deadline, an injected chaos fault) that
+ * must fail that unit of work without taking down the grid.
+ * WorkerPool catches at the item boundary and ExperimentRunner turns
+ * the error into a per-cell outcome governed by
  * ExperimentSpec::onError; panic()/fatal() remain what they were --
  * process-fatal invariant violations and unusable configuration.
  *
@@ -43,7 +43,6 @@ namespace trrip {
 enum class ErrorCategory : std::uint8_t
 {
     TraceCorrupt,   //!< Unusable trace input: missing, truncated, corrupt.
-    BuildFailure,   //!< Workload/pipeline construction failed.
     Timeout,        //!< Cell exceeded its deadline (watchdog cancel).
     Injected,       //!< Deterministic chaos fault (util/fault.hh).
     Internal,       //!< Escaped std::exception wrapped at a boundary.

@@ -11,7 +11,10 @@ namespace trrip {
 
 namespace {
 
-//! Per-thread injection scope state (see FaultInjector::Scope).
+/**
+ * Per-thread injection scope state (see FaultInjector::Scope).  Its
+ * default -- no scope -- is key 0 with the thread's own ordinals.
+ */
 struct ScopeState
 {
     bool active = false;
@@ -134,18 +137,14 @@ FaultInjector::shouldFail(FaultSite site)
     if (rate.num == 0)
         return false;
 
-    // Draw index: scoped draws key off (cell item, attempt, per-site
-    // counter within the scope) so a cell's faults are independent of
-    // worker identity and of what else is in flight; unscoped draws
-    // fall back to a global per-site counter.
-    std::uint64_t key, ordinal;
-    if (tlScope.active) {
-        key = splitMix64(tlScope.key * 0x100000001b3ULL + tlScope.attempt);
-        ordinal = tlScope.count[s]++;
-    } else {
-        key = 0;
-        ordinal = globalCount_[s].fetch_add(1, std::memory_order_relaxed);
-    }
+    // Draw index: (scope key, per-site counter within the scope), so
+    // a cell's faults are independent of worker identity and of what
+    // else is in flight; an unscoped draw keys on 0.
+    const std::uint64_t key =
+        tlScope.active
+            ? splitMix64(tlScope.key * 0x100000001b3ULL + tlScope.attempt)
+            : 0;
+    const std::uint64_t ordinal = tlScope.count[s]++;
     std::uint64_t h =
         splitMix64(seed_ ^ splitMix64(key ^ (std::uint64_t(s) << 56)));
     h = splitMix64(h ^ ordinal);
@@ -172,7 +171,6 @@ FaultInjector::resetCounts()
     for (std::size_t s = 0; s < kNumFaultSites; ++s) {
         fired_[s].store(0, std::memory_order_relaxed);
         checked_[s].store(0, std::memory_order_relaxed);
-        globalCount_[s].store(0, std::memory_order_relaxed);
     }
 }
 
@@ -201,15 +199,12 @@ FaultInjector::totalFired() const
 
 FaultInjector::Scope::Scope(std::uint64_t key, unsigned attempt)
 {
-    tlScope.active = true;
-    tlScope.key = key;
-    tlScope.attempt = attempt;
-    tlScope.count.fill(0);
+    tlScope = {true, key, attempt, {}};
 }
 
 FaultInjector::Scope::~Scope()
 {
-    tlScope.active = false;
+    tlScope = {};
 }
 
 } // namespace trrip

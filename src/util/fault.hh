@@ -28,11 +28,12 @@
  * local).  The same cell on the same attempt therefore sees the same
  * faults regardless of which worker runs it or what else is in
  * flight, while a *retry* of the cell (attempt+1) re-rolls -- so
- * finite fault rates converge under OnError retry.  Evaluations
- * outside any scope (the runner's build items, which come first in
- * its queue) key off a scope-independent per-site global counter;
- * those are deterministic for a serial order but are only used where
- * a retry path re-rolls anyway.
+ * finite fault rates converge under OnError retry.  The runner makes
+ * every draw inside a scope.  A draw outside any scope (a direct
+ * runMultiCore() or trace replay) keys on 0 with the calling thread's
+ * own per-site ordinals, counted since the thread started or since
+ * its last scope ended, so it depends only on that thread's own
+ * order of draws.
  */
 
 #ifndef TRRIP_UTIL_FAULT_HH
@@ -50,7 +51,7 @@ namespace trrip {
 enum class FaultSite : std::uint8_t
 {
     TraceRead,  //!< TraceReader chunk load.
-    Build,      //!< Workload construction (RunState::ensureWorkload).
+    Build,      //!< Proxy workload build (runMultiCore, per core).
     Cell,       //!< Cell compute entry (runGroupGuarded).
     SinkWrite,  //!< Run-journal line append.
     NumSites,
@@ -71,7 +72,7 @@ class FaultInjector
     /**
      * (Re)configure from a spec string; empty disables all sites.
      * Throws SimError(Internal) on a malformed spec.  Also resets
-     * fired/checked counters and the global site counters.
+     * the fired/checked counters.
      */
     void configure(const std::string &spec);
 
@@ -86,7 +87,7 @@ class FaultInjector
     /** shouldFail(), throwing SimError(Injected) when it fires. */
     void maybeInject(FaultSite site);
 
-    /** Zero the fired/checked tallies and global counters (tests). */
+    /** Zero the fired/checked tallies (tests). */
     void resetCounts();
 
     std::uint64_t firedCount(FaultSite site) const;
@@ -118,8 +119,6 @@ class FaultInjector
     std::array<SiteRate, kNumFaultSites> rates_{};
     std::array<std::atomic<std::uint64_t>, kNumFaultSites> fired_{};
     std::array<std::atomic<std::uint64_t>, kNumFaultSites> checked_{};
-    //! Fallback draw counters for evaluations outside any Scope.
-    std::array<std::atomic<std::uint64_t>, kNumFaultSites> globalCount_{};
 };
 
 } // namespace trrip

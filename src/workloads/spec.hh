@@ -14,6 +14,7 @@
 #ifndef TRRIP_WORKLOADS_SPEC_HH
 #define TRRIP_WORKLOADS_SPEC_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,6 +46,8 @@ struct DataRegionSpec
      */
     double localityFraction = 0.85;
     std::uint64_t localityBytes = 96 * 1024;
+
+    auto operator<=>(const DataRegionSpec &) const = default;
 };
 
 /** Full description of one synthetic benchmark. */
@@ -128,6 +131,9 @@ struct WorkloadParams
     std::uint64_t extraColdTextBytes = 0;
 
     Addr dataBase = 0x10000000ull;
+
+    /** Field by field: equal params build the same workload. */
+    auto operator<=>(const WorkloadParams &) const = default;
 };
 
 } // namespace trrip

@@ -421,6 +421,31 @@ TEST(ProfileCache, DistinguishesTrainingInputs)
     EXPECT_EQ(cache.collections(), 2u);
 }
 
+TEST(ProfileCache, OneWorkloadPerDistinctParams)
+{
+    // Equal parameters share one build; any differing field builds
+    // anew -- the training input, as ablation 5's "+same" labels
+    // change under the same name, or a data region's size.
+    WorkloadParams same = proxyParams("python");
+    same.trainSeed = same.seed;
+    WorkloadParams bigger = proxyParams("python");
+    ASSERT_FALSE(bigger.regions.empty());
+    bigger.regions.front().sizeBytes *= 2;
+    exp::ProfileCache cache;
+    const auto a = cache.workload(proxyParams("python"));
+    const auto b = cache.workload(proxyParams("python"));
+    const auto c = cache.workload(same);
+    const auto d = cache.workload(bigger);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_NE(a.get(), c.get());
+    EXPECT_NE(a.get(), d.get());
+    EXPECT_EQ(c->params, same);
+    EXPECT_EQ(d->params, bigger);
+    // Workloads are not profiles: they count as neither.
+    EXPECT_EQ(cache.collections(), 0u);
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(ProfileCache, ConcurrentRequestsCollectOnce)
 {
     const auto wl = buildWorkload(proxyParams("python"));
@@ -510,6 +535,49 @@ TEST(Sinks, CsvSinkWritesOneRowPerCell)
     EXPECT_EQ(rows, spec.cellCount());
     EXPECT_TRUE(saw_quoted_clip);
     std::remove(path.c_str());
+}
+
+// A sink that cannot write its file stops the process and names the
+// path: a BENCH file that silently went missing would pass any check
+// that reads only the exit code.
+TEST(Sinks, SinksStopOnAPathInAMissingDirectory)
+{
+    const exp::ExperimentSpec spec = tinySpec();
+    const exp::ExperimentResults results(spec, {});
+    EXPECT_EXIT(exp::JsonSink("test_exp_no_such_dir/a.json").begin(spec),
+                ::testing::ExitedWithCode(1),
+                "JsonSink: cannot open test_exp_no_such_dir/a.json");
+    EXPECT_EXIT(
+        {
+            exp::CsvSink csv("test_exp_no_such_dir/a.csv");
+            csv.begin(spec);
+            csv.end(results);
+        },
+        ::testing::ExitedWithCode(1),
+        "CsvSink: cannot open test_exp_no_such_dir/a.csv");
+}
+
+TEST(Sinks, SinksStopWhenTheirWritesFail)
+{
+    // /dev/full opens, and every write to it fails at the flush.
+    if (!std::ifstream("/dev/full"))
+        GTEST_SKIP() << "/dev/full not available";
+    const exp::ExperimentSpec spec = tinySpec();
+    const exp::ExperimentResults results(spec, {});
+    EXPECT_EXIT(
+        {
+            exp::JsonSink json("/dev/full");
+            json.begin(spec);
+            json.end(results);
+        },
+        ::testing::ExitedWithCode(1), "JsonSink: cannot write /dev/full");
+    EXPECT_EXIT(
+        {
+            exp::CsvSink csv("/dev/full");
+            csv.begin(spec);
+            csv.end(results);
+        },
+        ::testing::ExitedWithCode(1), "CsvSink: cannot write /dev/full");
 }
 
 TEST(JsonCodec, EveryControlByteRoundTripsEscaped)

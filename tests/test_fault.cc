@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "exp/journal.hh"
@@ -89,8 +90,6 @@ TEST(SimErrorTest, CategoryNames)
 {
     EXPECT_STREQ(errorCategoryName(ErrorCategory::TraceCorrupt),
                  "trace_corrupt");
-    EXPECT_STREQ(errorCategoryName(ErrorCategory::BuildFailure),
-                 "build_failure");
     EXPECT_STREQ(errorCategoryName(ErrorCategory::Timeout), "timeout");
     EXPECT_STREQ(errorCategoryName(ErrorCategory::Injected),
                  "injected");
@@ -161,6 +160,30 @@ TEST_F(FaultTest, ScopedDrawsAreDeterministicAndRerollPerAttempt)
         std::count(a1.begin(), a1.end(), true));
     EXPECT_GT(fires, 0);
     EXPECT_LT(fires, 64);
+}
+
+TEST_F(FaultTest, UnscopedDrawsCountOnTheCallingThread)
+{
+    // Outside any scope a draw keys on 0 with the calling thread's own
+    // ordinals: two threads drawing at once each see the sequence that
+    // one thread sees alone, whatever the interleaving.
+    auto &inj = FaultInjector::instance();
+    inj.configure("cell:1/3,seed=9");
+    const auto draws = [&inj] {
+        std::vector<bool> fired;
+        for (int i = 0; i < 64; ++i)
+            fired.push_back(inj.shouldFail(FaultSite::Cell));
+        return fired;
+    };
+    std::vector<bool> a, b, alone;
+    {
+        std::jthread ta([&] { a = draws(); });
+        std::jthread tb([&] { b = draws(); });
+    }
+    std::jthread([&] { alone = draws(); }).join();
+    EXPECT_EQ(a, alone);
+    EXPECT_EQ(b, alone);
+    EXPECT_NE(std::count(alone.begin(), alone.end(), true), 0);
 }
 
 TEST_F(FaultTest, UnnamedSitesNeverFireAndCountsAccumulate)
@@ -329,6 +352,43 @@ TEST_F(FaultTest, BuildFaultsAreContainedPerWorkload)
         EXPECT_TRUE(rec.failed);
     }
     EXPECT_EQ(results.cellsFailed, results.cells().size());
+}
+
+TEST_F(FaultTest, BuildFaultRowsDoNotDependOnJobs)
+{
+    // Each row attempt draws `build` once per proxy core under its
+    // own (first pending cell, attempt) scope, so which cells fail,
+    // and how, depends on neither the worker count nor the schedule.
+    // Every run configures afresh, so no run inherits another's
+    // draws.
+    exp::ExperimentSpec spec;
+    spec.name = "build_fault_jobs";
+    spec.workloads = {"python", "gcc", "sqlite", "deepsjeng"};
+    spec.policies = {"SRRIP"};
+    spec.options.maxInstructions = 20'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+
+    using Failures =
+        std::vector<std::tuple<std::size_t, std::string, std::string>>;
+    const auto failures = [&spec](unsigned jobs) {
+        FaultInjector::instance().configure("build:1/2,seed=3");
+        exp::ExperimentRunner runner(jobs);
+        const exp::ExperimentResults results = runner.run(spec, {});
+        Failures out;
+        for (std::size_t i = 0; i < results.cells().size(); ++i) {
+            const exp::CellRecord &rec = results.cells()[i];
+            if (rec.failed)
+                out.emplace_back(i, rec.errorCategory, rec.errorMessage);
+        }
+        return out;
+    };
+    const Failures serial = failures(1);
+    ASSERT_FALSE(serial.empty());
+    ASSERT_LT(serial.size(), spec.cellCount());
+    for (int run = 0; run < 50; ++run)
+        ASSERT_EQ(failures(4), serial) << "4 jobs, run " << run;
+    for (int run = 0; run < 20; ++run)
+        ASSERT_EQ(failures(2), serial) << "2 jobs, run " << run;
 }
 
 // --------------------------------------------------- timeout watchdog
