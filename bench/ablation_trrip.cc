@@ -63,7 +63,7 @@ main()
              }},
             {"padded",
              [](SimOptions &o) {
-                 o.layout.padSectionsToPage = true;
+                 o.padSectionsToPage = true;
              }},
         };
         // The SRRIP baseline is the default build (config 0).

@@ -8,19 +8,6 @@
 
 namespace trrip::bench {
 
-namespace {
-
-bool
-envFlag(const char *name, bool default_value)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return default_value;
-    return std::strcmp(v, "0") != 0;
-}
-
-} // namespace
-
 SimOptions
 defaultOptions()
 {
@@ -59,12 +46,11 @@ std::vector<std::unique_ptr<exp::ResultSink>>
 standardSinks()
 {
     std::vector<std::unique_ptr<exp::ResultSink>> sinks;
-    if (envFlag("TRRIP_JSON", true))
-        sinks.push_back(std::make_unique<exp::JsonSink>());
-    if (envFlag("TRRIP_CSV", false))
+    sinks.push_back(std::make_unique<exp::JsonSink>());
+    // Any non-empty value but "0" turns the CSV writer on.
+    const char *csv = std::getenv("TRRIP_CSV");
+    if (csv && *csv && std::strcmp(csv, "0") != 0)
         sinks.push_back(std::make_unique<exp::CsvSink>());
-    if (envFlag("TRRIP_CELL_TABLE", false))
-        sinks.push_back(std::make_unique<exp::TableSink>());
     return sinks;
 }
 

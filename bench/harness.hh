@@ -30,9 +30,8 @@ std::vector<std::string> envList(const char *name,
                                  std::vector<std::string> fallback);
 
 /**
- * The standard sink set for a bench run: a JSON trajectory writer
- * (disable with TRRIP_JSON=0), an opt-in CSV writer (TRRIP_CSV=1) and
- * an opt-in raw per-cell table (TRRIP_CELL_TABLE=1).
+ * The standard sink set for a bench run: a JSON trajectory writer,
+ * always, and an opt-in CSV writer (TRRIP_CSV=1).
  */
 std::vector<std::unique_ptr<exp::ResultSink>>
 standardSinks();

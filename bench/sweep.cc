@@ -10,7 +10,7 @@
  *   TRRIP_INSTR_MILLIONS   per-cell budget
  *   TRRIP_JOBS             pool width
  * Output: the per-cell metric table plus BENCH_sweep.json (and .csv
- * with TRRIP_CSV=1), honoring the standard sink toggles.
+ * with TRRIP_CSV=1), the standard sinks.
  */
 
 #include <cstdlib>
@@ -33,8 +33,8 @@ main()
         envList("TRRIP_SWEEP_POLICIES", evaluatedPolicyNames());
     spec.options = defaultOptions();
 
-    // The per-cell table is this bench's primary output; JSON/CSV
-    // follow the standard TRRIP_JSON / TRRIP_CSV toggles.
+    // The per-cell table is this bench's primary output, written
+    // beside the standard sinks.
     TableSink table;
     runExperiment(spec, sharedRunner(), {&table});
     return 0;

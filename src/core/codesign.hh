@@ -30,13 +30,6 @@ class CoDesignPipeline
 
     const SyntheticWorkload &workload() const { return workload_; }
 
-    /** Run the full pipeline with default options. */
-    RunArtifacts
-    run(const std::string &policy_spec) const
-    {
-        return run(policy_spec, SimOptions());
-    }
-
     /**
      * Run the full pipeline once for every lane: @p lanes name the L2
      * policies under test ("SRRIP", "TRRIP-2(bits=3)", ...) and their

@@ -1,268 +1,155 @@
 #include "exp/journal.hh"
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <string_view>
 
 #include "exp/json_util.hh"
 #include "util/fault.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace trrip::exp {
 
 namespace {
 
-/**
- * Integrity fingerprint: FNV-1a over a canonical rendering of the
- * payload fields.  Serialization round-trips exactly (strings
- * verbatim, doubles through %.17g/strtod), so recomputing this from
- * a parsed entry matches the stored value iff the line is intact.
- */
-std::uint64_t
-entryFingerprint(const JournalEntry &e)
+constexpr std::string_view kFingerprintKey = ", \"fingerprint\": \"";
+
+/** Bytes of closing(): the key, 16 hex digits and the closing `"}`. */
+constexpr std::size_t kClosingBytes = kFingerprintKey.size() + 16 + 2;
+
+/** What ends a line whose bytes before it are @p payload. */
+std::string
+closing(std::string_view payload)
 {
-    std::string buf = std::to_string(e.cell);
-    const auto sep = [&] { buf += '\x1f'; };
-    sep(); buf += e.workload;
-    sep(); buf += e.policy;
-    sep(); buf += e.config;
-    for (const auto &[level, desc] : e.resolvedPolicies) {
-        sep(); buf += level;
-        sep(); buf += desc;
-    }
-    for (const auto &[name, value] : e.metrics) {
-        sep(); buf += name;
-        sep(); buf += jsonNumber(value);
-    }
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : buf) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-/** Minimal scanner for the journal's own flat line schema. */
-struct Parser
-{
-    const std::string &s;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    void
-    ws()
-    {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t'))
-            ++pos;
-    }
-
-    bool
-    expect(char c)
-    {
-        ws();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        ws();
-        return pos < s.size() && s[pos] == c;
-    }
-
-    std::string
-    string()
-    {
-        if (!expect('"'))
-            return {};
-        std::string raw;
-        while (pos < s.size()) {
-            const char c = s[pos];
-            if (c == '\\') {
-                if (pos + 1 >= s.size()) {
-                    ok = false;
-                    return {};
-                }
-                raw += c;
-                raw += s[pos + 1];
-                pos += 2;
-                continue;
-            }
-            if (c == '"') {
-                ++pos;
-                return jsonUnescape(raw);
-            }
-            raw += c;
-            ++pos;
-        }
-        ok = false;  // Unterminated string (torn line).
-        return {};
-    }
-
-    double
-    number()
-    {
-        ws();
-        char *end = nullptr;
-        const double v = std::strtod(s.c_str() + pos, &end);
-        if (end == s.c_str() + pos) {
-            ok = false;
-            return 0.0;
-        }
-        pos = static_cast<std::size_t>(end - s.c_str());
-        return v;
-    }
-
-    /**
-     * A whole decimal count that fits @p T: a sign, a fraction, an
-     * exponent or an overflow fails the line (a fraction or exponent
-     * stops the parse short of the next delimiter).
-     */
-    template <typename T>
-    T
-    count()
-    {
-        ws();
-        const char *begin = s.data() + pos;
-        T n = 0;
-        const auto [ptr, ec] =
-            std::from_chars(begin, s.data() + s.size(), n);
-        if (ec != std::errc()) {
-            ok = false;
-            return 0;
-        }
-        pos = static_cast<std::size_t>(ptr - s.data());
-        return n;
-    }
-};
-
-/** Parse one journal line; also yields its "status" and stored
- *  fingerprint.  False on any syntax damage (torn trailing line). */
-bool
-parseLine(const std::string &line, JournalEntry &entry,
-          std::string &status, std::uint64_t &fingerprint,
-          bool &sawFingerprint)
-{
-    Parser p{line};
-    if (!p.expect('{'))
-        return false;
-    if (p.peek('}'))
-        return false;  // An empty object is not a journal entry.
-    while (p.ok) {
-        const std::string key = p.string();
-        if (!p.expect(':'))
-            return false;
-        if (key == "cell") {
-            entry.cell = p.count<std::size_t>();
-        } else if (key == "status") {
-            status = p.string();
-        } else if (key == "workload") {
-            entry.workload = p.string();
-        } else if (key == "policy") {
-            entry.policy = p.string();
-        } else if (key == "config") {
-            entry.config = p.string();
-        } else if (key == "attempts") {
-            entry.attempts = p.count<unsigned>();
-        } else if (key == "error_category") {
-            entry.errorCategory = p.string();
-        } else if (key == "error_message") {
-            entry.errorMessage = p.string();
-        } else if (key == "fingerprint") {
-            const std::string hex = p.string();
-            fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
-            sawFingerprint = true;
-        } else if (key == "resolved_policies") {
-            if (!p.expect('['))
-                return false;
-            while (!p.peek(']')) {
-                if (!p.expect('['))
-                    return false;
-                const std::string level = p.string();
-                if (!p.expect(','))
-                    return false;
-                const std::string desc = p.string();
-                if (!p.expect(']'))
-                    return false;
-                entry.resolvedPolicies.emplace_back(level, desc);
-                if (!p.peek(','))
-                    break;
-                p.expect(',');
-            }
-            if (!p.expect(']'))
-                return false;
-        } else if (key == "metrics") {
-            if (!p.expect('{'))
-                return false;
-            while (!p.peek('}')) {
-                const std::string name = p.string();
-                if (!p.expect(':'))
-                    return false;
-                entry.metrics[name] = p.number();
-                if (!p.peek(','))
-                    break;
-                p.expect(',');
-            }
-            if (!p.expect('}'))
-                return false;
-        } else {
-            return false;  // Unknown key: not our schema.
-        }
-        if (p.peek('}')) {
-            p.expect('}');
-            return p.ok;
-        }
-        if (!p.expect(','))
-            return false;
-    }
-    return false;
+    std::uint64_t h = kFnv1aBasis;
+    for (const char c : payload)
+        h = fnv1a(h, static_cast<std::uint8_t>(c));
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string(kFingerprintKey) + hex + "\"}";
 }
 
 /** @p entry as its one-line JSON form (no newline). */
 std::string
 journalLine(const JournalEntry &entry)
 {
-    std::string line = "{\"cell\": " + std::to_string(entry.cell);
-    line += ", \"status\": \"";
-    line += entry.failed ? "error" : "ok";
-    line += "\", \"workload\": \"" + jsonEscape(entry.workload) +
-            "\", \"policy\": \"" + jsonEscape(entry.policy) +
-            "\", \"config\": \"" + jsonEscape(entry.config) +
-            "\", \"attempts\": " + std::to_string(entry.attempts);
-    if (entry.failed) {
-        line += ", \"error_category\": \"" +
-                jsonEscape(entry.errorCategory) +
-                "\", \"error_message\": \"" +
-                jsonEscape(entry.errorMessage) + "\"";
-        return line + "}";
-    }
-    line += ", \"resolved_policies\": [";
-    bool first = true;
+    std::string line = "{\"cell\": " + std::to_string(entry.cell) +
+                       ", \"workload\": \"" + jsonEscape(entry.workload) +
+                       "\", \"policy\": \"" + jsonEscape(entry.policy) +
+                       "\", \"config\": \"" + jsonEscape(entry.config) +
+                       "\", \"resolved_policies\": [";
+    const char *sep = "";
     for (const auto &[level, desc] : entry.resolvedPolicies) {
-        line += first ? "" : ", ";
+        line += sep;
         line += "[\"" + jsonEscape(level) + "\", \"" +
                 jsonEscape(desc) + "\"]";
-        first = false;
+        sep = ", ";
     }
     line += "], \"metrics\": {";
-    first = true;
+    sep = "";
     for (const auto &[name, value] : entry.metrics) {
-        line += first ? "" : ", ";
+        line += sep;
         line += "\"" + jsonEscape(name) + "\": " + jsonNumber(value);
-        first = false;
+        sep = ", ";
     }
     line += "}";
-    char fp[32];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      entryFingerprint(entry)));
-    line += std::string(", \"fingerprint\": \"") + fp + "\"}";
-    return line;
+    return line + closing(line);
+}
+
+/** Reads journalLine()'s layout front to back; any other byte fails. */
+struct PayloadReader
+{
+    std::string_view rest;
+    bool ok = true;
+
+    /** Consume @p text if it comes next. */
+    bool
+    skip(std::string_view text)
+    {
+        if (!ok || !rest.starts_with(text))
+            return false;
+        rest.remove_prefix(text.size());
+        return true;
+    }
+
+    /** Consume @p text, which must come next. */
+    void literal(std::string_view text) { ok = skip(text); }
+
+    /** A quoted jsonEscape()d string, unescaped. */
+    std::string
+    string()
+    {
+        literal("\"");
+        // The body escapes every quote, and a backslash escapes the
+        // byte after it.
+        std::size_t end = 0;
+        while (end < rest.size() && rest[end] != '"')
+            end += rest[end] == '\\' ? 2 : 1;
+        ok = ok && end < rest.size();
+        if (!ok)
+            return {};
+        std::string out = jsonUnescape(std::string(rest.substr(0, end)));
+        rest.remove_prefix(end + 1);
+        return out;
+    }
+
+    /** A number as std::to_string() or jsonNumber() wrote it. */
+    template <typename T>
+    T
+    number()
+    {
+        T value{};
+        const auto [ptr, ec] =
+            std::from_chars(rest.data(), rest.data() + rest.size(), value);
+        ok = ok && ec == std::errc();
+        if (ok)
+            rest.remove_prefix(static_cast<std::size_t>(ptr - rest.data()));
+        return value;
+    }
+};
+
+/** The entry journalLine() wrote as @p payload (its bytes before the
+ *  fingerprint), or nullopt for any other layout. */
+std::optional<JournalEntry>
+parsePayload(std::string_view payload)
+{
+    PayloadReader r{payload};
+    JournalEntry entry;
+    r.literal("{\"cell\": ");
+    entry.cell = r.number<std::size_t>();
+    r.literal(", \"workload\": ");
+    entry.workload = r.string();
+    r.literal(", \"policy\": ");
+    entry.policy = r.string();
+    r.literal(", \"config\": ");
+    entry.config = r.string();
+    r.literal(", \"resolved_policies\": [");
+    while (r.ok && !r.skip("]")) {
+        if (!entry.resolvedPolicies.empty())
+            r.literal(", ");
+        r.literal("[");
+        std::string level = r.string();
+        r.literal(", ");
+        std::string desc = r.string();
+        r.literal("]");
+        entry.resolvedPolicies.emplace_back(std::move(level),
+                                            std::move(desc));
+    }
+    r.literal(", \"metrics\": {");
+    while (r.ok && !r.skip("}")) {
+        if (!entry.metrics.empty())
+            r.literal(", ");
+        std::string name = r.string();
+        r.literal(": ");
+        entry.metrics[std::move(name)] = r.number<double>();
+    }
+    if (!r.ok || !r.rest.empty())
+        return std::nullopt;
+    return entry;
 }
 
 } // namespace
@@ -308,21 +195,16 @@ RunJournal::load(const std::string &path)
         return entries;  // Missing journal: a fresh run.
     std::string line;
     while (std::getline(in, line)) {
-        if (line.empty())
+        // Check the fingerprint before parsing: a torn, edited or
+        // foreign line never reaches the parser.
+        if (line.size() < kClosingBytes)
             continue;
-        JournalEntry entry;
-        std::string status;
-        std::uint64_t fingerprint = 0;
-        bool sawFingerprint = false;
-        if (!parseLine(line, entry, status, fingerprint,
-                       sawFingerprint)) {
-            continue;  // Torn or foreign line.
-        }
-        if (status != "ok")
-            continue;  // Failed cells re-execute on resume.
-        if (!sawFingerprint || fingerprint != entryFingerprint(entry))
-            continue;  // Payload damage.
-        entries[entry.cell] = std::move(entry);  // Last line wins.
+        const std::string_view payload =
+            std::string_view(line).substr(0, line.size() - kClosingBytes);
+        if (!line.ends_with(closing(payload)))
+            continue;
+        if (std::optional<JournalEntry> entry = parsePayload(payload))
+            entries[entry->cell] = std::move(*entry);  // Last wins.
     }
     return entries;
 }

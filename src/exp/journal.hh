@@ -3,22 +3,30 @@
  * Run journal: append-only JSONL record of completed cells, and the
  * resume half that reads it back.
  *
- * As each cell of a journaled grid finishes, the runner appends one
- * flat JSON line holding everything the sinks consume from that cell
- * -- the axis labels, the metrics map (rendered with the sinks' own
- * %.17g codec, so a replayed row reproduces the exact BENCH bytes),
- * the resolved per-level policies, and a fingerprint over that
- * payload.  Resubmitting the spec with the same journal path loads
- * the file, skips every cell with a valid "ok" line, and re-emits the
- * recorded rows: the resumed run's BENCH files are byte-identical to
- * an uninterrupted one.
+ * As each cell of a journaled grid completes, the runner appends one
+ * line holding everything the sinks consume from that cell, in one
+ * fixed layout:
  *
- * Failed cells are journaled too (status "error") for the audit
- * trail, but load() never returns them: a failed cell is re-executed
- * on resume.  Torn trailing lines (the crash case journaling exists
- * for) and fingerprint mismatches are skipped, not fatal.  Lines are
- * written under a mutex and flushed individually, so the journal is
- * crash-consistent at line granularity.
+ *     {"cell": N, "workload": ..., "policy": ..., "config": ...,
+ *      "resolved_policies": [[level, desc], ...], "metrics": {...},
+ *      "fingerprint": "<16 hex digits>"}
+ *
+ * (on one line).  The metrics are rendered with the sinks' own %.17g
+ * codec, so a replayed row reproduces the exact BENCH bytes, and the
+ * fingerprint is FNV-1a over every byte of the line before it.
+ * Resubmitting the spec with the same journal path loads the file,
+ * skips every cell with an intact line, and re-emits the recorded
+ * rows: the resumed run's BENCH files are byte-identical to an
+ * uninterrupted one.
+ *
+ * Only completed cells are journaled: a failed cell has no line and
+ * re-executes on resume.  load() checks each line's fingerprint
+ * against the line's own bytes before it parses anything, so a torn
+ * trailing line (the crash case journaling exists for), an edited
+ * line and a line written in another layout (an older build's
+ * journal) are skipped, not fatal, and their cells re-execute.  Lines
+ * are written under a mutex and flushed individually, so the journal
+ * is crash-consistent at line granularity.
  *
  * append() is the sink_write fault-injection site, absorbed by a
  * bounded internal retry: a journaling fault can cost resumability of
@@ -30,7 +38,6 @@
 #define TRRIP_EXP_JOURNAL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -40,21 +47,15 @@
 
 namespace trrip::exp {
 
-/** One journal line (either outcome of one cell). */
+/** One journal line: a completed cell, as the sinks consume it. */
 struct JournalEntry
 {
     std::size_t cell = 0;  //!< Deterministic cell index in the grid.
     std::string workload;
     std::string policy;
     std::string config;
-    unsigned attempts = 0;
-
-    bool failed = false;
-    std::string errorCategory;  //!< Set when failed.
-    std::string errorMessage;
-
-    std::map<std::string, double> metrics;  //!< Set when !failed.
     std::vector<std::pair<std::string, std::string>> resolvedPolicies;
+    std::map<std::string, double> metrics;
 };
 
 /** Thread-safe append-mode journal writer. */
@@ -65,7 +66,6 @@ class RunJournal
     explicit RunJournal(std::string path);
 
     bool valid() const { return static_cast<bool>(out_); }
-    const std::string &path() const { return path_; }
 
     /**
      * Append one line and flush.  Never throws: a write failure (or
@@ -75,10 +75,10 @@ class RunJournal
     void append(const JournalEntry &entry);
 
     /**
-     * Parse @p path into cell -> entry.  Only clean "ok" lines are
-     * returned (last one per cell wins); error lines, unparseable
-     * lines and fingerprint mismatches are skipped.  A missing file
-     * is an empty map (first run of a journaled spec).
+     * Parse @p path into cell -> entry (last intact line per cell
+     * wins); a line whose fingerprint does not match its bytes is
+     * skipped.  A missing file is an empty map (first run of a
+     * journaled spec).
      */
     static std::map<std::size_t, JournalEntry>
     load(const std::string &path);

@@ -1,29 +1,11 @@
 #include "exp/profile_cache.hh"
 
-#include <sstream>
 #include <type_traits>
 
+#include "util/fault.hh"
 #include "workloads/builder.hh"
 
 namespace trrip::exp {
-
-std::string
-ProfileCache::key(const SyntheticWorkload &workload,
-                  InstCount profile_instructions)
-{
-    // collectProfile() runs the pre-PGO layout with the training seed
-    // and training skew for the given budget; the program itself is a
-    // deterministic function of the workload parameters, fingerprinted
-    // here by name + block/function counts (specs that mutate a
-    // workload's structure under the same name must rename it).
-    const WorkloadParams &p = workload.params;
-    std::ostringstream os;
-    os << p.name << '|' << p.trainSeed << '|' << p.trainZipfSkew << '|'
-       << profile_instructions << '|'
-       << workload.program.numFunctions() << '|'
-       << workload.program.numBlocks();
-    return os.str();
-}
 
 template <typename T, typename Key, typename Build>
 std::shared_ptr<const T>
@@ -50,6 +32,9 @@ ProfileCache::lookup(Entries<T, Key> &entries, const Key &key,
             hits_.fetch_add(1, std::memory_order_relaxed);
         return entry->value;
     }
+    // Every row that asks shares the entry: building it draws no fault
+    // in the scope of the row that happened to ask first.
+    FaultInjector::Pause pause;
     entry->value = std::make_shared<const T>(build());
     if (counted)
         collections_.fetch_add(1, std::memory_order_relaxed);
@@ -61,9 +46,11 @@ ProfileCache::get(const SyntheticWorkload &workload,
                   InstCount profile_instructions,
                   const CancelToken *cancel)
 {
-    return lookup(entries_, key(workload, profile_instructions), [&] {
-        return collectProfile(workload, profile_instructions, cancel);
-    });
+    return lookup(entries_,
+                  std::pair(workload.params, profile_instructions), [&] {
+                      return collectProfile(workload, profile_instructions,
+                                            cancel);
+                  });
 }
 
 std::shared_ptr<const trace::TraceIndex>

@@ -2,14 +2,18 @@
  * @file
  * Process-wide cache of PGO training profiles.
  *
- * A training profile depends only on (workload identity, training
- * input, profile budget) -- not on the replacement policy or cache
+ * A training profile depends only on the workload's parameters and
+ * the profile budget -- not on the replacement policy or cache
  * configuration under evaluation -- so a grid sweep needs exactly one
  * instrumented run per workload, not one per cell.  The built proxy
  * workloads and the trace indexes are cached the same way.  The cache
  * is thread-safe and collection is de-duplicated: concurrent requests
  * for the same key block on one collection instead of racing to
  * repeat it.
+ *
+ * Every entry is built under a FaultInjector::Pause: an entry serves
+ * every row that asks for it, so building it draws no fault in the
+ * scope of whichever row asked first (util/fault.hh).
  */
 
 #ifndef TRRIP_EXP_PROFILE_CACHE_HH
@@ -21,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "sim/simulator.hh"
 #include "trace/replay.hh"
@@ -33,13 +38,14 @@ class ProfileCache
   public:
     /**
      * The training profile for @p workload at @p profile_instructions,
-     * collected on first use.  The key is the workload's name, its
-     * training input (seed and Zipf skew), its structural size, and
-     * the budget; everything else (policy, cache geometry, layout
-     * options) does not influence the instrumented run.  A collection
-     * polls @p cancel (the calling cell's deadline token, if any); a
-     * cancelled one throws SimError(Timeout) and leaves the entry
-     * empty, so the next caller collects afresh.
+     * collected on first use.  The key is every field of the
+     * workload's WorkloadParams, which the program and the training
+     * run are built from, and the budget; everything else (policy,
+     * cache geometry, layout options) does not influence the
+     * instrumented run.  A collection polls @p cancel (the calling
+     * cell's deadline token, if any); a cancelled one throws
+     * SimError(Timeout) and leaves the entry empty, so the next caller
+     * collects afresh.
      */
     std::shared_ptr<const Profile>
     get(const SyntheticWorkload &workload,
@@ -93,9 +99,6 @@ class ProfileCache
     template <typename T, typename Key = std::string>
     using Entries = std::map<Key, std::shared_ptr<Entry<T>>>;
 
-    static std::string key(const SyntheticWorkload &workload,
-                           InstCount profile_instructions);
-
     /**
      * The value of @p entries at @p key, built by @p build on first
      * use and counted as a collection, else counted as a hit
@@ -106,7 +109,7 @@ class ProfileCache
                                     const Key &key, Build &&build);
 
     std::mutex mutex_;
-    Entries<Profile> entries_;
+    Entries<Profile, std::pair<WorkloadParams, InstCount>> entries_;
     Entries<trace::TraceIndex> traceEntries_;
     Entries<SyntheticWorkload, WorkloadParams> workloadEntries_;
     /** Destructive-interference padding unit (a conservative constant:

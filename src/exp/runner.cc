@@ -254,25 +254,6 @@ struct RunState
             store(lanes[k], std::move(out[k]));
     }
 
-    JournalEntry
-    journalEntryFor(const CellRecord &rec, std::size_t index) const
-    {
-        JournalEntry entry;
-        entry.cell = index;
-        entry.workload = rec.workload;
-        entry.policy = rec.policy;
-        entry.config = rec.config;
-        entry.attempts = rec.attempts;
-        entry.failed = rec.failed;
-        entry.errorCategory = rec.errorCategory;
-        entry.errorMessage = rec.errorMessage;
-        if (!rec.failed) {
-            entry.metrics = rec.metrics;
-            entry.resolvedPolicies = rec.artifacts.resolvedPolicies;
-        }
-        return entry;
-    }
-
     /** Drop whatever a failed attempt half-produced, so a retry (or
      *  the error row) starts from a clean record. */
     void
@@ -289,7 +270,7 @@ struct RunState
 
     /** The final failure of @p index: a schema-stable error row. */
     void
-    failCell(std::size_t index, SimError last, unsigned attempts)
+    failCell(std::size_t index, SimError last)
     {
         CellRecord &rec = records[index];
         last.addContext(
@@ -298,17 +279,11 @@ struct RunState
             (rec.config.empty() ? std::string()
                                 : ", config " + rec.config));
         rec.failed = true;
-        rec.attempts = attempts;
         rec.errorCategory = errorCategoryName(last.category());
         rec.errorMessage = last.message();
         for (const std::string &frame : last.context())
             rec.errorMessage += "; " + frame;
         cellsFailed.fetch_add(1, std::memory_order_relaxed);
-        if (journal) {
-            // Under (cell, attempts), as a successful cell's line.
-            FaultInjector::Scope scope(index, attempts);
-            journal->append(journalEntryFor(rec, index));
-        }
         if (spec.onError.mode == OnError::Mode::Abort) {
             abortRequested.store(true, std::memory_order_relaxed);
             std::lock_guard<std::mutex> lock(errorMutex);
@@ -329,8 +304,8 @@ struct RunState
      * depends only on the cell and the attempt number, never on the
      * worker, the schedule or TRRIP_JOBS -- and a retry re-rolls, so
      * finite rates converge.  Each pending cell draws its `cell` site
-     * under its own scope, and its journal line draws `sink_write`
-     * under (cell, its last attempt); the work the lanes share
+     * under its own scope, and a completed cell's journal line draws
+     * `sink_write` under (cell, attempt); the work the lanes share
      * (build, profile, prepare, trace chunk loads) runs under the
      * scope of the group's first pending cell, and a throw there
      * fails the attempt for every lane in it.  A retry re-runs only
@@ -398,8 +373,6 @@ struct RunState
                         failAttempt(index, *shared, errors);
                         continue;
                     }
-                    CellRecord &rec = records[index];
-                    rec.attempts = attempt;
                     errors.erase(index);
                     if (attempt > 1) {
                         cellsRetried.fetch_add(
@@ -409,7 +382,11 @@ struct RunState
                         // The cell's own scope: its journal line draws
                         // the sink_write site as a solo cell would.
                         FaultInjector::Scope scope(index, attempt);
-                        journal->append(journalEntryFor(rec, index));
+                        const CellRecord &rec = records[index];
+                        journal->append({index, rec.workload, rec.policy,
+                                         rec.config,
+                                         rec.artifacts.resolvedPolicies,
+                                         rec.metrics});
                     }
                 }
             }
@@ -419,7 +396,7 @@ struct RunState
         }
 
         for (std::size_t index : pending)
-            failCell(index, errors.at(index), max_attempts);
+            failCell(index, errors.at(index));
     }
 };
 

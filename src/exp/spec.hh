@@ -223,8 +223,6 @@ struct CellRecord
     std::string errorCategory;
     std::string errorMessage;
     /** @} */
-    /** Attempts actually executed (0 for resumed/skipped cells). */
-    unsigned attempts = 0;
 
     const SimResult &result() const { return artifacts.result; }
 

@@ -3,19 +3,18 @@
 #include <bit>
 
 #include "sim/multicore.hh"
+#include "util/hash.hh"
 
 namespace trrip {
 
 namespace {
 
-/** Fold one 64-bit value into an FNV-1a hash, byte by byte. */
+/** Fold one 64-bit value into an FNV-1a hash, low byte first. */
 std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
+foldWord(std::uint64_t h, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
+    for (int i = 0; i < 8; ++i)
+        h = fnv1a(h, static_cast<std::uint8_t>(v >> (8 * i)));
     return h;
 }
 
@@ -24,17 +23,17 @@ fnv1a(std::uint64_t h, std::uint64_t v)
 std::uint64_t
 multiCoreFingerprint(const MultiCoreResult &result)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnv1aBasis;
     for (const RunArtifacts &core : result.cores)
-        h = fnv1a(h, goldenFingerprint(core.result));
-    h = fnv1a(h, result.dramReads);
-    return fnv1a(h, result.dramWrites);
+        h = foldWord(h, goldenFingerprint(core.result));
+    h = foldWord(h, result.dramReads);
+    return foldWord(h, result.dramWrites);
 }
 
 std::uint64_t
 goldenFingerprint(const SimResult &r, std::string *dump_out)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnv1aBasis;
     if (dump_out)
         dump_out->clear();
     // Every counter folds as its 64-bit pattern: the integers as they
@@ -42,7 +41,7 @@ goldenFingerprint(const SimResult &r, std::string *dump_out)
     forEachCounter(
         [&](const char *name, auto counter) {
             const auto bits = std::bit_cast<std::uint64_t>(counter);
-            h = fnv1a(h, bits);
+            h = foldWord(h, bits);
             if (dump_out) {
                 *dump_out += "  " + std::string(name) + " = " +
                              std::to_string(bits) + "\n";

@@ -97,7 +97,8 @@ prepareWorkload(const SyntheticWorkload &workload,
             collectProfile(workload, profile_budget, options.cancel));
 
     // (4)-(5) Re-optimization: classify temperature, lay out ELF2.
-    LayoutOptions layout_opts = options.layout;
+    LayoutOptions layout_opts;
+    layout_opts.padSectionsToPage = options.padSectionsToPage;
     layout_opts.pageSize = options.pageSize;
     layout_opts.extraColdTextBytes = workload.params.extraColdTextBytes;
     layout_opts.extraBinaryBytes = workload.params.extraBinaryBytes;

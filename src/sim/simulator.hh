@@ -33,7 +33,9 @@ struct SimOptions
 
     bool pgo = true;                 //!< Use the PGO layout + sections.
     ClassifierOptions classifier;
-    LayoutOptions layout;
+    /** Pad the evaluation image's temperature sections to page
+     *  boundaries (LayoutOptions::padSectionsToPage). */
+    bool padSectionsToPage = false;
     MixedPagePolicy pagePolicy = MixedPagePolicy::DisableMark;
     std::uint32_t pageSize = 4096;
 

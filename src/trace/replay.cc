@@ -166,7 +166,6 @@ prepareTrace(const std::string &path, const SimOptions &options,
     }
     panic_if(index->path != path, "trace index for '", index->path,
              "' replayed against '", path, "'");
-    rt.index = index;
 
     RunArtifacts &art = rt.art;
     // Aliasing share: the profile lives inside the shared index.

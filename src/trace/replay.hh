@@ -68,15 +68,15 @@ TraceIndex buildTraceIndex(const std::string &path);
 
 /**
  * The software half of a trace replay: artifacts plus the page table
- * the attribute bits were stamped into, and the (possibly shared)
- * index the replay runs from -- the trace analogue of
- * WorkloadRuntime / prepareWorkload().  Policy-independent: apply the
- * L2 policy spec to @p options before the engine is built, not here.
+ * the attribute bits were stamped into -- the trace analogue of
+ * WorkloadRuntime / prepareWorkload().  The artifacts' profile shares
+ * ownership of the (possibly shared) index it lives in.
+ * Policy-independent: apply the L2 policy spec to @p options before
+ * the engine is built, not here.
  */
 struct TraceRuntime
 {
     RunArtifacts art;
-    std::shared_ptr<const TraceIndex> index;
     std::unique_ptr<PageTable> pageTable;
 };
 
@@ -93,8 +93,8 @@ TraceRuntime prepareTrace(const std::string &path,
  * Replay @p path against @p policy_spec: a one-core, one-lane
  * runBundle() (sim/multicore.hh) with no probe.  @p index may be shared
  * across calls (exp::ProfileCache); pass nullptr to build a private
- * one.  SimOptions fields that describe proxy synthesis (layout
- * options, profile budget) are ignored: the trace IS the program.
+ * one.  SimOptions fields that describe proxy synthesis (section
+ * padding, profile budget) are ignored: the trace IS the program.
  */
 RunArtifacts runTrace(const std::string &path,
                       const std::string &policy_spec,

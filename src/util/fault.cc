@@ -25,6 +25,9 @@ struct ScopeState
 
 thread_local ScopeState tlScope;
 
+/** Live FaultInjector::Pause guards on this thread. */
+thread_local unsigned tlPauses = 0;
+
 } // namespace
 
 const char *
@@ -128,7 +131,7 @@ FaultInjector::configure(const std::string &spec)
 bool
 FaultInjector::shouldFail(FaultSite site)
 {
-    if (!enabled())
+    if (!enabled() || tlPauses > 0)
         return false;
 
     const std::size_t s = static_cast<std::size_t>(site);
@@ -205,6 +208,16 @@ FaultInjector::Scope::Scope(std::uint64_t key, unsigned attempt)
 FaultInjector::Scope::~Scope()
 {
     tlScope = {};
+}
+
+FaultInjector::Pause::Pause()
+{
+    ++tlPauses;
+}
+
+FaultInjector::Pause::~Pause()
+{
+    --tlPauses;
 }
 
 } // namespace trrip

@@ -34,6 +34,12 @@
  * own per-site ordinals, counted since the thread started or since
  * its last scope ended, so it depends only on that thread's own
  * order of draws.
+ *
+ * Work whose result outlives the scope that happens to run it -- the
+ * exp::ProfileCache builds a workload, a training profile or a trace
+ * index once for every row that asks -- runs under a
+ * FaultInjector::Pause and draws nothing, so no row's faults depend
+ * on whether that row or another built the shared input.
  */
 
 #ifndef TRRIP_UTIL_FAULT_HH
@@ -107,6 +113,21 @@ class FaultInjector
 
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
+    };
+
+    /**
+     * RAII guard: while it lives, no site fires or counts on the
+     * current thread, and the thread's scope and per-site ordinals
+     * stay as they were.  Pauses nest.
+     */
+    class Pause
+    {
+      public:
+        Pause();
+        ~Pause();
+
+        Pause(const Pause &) = delete;
+        Pause &operator=(const Pause &) = delete;
     };
 
   private:

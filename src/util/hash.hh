@@ -1,6 +1,7 @@
 /**
  * @file
- * The repository's one SplitMix64 implementation.
+ * The repository's one SplitMix64 implementation and its one FNV-1a
+ * step.
  *
  * SplitMix64 (Steele/Lea/Flood via Vigna) serves two distinct roles
  * here and must be bit-identical across them, because both sit
@@ -13,6 +14,10 @@
  *  - Deterministic fault draws (util/fault.cc): the TRRIP_FAULT
  *    injection harness hashes (site, scope key, ordinal) through the
  *    finalizer so a fault schedule is a pure function of the spec.
+ *
+ * FNV-1a (64-bit) folds byte streams: the golden fingerprints fold
+ * every counter's bytes (sim/golden.cc), and the run journal folds
+ * the bytes of each line it writes (exp/journal.cc).
  */
 
 #ifndef TRRIP_UTIL_HASH_HH
@@ -51,6 +56,16 @@ splitMix64Next(std::uint64_t &state)
     const std::uint64_t out = splitMix64(state);
     state += kSplitMix64Gamma;
     return out;
+}
+
+/** The 64-bit FNV-1a offset basis: the hash of no bytes. */
+constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/** One FNV-1a step: fold @p byte into the hash @p h. */
+constexpr std::uint64_t
+fnv1a(std::uint64_t h, std::uint8_t byte)
+{
+    return (h ^ byte) * 0x100000001b3ull;
 }
 
 } // namespace trrip

@@ -421,6 +421,31 @@ TEST(ProfileCache, DistinguishesTrainingInputs)
     EXPECT_EQ(cache.collections(), 2u);
 }
 
+TEST(ProfileCache, KeysProfilesOnEveryWorkloadParam)
+{
+    // A call probability is copied into blocks without a draw from
+    // the builder's RNG: the two programs have the same functions and
+    // blocks, but their training runs take different paths.
+    WorkloadParams fewer_calls = proxyParams("python");
+    fewer_calls.helperCallProb /= 2;
+    const auto wl = buildWorkload(proxyParams("python"));
+    const auto wl_fewer = buildWorkload(fewer_calls);
+    ASSERT_EQ(wl.program.numFunctions(), wl_fewer.program.numFunctions());
+    ASSERT_EQ(wl.program.numBlocks(), wl_fewer.program.numBlocks());
+    exp::ProfileCache cache;
+    const auto p = cache.get(wl, 100000);
+    const auto q = cache.get(wl_fewer, 100000);
+    EXPECT_EQ(cache.collections(), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_NE(p->counts(), q->counts());
+    // Equal parameters, built apart, share the first collection.
+    const auto again = cache.get(buildWorkload(proxyParams("python")),
+                                 100000);
+    EXPECT_EQ(again.get(), p.get());
+    EXPECT_EQ(cache.collections(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+}
+
 TEST(ProfileCache, OneWorkloadPerDistinctParams)
 {
     // Equal parameters share one build; any differing field builds

@@ -207,7 +207,7 @@ TEST(PaddedSections, RemoveMixedPagesEntirely)
     CoDesignPipeline pipe(proxyParams("deepsjeng"));
     SimOptions o;
     o.maxInstructions = 200000;
-    o.layout.padSectionsToPage = true;
+    o.padSectionsToPage = true;
     const auto art = pipe.run("TRRIP-1", o);
     EXPECT_EQ(art.loadStats.mixedPages, 0u);
 }
